@@ -1,8 +1,8 @@
 """From an arbitrary symmetric resource state to a channel.
 
 Builds a resource from a named family and from a file, runs the reduction ->
-spin-coefficient -> Choi pipeline, compares with the two-port shortcut, and
-extracts the channel's Kraus operators.
+spin-coefficient -> Choi pipeline, compares with the basis-free closed form,
+and extracts the channel's Kraus operators.
 """
 
 import tempfile
@@ -11,15 +11,15 @@ from pathlib import Path
 import numpy as np
 
 from pbtsim import (AdChoi, apply_kraus, choi_from_reduced, choi_to_kraus,
-                    load_resource, make_family, save_resource, two_port_choi)
+                    load_resource, make_family, pbt_ad_choi, save_resource)
 
 reduced = make_family(AdChoi(0.3), 2)
 c = choi_from_reduced(reduced)
 print("Choi matrix of the channel simulated by two damping-Choi ports (p1 = 0.3):")
 print(np.round(c.real, 6))
 
-print("\ntwo-port closed form agrees to",
-      np.abs(c - two_port_choi(reduced)).max())
+print("\nbasis-free closed form agrees to",
+      np.abs(c - pbt_ad_choi(2, 0.3)).max())
 
 ks = choi_to_kraus(c)
 print(f"\n{len(ks.ops)} Kraus operators; completeness defect:",

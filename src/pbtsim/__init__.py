@@ -14,12 +14,10 @@ from .analysis import (AdKnownPoints, AlternateDerivatives, AlternateXYZ,
                        diamond_numeric, difference_spectrum, p0_cross,
                        pbt_ad_choi, symmetric_sum_curvature, trace_min_location,
                        trace_norm, xi)
-from .choi import (QRCoeffs, assemble_choi, check_choi, choi_from_reduced,
-                   qr_coeffs, two_port_choi)
+from .choi import QRCoeffs, assemble_choi, check_choi, choi_from_reduced, qr_coeffs
 from .kraus import (KrausSet, ProtocolKraus, apply_kraus, apply_protocol,
                     choi_from_kraus, choi_to_kraus, protocol_gram,
-                    protocol_kraus, sqrt_measurement_op,
-                    unreduced_multiplicity)
+                    protocol_kraus, unreduced_multiplicity)
 from .oracle import DensePovm, build_povm, oracle_choi, povm_element, sigma_op
 from .resources import (AdChoi, Alternate, Bell, FromFile, FullResource,
                         ReducedResource, ResourceFamily, SpinCoefficients,
@@ -27,8 +25,7 @@ from .resources import (AdChoi, Alternate, Bell, FromFile, FullResource,
                         port_state, reduce_full, reduced_from_port,
                         reduced_port_state, save_resource, symmetrize,
                         to_spin_coefficients, trace_to_first_port)
-from .spin import (Kind, RhoEigenvector, SpinBasis, SpinLabel,
-                   build_rho_eigenvectors, build_spin_basis, clebsch_gordan,
+from .spin import (Kind, SpinBasis, SpinLabel, build_spin_basis, clebsch_gordan,
                    degeneracy, rho_eigenvalue)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,6 +17,7 @@ from scipy.optimize import brentq, minimize
 
 from .kraus import choi_to_kraus
 from .linalg import mat_abs, partial_trace_qubits
+from .resources import ad_choi_port
 
 
 # ----------------------------------------------------------------------------
@@ -33,8 +34,11 @@ def xi(n: int) -> float:
     total = 0.0
     for t in range((1 if n % 2 else 2), n + 1, 2):  # t = 2s + 1
         den = (n + 2) ** 2 - t * t
-        total += (t * t - 1) / 4 * math.comb(n, (n - t) // 2) * ((n + 2) - math.sqrt(den)) / den
-    return total / (3 * 2.0 ** (n - 4)) + (n + 2) / (3 * 2.0 ** (n - 1))
+        # the binomial over 2^(n-4) is an exact int/int true division, so no
+        # term overflows a float at large n
+        total += ((t * t - 1) / 4 * (math.comb(n, (n - t) // 2) / 2 ** (n - 4))
+                  * ((n + 2) - math.sqrt(den)) / den)
+    return total / 3 + (n + 2) / (3 * 2 ** (n - 1))
 
 
 def depolarizing_choi(xi_val: float) -> np.ndarray:
@@ -62,17 +66,14 @@ def ad_choi(p: float, convention: str = "plus") -> np.ndarray:
     """
     if not 0 <= p <= 1:
         raise ValueError(f"damping probability out of [0,1]: {p}")
-    r = math.sqrt(1 - p)
     if convention == "plus":
+        r = math.sqrt(1 - p)
         return np.array(
             [[0.5, 0, 0, r / 2], [0, 0, 0, 0], [0, 0, p / 2, 0], [r / 2, 0, 0, (1 - p) / 2]],
             dtype=complex,
         )
     if convention == "singlet":
-        return np.array(
-            [[p / 2, 0, 0, 0], [0, (1 - p) / 2, -r / 2, 0], [0, -r / 2, 0.5, 0], [0, 0, 0, 0]],
-            dtype=complex,
-        )
+        return ad_choi_port(p)
     raise ValueError(f"unknown convention {convention!r}")
 
 

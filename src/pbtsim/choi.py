@@ -22,11 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import herm_defect, partial_trace_qubits
-from .resources import ReducedResource, SpinCoefficients, g_sum, to_spin_coefficients
+from .resources import TAGS, ReducedResource, SpinCoefficients, g_sum, to_spin_coefficients
 from .spin import Kind, build_spin_basis
 
 _I = Kind.I
 _II = Kind.II
+
+CHOI_ATOL = 1e-10      # Hermiticity, trace and trace-preservation defects
+CHOI_PSD_ATOL = 1e-9   # most negative eigenvalue tolerated
 
 
 @dataclass(frozen=True)
@@ -100,18 +103,14 @@ def _components(coeffs: SpinCoefficients, tag: str, n: int) -> tuple[complex, co
     return c11, c13, c33
 
 
-def assemble_choi(coeffs: SpinCoefficients, n: int | None = None) -> np.ndarray:
+def assemble_choi(coeffs: SpinCoefficients) -> np.ndarray:
     """Choi matrix of the simulated channel from spin-basis coefficient tables."""
-    if n is None:
-        n = coeffs.n
-    if n != coeffs.n:
-        raise ValueError(f"coefficients are for n={coeffs.n}, requested {n}")
+    n = coeffs.n
     if n < 2:
         raise ValueError("at least two ports are required")
-    comp = {tag: _components(coeffs, tag, n) for tag in ("11", "12", "21", "22")}
-    c11 = {tag: comp[tag][0] for tag in comp}
-    c13 = {tag: comp[tag][1] for tag in comp}
-    c33 = {tag: comp[tag][2] for tag in comp}
+    c11, c13, c33 = {}, {}, {}
+    for tag in TAGS:
+        c11[tag], c13[tag], c33[tag] = _components(coeffs, tag, n)
     return np.array(
         [
             [c11["11"], c11["12"], c13["11"], c13["12"]],
@@ -129,49 +128,16 @@ def choi_from_reduced(reduced: ReducedResource) -> np.ndarray:
     return assemble_choi(to_spin_coefficients(reduced, basis))
 
 
-def two_port_choi(reduced: ReducedResource) -> np.ndarray:
-    """Two-port special case, evaluated from the handful of surviving terms."""
-    if reduced.n != 2:
-        raise ValueError(f"two_port_choi needs n=2, got n={reduced.n}")
-    coeffs = to_spin_coefficients(reduced, build_spin_basis(2))
-    inv_2r3 = 1.0 / (2.0 * math.sqrt(3.0))
-    inv_r6 = 1.0 / math.sqrt(6.0)
-
-    def c11(tag):
-        mixed = coeffs.f(tag, _I, 0, 0, 1, _II, 2, 0, 1) + coeffs.f(tag, _II, 2, 0, 1, _I, 0, 0, 1)
-        return 0.5 * np.trace(reduced.block(tag)) - inv_2r3 * mixed
-
-    def c13(tag):
-        return inv_r6 * (
-            coeffs.f(tag, _I, 0, 0, 1, _II, 2, -2, 1) - coeffs.f(tag, _II, 2, 2, 1, _I, 0, 0, 1)
-        )
-
-    def c33(tag):
-        mixed = coeffs.f(tag, _I, 0, 0, 1, _II, 2, 0, 1) + coeffs.f(tag, _II, 2, 0, 1, _I, 0, 0, 1)
-        return 0.5 * np.trace(reduced.block(tag)) + inv_2r3 * mixed
-
-    return np.array(
-        [
-            [c11("11"), c11("12"), c13("11"), c13("12")],
-            [np.conj(c11("12")), c11("22"), c13("21"), c13("22")],
-            [np.conj(c13("11")), np.conj(c13("21")), c33("11"), c33("12")],
-            [np.conj(c13("12")), np.conj(c13("22")), np.conj(c33("12")), c33("22")],
-        ],
-        dtype=complex,
-    )
-
-
-def check_choi(c: np.ndarray, herm_atol: float = 1e-10, psd_atol: float = 1e-9,
-               trace_atol: float = 1e-10, tp_atol: float = 1e-10) -> None:
+def check_choi(c: np.ndarray) -> None:
     """Validate the state and trace-preservation invariants of a Choi matrix."""
     if c.shape != (4, 4):
         raise ValueError(f"Choi matrix must be 4x4, got {c.shape}")
-    if herm_defect(c) > herm_atol:
+    if herm_defect(c) > CHOI_ATOL:
         raise ValueError("Choi matrix is not Hermitian")
-    if np.linalg.eigvalsh(c).min() < -psd_atol:
+    if np.linalg.eigvalsh(c).min() < -CHOI_PSD_ATOL:
         raise ValueError("Choi matrix is not positive semidefinite")
-    if abs(np.trace(c) - 1) > trace_atol:
+    if abs(np.trace(c) - 1) > CHOI_ATOL:
         raise ValueError("Choi matrix trace differs from 1")
     marginal = partial_trace_qubits(c, 2, [0])
-    if np.max(np.abs(marginal - np.eye(2) / 2)) > tp_atol:
+    if np.max(np.abs(marginal - np.eye(2) / 2)) > CHOI_ATOL:
         raise ValueError("channel is not trace preserving (idler marginal != I/2)")

@@ -52,13 +52,21 @@ def parse_resource(spec: str) -> ResourceFamily:
     )
 
 
+def _check_step(step: float) -> None:
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step}")
+
+
 def parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {spec!r}")
     start, stop, step = (float(p) for p in parts)
-    if step <= 0 or stop < start:
-        raise ValueError(f"bad grid {spec!r}: need step > 0 and stop >= start")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"bad grid {spec!r}: start and stop must be finite")
+    _check_step(step)
+    if stop < start:
+        raise ValueError(f"bad grid {spec!r}: need stop >= start")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return np.minimum(start + step * np.arange(count), stop)
 
@@ -102,25 +110,30 @@ def cmd_xi(args) -> int:
     return 0
 
 
-def _resolve_choi(args) -> np.ndarray:
-    family = parse_resource(args.resource)
-    reduced = make_family(family, args.ports)
-    return choi_from_reduced(reduced)
-
-
-def cmd_choi(args) -> int:
-    c = _resolve_choi(args)
+def _resolve_choi(args) -> np.ndarray | None:
+    """The checked output Choi matrix, or None once the reason it is invalid is printed."""
+    c = choi_from_reduced(make_family(parse_resource(args.resource), args.ports))
     try:
         check_choi(c)
     except ValueError as exc:
         print(f"invalid output Choi matrix: {exc}", file=sys.stderr)
+        return None
+    return c
+
+
+def cmd_choi(args) -> int:
+    c = _resolve_choi(args)
+    if c is None:
         return VALIDATION_EXIT
     _print_matrix(c)
     return 0
 
 
 def cmd_kraus(args) -> int:
-    ks = choi_to_kraus(_resolve_choi(args))
+    c = _resolve_choi(args)
+    if c is None:
+        return VALIDATION_EXIT
+    ks = choi_to_kraus(c)
     print(f"# {len(ks.ops)} Kraus operators (rows: output, cols: input)")
     for i, op in enumerate(ks.ops, start=1):
         print(f"K{i}:")
@@ -217,9 +230,10 @@ def _figure_comparison(out: Path, n: int, step: float, seed: int, restarts: int)
 
 
 def cmd_figure(args) -> int:
+    step = args.step
+    _check_step(step)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    step = args.step
     seed, restarts = args.seed, args.restarts
     if args.id == 1:
         paths = _figure_sweep_files(out, 4, (0.36, 0.7), "choi", 0.0, 0.99, step, seed, restarts, "fig1")
@@ -227,11 +241,8 @@ def cmd_figure(args) -> int:
         paths = _figure_sweep_files(out, 4, (0.85, 0.95), "choi", 0.0, 0.99, step, seed, restarts, "fig2")
     elif args.id == 3:
         paths = _figure_sweep_files(out, 4, (0.36, 0.7), "alternate", 0.5, 0.99, step, seed, restarts, "fig3")
-    elif args.id == 4:
+    else:  # argparse restricts --id to 1..4
         paths = _figure_comparison(out, 6, step, seed, restarts)
-    else:
-        print(f"unknown figure id {args.id}", file=sys.stderr)
-        return USAGE_EXIT
     for p in paths:
         print(p)
     return 0

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import qr_coeffs
+from .choi import CHOI_PSD_ATOL, qr_coeffs
 from .spin import Kind, build_rho_eigenvectors, build_spin_basis, degeneracy, rho_eigenvalue
 
 EIG_FLOOR = 1e-12  # rank decision for Kraus extraction
@@ -22,7 +22,7 @@ class KrausSet:
     out_dim: int
 
 
-def choi_to_kraus(choi: np.ndarray, psd_atol: float = 1e-9) -> KrausSet:
+def choi_to_kraus(choi: np.ndarray) -> KrausSet:
     """Kraus operators of the qubit channel with the given Choi matrix.
 
     Eigenvalues below EIG_FLOOR are dropped; each kept eigenvector v (indexed
@@ -31,7 +31,7 @@ def choi_to_kraus(choi: np.ndarray, psd_atol: float = 1e-9) -> KrausSet:
     matrix for the normalised reference state |Phi>.
     """
     w, v = np.linalg.eigh(np.asarray(choi))
-    if w.min() < -psd_atol:
+    if w.min() < -CHOI_PSD_ATOL:
         raise ValueError(f"Choi matrix is not positive semidefinite (min eig {w.min():.3e})")
     ops = []
     for k in range(w.size):

@@ -3,18 +3,13 @@
 from __future__ import annotations
 
 import string
-from functools import reduce
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 
 def dag(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
-
-
-def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
-    return reduce(np.kron, mats)
 
 
 def kron_power(m: np.ndarray, k: int) -> np.ndarray:

@@ -14,16 +14,9 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import permute_qubits
-from .resources import ReducedResource
+from .resources import ReducedResource, bell_port
 
 MAX_ORACLE_PORTS = 8
-
-# projector onto (|01> - |10>)/sqrt(2); this normalisation makes the spectrum
-# of rho = sum_i sigma_i land exactly on the quarter-integer stencil below,
-# which build_povm asserts on every call
-SINGLET = 0.5 * np.array(
-    [[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]], dtype=complex
-)
 
 _SUPPORT_CUTOFF = 1e-10  # spectral gap of rho is >= 1/4, so orders of margin
 
@@ -32,7 +25,6 @@ _SUPPORT_CUTOFF = 1e-10  # spectral gap of rho is >= 1/4, so orders of margin
 class DensePovm:
     n: int
     pi_1: np.ndarray
-    support_projector: np.ndarray
     rho: np.ndarray
 
 
@@ -40,7 +32,10 @@ def sigma_op(i: int, n: int) -> np.ndarray:
     """Singlet projector between C and sender qubit i, identity elsewhere."""
     if not 1 <= i <= n:
         raise ValueError(f"port index {i} out of 1..{n}")
-    sigma1 = np.kron(np.eye(2 ** (n - 1), dtype=complex), SINGLET)
+    # the normalised singlet projector makes the spectrum of rho = sum_i sigma_i
+    # land on the quarter-integer stencil below, which build_povm asserts on
+    # every call
+    sigma1 = np.kron(np.eye(2 ** (n - 1), dtype=complex), bell_port())
     if i == 1:
         return sigma1
     src = list(range(n + 1))
@@ -70,10 +65,9 @@ def build_povm(n: int) -> DensePovm:
         raise AssertionError("rho spectrum off the expected quarter-integer stencil")
     kept = v[:, w > _SUPPORT_CUTOFF]
     inv_sqrt = (kept / np.sqrt(w[w > _SUPPORT_CUTOFF])) @ kept.conj().T
-    support = kept @ kept.conj().T
-    pi_1 = inv_sqrt @ sigma1 @ inv_sqrt + (np.eye(dim) - support) / n
+    pi_1 = inv_sqrt @ sigma1 @ inv_sqrt + (np.eye(dim) - kept @ kept.conj().T) / n
     pi_1 = 0.5 * (pi_1 + pi_1.conj().T)
-    return DensePovm(n=n, pi_1=pi_1, support_projector=support, rho=rho)
+    return DensePovm(n=n, pi_1=pi_1, rho=rho)
 
 
 def povm_element(i: int, n: int) -> np.ndarray:

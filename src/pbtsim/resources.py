@@ -199,13 +199,18 @@ def full_from_port(port: np.ndarray, n: int) -> FullResource:
     return FullResource(n=n, rho_ab=permute_qubits(rho, src))
 
 
+def trace_to_first_port(full: FullResource) -> np.ndarray:
+    """Resource reduced to (A, B_1) as one operator, B_1 in the last slot."""
+    n = full.n
+    keep = list(range(n)) + [2 * n - 1]
+    return partial_trace_qubits(full.rho_ab, 2 * n, keep)
+
+
 def reduce_full(full: FullResource) -> ReducedResource:
     """Trace out all receiver qubits but the first and split into blocks."""
     n = full.n
     full.validate(atol=FILE_ATOL)
-    keep = list(range(n)) + [2 * n - 1]
-    red = partial_trace_qubits(full.rho_ab, 2 * n, keep)
-    arr = red.reshape(2 ** n, 2, 2 ** n, 2)
+    arr = trace_to_first_port(full).reshape(2 ** n, 2, 2 ** n, 2)
     return ReducedResource(
         n=n,
         r11=np.ascontiguousarray(arr[:, 0, :, 0]),
@@ -215,18 +220,12 @@ def reduce_full(full: FullResource) -> ReducedResource:
     )
 
 
-def trace_to_first_port(full: FullResource) -> np.ndarray:
-    """Resource reduced to (A, B_1) as one operator, B_1 in the last slot."""
-    n = full.n
-    keep = list(range(n)) + [2 * n - 1]
-    return partial_trace_qubits(full.rho_ab, 2 * n, keep)
-
-
 def reduced_port_state(family: ResourceFamily, n: int) -> np.ndarray:
     """Tr_{B2..Bn} of a product family, on (A, B_1) with B_1 last."""
-    port = port_state(family)
-    marg = port[0::2, 0::2] + port[1::2, 1::2]
-    return np.kron(kron_power(np.array(marg, dtype=complex), n - 1), port)
+    red = reduced_from_port(port_state(family), n)
+    d = 2 ** (n + 1)
+    # interleave the blocks R^{i+1,j+1} as the B_1 bits (i, j) of one operator
+    return np.array([[red.r11, red.r12], [red.r21, red.r22]]).transpose(2, 0, 3, 1).reshape(d, d)
 
 
 def symmetrize(full: FullResource) -> FullResource:
@@ -347,9 +346,7 @@ def load_resource(path: str | Path) -> ReducedResource:
         d = 2 ** (2 * n)
         if entries.size != d * d:
             raise ValueError(f"expected {d * d} complex entries, got {entries.size}")
-        full = FullResource(n=n, rho_ab=entries.reshape(d, d))
-        full.validate(atol=FILE_ATOL)
-        return reduce_full(full)
+        return reduce_full(FullResource(n=n, rho_ab=entries.reshape(d, d)))
     d = 2 ** n
     if entries.size != 4 * d * d:
         raise ValueError(f"expected {4 * d * d} complex entries, got {entries.size}")

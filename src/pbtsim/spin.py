@@ -118,11 +118,8 @@ class SpinBasis:
     u: np.ndarray
     index: dict
 
-    def column_index(self, jj: int, mm: int, kind: Kind, alpha: int) -> int | None:
-        return self.index.get(SpinLabel(self.n, jj, mm, kind, alpha))
-
     def column(self, jj: int, mm: int, kind: Kind, alpha: int) -> np.ndarray | None:
-        k = self.column_index(jj, mm, kind, alpha)
+        k = self.index.get(SpinLabel(self.n, jj, mm, kind, alpha))
         return None if k is None else self.u[:, k]
 
     def multiplets(self) -> list[tuple[int, Kind, int]]:

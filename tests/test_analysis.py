@@ -27,6 +27,15 @@ class TestXi:
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert all(0 < n * v < 4 for n, v in zip(range(2, 41), vals))
 
+    def test_finite_and_decreasing_at_many_ports(self):
+        ports = (1021, 1022, 1025, 5000)
+        vals = [analysis.xi(n) for n in ports]
+        assert all(math.isfinite(v) for v in vals)
+        assert all(a > b for a, b in zip(vals, vals[1:]))
+        assert 5000 * vals[-1] == pytest.approx(1, rel=0.01)
+        assert np.isfinite(analysis.pbt_ad_choi(1030, 0.3)).all()
+        assert math.isfinite(analysis.ad_known_points(1030, 0.5).d1)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             analysis.xi(1)

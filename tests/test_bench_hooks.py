@@ -1,0 +1,44 @@
+"""The benchmark's tracer patches pbtsim attributes by name; each must exist.
+
+``bench/tracing.py`` is loaded read-only from its file (it imports only the
+standard library), so a rename in ``src/`` that would break a traced
+benchmark run fails here, in the default test run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import pbtsim
+
+_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("_bench_tracing", _TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load_tracing()
+
+HOOKS = sorted(
+    {point for points in tracing.LAYERS.values() for point in points}
+    | {point for points, _ in tracing.COUNTERS.values() for point in points}
+)
+
+
+def test_hooks_listed():
+    assert ("choi", "g_sum") in HOOKS
+    assert ("choi", "assemble_choi") in HOOKS
+
+
+@pytest.mark.parametrize("owner, attr", HOOKS)
+def test_hook_resolves(owner, attr):
+    # the benchmark imports these submodules itself; pbtsim/__init__ skips cli
+    importlib.import_module(f"pbtsim.{owner.split('.')[0]}")
+    obj = tracing._owner(pbtsim, owner)
+    assert callable(getattr(obj, attr))

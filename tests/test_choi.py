@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from pbtsim.analysis import depolarizing_choi, xi
-from pbtsim.choi import (assemble_choi, check_choi, choi_from_reduced,
-                         qr_coeffs, two_port_choi)
+from pbtsim.choi import assemble_choi, check_choi, choi_from_reduced, qr_coeffs
 from pbtsim.linalg import max_abs, partial_trace_qubits
 from pbtsim.oracle import oracle_choi
 from pbtsim.resources import (AdChoi, Alternate, Bell, ReducedResource,
@@ -33,8 +32,10 @@ class TestQRCoeffs:
 
 
 class TestTwoPort:
+    """n=2 regressions on the general assembly."""
+
     def test_bell_values(self):
-        c = two_port_choi(make_family(Bell(), 2))
+        c = choi_from_reduced(make_family(Bell(), 2))
         assert c[0, 0] == pytest.approx(0.25 + 1 / (8 * math.sqrt(3)), abs=1e-14)
         assert c[2, 2] == pytest.approx(0.25 - 1 / (8 * math.sqrt(3)), abs=1e-14)
         assert c[2, 2] == pytest.approx(xi(2) / 4, abs=1e-14)
@@ -43,19 +44,16 @@ class TestTwoPort:
         red = make_family(Bell(), 2)
         zero = np.zeros_like(red.r12)
         diagonal_only = ReducedResource(n=2, r11=red.r11, r12=zero, r21=zero, r22=red.r22)
-        c = two_port_choi(diagonal_only)
-        # entries fed by the off-diagonal conditional blocks vanish
+        c = choi_from_reduced(diagonal_only)
+        # entries fed by the off-diagonal conditional blocks vanish exactly
         for idx in ((0, 1), (0, 3), (2, 3), (1, 2)):
             assert abs(c[idx]) == 0.0
 
     @pytest.mark.parametrize("trial", range(5))
     def test_matches_general_assembly(self, trial, rng):
+        """The general assembly at n=2 against the dense oracle."""
         red = reduce_full(random_symmetric_resource(2, rng))
-        assert max_abs(two_port_choi(red), choi_from_reduced(red)) <= 1e-12
-
-    def test_wrong_port_count_rejected(self):
-        with pytest.raises(ValueError):
-            two_port_choi(make_family(Bell(), 3))
+        assert max_abs(choi_from_reduced(red), oracle_choi(red)) <= 1e-12
 
 
 class TestAssembleChoi:

@@ -3,7 +3,9 @@ import pytest
 
 from pbtsim import cli
 from pbtsim.analysis import pbt_ad_choi
-from pbtsim.resources import AdChoi, make_family, save_resource
+from pbtsim.resources import AdChoi, FullResource, make_family, save_resource
+
+from conftest import random_density
 
 
 def run_cli(capsys, *argv):
@@ -22,6 +24,11 @@ class TestSimpleCommands:
         code, out, _ = run_cli(capsys, "xi", "--ports", "3")
         assert code == 0
         assert out.strip() == "0.5"
+
+    def test_xi_many_ports(self, capsys):
+        code, out, _ = run_cli(capsys, "xi", "--ports", "2000")
+        assert code == 0
+        assert 0 < float(out) < 1e-3
 
     def test_choi_matches_closed_form(self, capsys):
         code, out, _ = run_cli(capsys, "choi", "--ports", "3", "--resource", "ad:0.3")
@@ -63,6 +70,31 @@ class TestErrors:
         code, _, err = run_cli(capsys, "choi", "--ports", "2", "--resource", "wat:1")
         assert code == 1
         assert "unknown resource" in err
+
+    def test_non_finite_grid(self, capsys):
+        code, _, err = run_cli(capsys, "ad-sweep", "--ports", "3", "--p0", "0.5",
+                               "--family", "choi", "--grid", "nan:1:0.1")
+        assert code == 1
+        assert "start and stop must be finite" in err
+
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan"])
+    def test_figure_comparison_rejects_bad_step(self, capsys, tmp_path, step):
+        code, _, err = run_cli(capsys, "figure", "--id", "4", "--out", str(tmp_path),
+                               "--step", step, "--restarts", "1")
+        assert code == 1
+        assert "step must be finite and > 0" in err
+        assert list(tmp_path.glob("*.csv")) == []
+
+    def test_kraus_rejects_invalid_channel(self, capsys, tmp_path):
+        # a random n=3 state that is not port symmetric: its closed-form
+        # channel is not trace preserving
+        rho = random_density(2 ** 6, np.random.default_rng(20191223))
+        path = tmp_path / "asym.pbtres"
+        save_resource(path, FullResource(n=3, rho_ab=rho))
+        code, out, err = run_cli(capsys, "kraus", "--ports", "3", "--resource", str(path))
+        assert code == 2
+        assert "invalid output Choi matrix" in err
+        assert "K1:" not in out
 
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_verification", lambda k: (1e-3, [("n=2 bell", 1e-3)]))

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from pbtsim.linalg import max_abs
+from pbtsim.linalg import kron_power, max_abs
 from pbtsim.oracle import oracle_choi
 from pbtsim.resources import (AdChoi, Alternate, Bell, FromFile, FullResource,
                               ReducedResource, TAGS, ad_choi_port,
                               alternate_port, bell_port, full_from_port,
                               g_sum, load_resource, make_family, port_state,
-                              reduce_full, save_resource, symmetrize,
-                              to_spin_coefficients)
+                              reduce_full, reduced_port_state, save_resource,
+                              symmetrize, to_spin_coefficients)
 from pbtsim.spin import Kind, build_spin_basis
 
 from conftest import random_density, random_symmetric_resource
@@ -62,6 +62,19 @@ class TestReduce:
         red = make_family(family, 4)
         red.validate()
         assert abs(np.trace(red.r11) + np.trace(red.r22) - 1) < 1e-13
+
+
+class TestReducedPortState:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("family", [Bell(), AdChoi(0.3), Alternate(0.8)])
+    def test_bitwise_equal_to_marginal_product(self, n, family):
+        # the direct formula marg^(n-1) (x) port, with marg the port's B marginal
+        port = port_state(family)
+        marg = port[0::2, 0::2] + port[1::2, 1::2]
+        want = np.kron(kron_power(np.array(marg, dtype=complex), n - 1), port)
+        got = reduced_port_state(family, n)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSpinCoefficients:
@@ -238,3 +251,30 @@ class TestResourceFiles:
         save_resource(path, broken)
         with pytest.raises(ValueError):
             load_resource(path)
+
+    def _full_file(self, tmp_path, rho):
+        path = tmp_path / "full.pbtres"
+        save_resource(path, FullResource(n=2, rho_ab=rho))
+        return path
+
+    def test_full_rejects_non_hermitian(self, tmp_path):
+        rho = full_from_port(bell_port(), 2).rho_ab.copy()
+        rho[0, 1] += 1e-6
+        with pytest.raises(ValueError, match="resource state is not Hermitian"):
+            load_resource(self._full_file(tmp_path, rho))
+
+    def test_full_rejects_trace_deficit(self, tmp_path):
+        rho = 0.99 * full_from_port(bell_port(), 2).rho_ab
+        with pytest.raises(ValueError, match="resource state trace differs from 1"):
+            load_resource(self._full_file(tmp_path, rho))
+
+    def test_full_rejects_non_psd(self, tmp_path):
+        rho = full_from_port(bell_port(), 2).rho_ab.copy()
+        # the Bell product has zero weight on |0000>: moving weight there from
+        # a populated diagonal entry keeps the trace and breaks positivity
+        assert rho[0, 0] == 0
+        k = int(np.argmax(rho.diagonal().real))
+        rho[0, 0] -= 1e-4
+        rho[k, k] += 1e-4
+        with pytest.raises(ValueError, match="resource state is not positive semidefinite"):
+            load_resource(self._full_file(tmp_path, rho))
