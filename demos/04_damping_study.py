@@ -2,7 +2,7 @@
 
 The diamond norm from the target channel is known exactly at two resource
 parameters; between them it is bracketed by the trace norm and a partial-trace
-bound, and located numerically by multi-start search over pure inputs.
+bound, and located numerically by a concave search over the input marginal.
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ target = ad_choi(p0, "plus")
 for p1 in np.arange(0.0, 0.40001, 0.05):
     out = pbt_ad_choi(n, float(p1))
     lower, upper = diamond_bounds(out, target)
-    numeric = diamond_numeric(out, target, seed=0, restarts=8)
+    numeric = diamond_numeric(out, target)
     print(f"{p1:.2f}   {trace_norm(out, target):.6f}  {lower:.6f}  {upper:.6f}  {numeric:.6f}")
 
 print("\nAt high p0 the trace-norm minimum leaves the closed-form location:")

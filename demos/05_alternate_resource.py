@@ -28,11 +28,11 @@ print(f"  alternate known point (a={a_known:.6f}): {d2:.6f}  <- lower than both"
 
 target = ad_choi(p0, "plus")
 best_choi = min(
-    diamond_numeric(pbt_ad_choi(n, float(p1)), target, seed=0, restarts=8)
+    diamond_numeric(pbt_ad_choi(n, float(p1)), target)
     for p1 in np.arange(0.0, p0, 0.02)
 )
 best_alt = min(
-    diamond_numeric(alternate_choi(n, float(a)), target, seed=0, restarts=8)
+    diamond_numeric(alternate_choi(n, float(a)), target)
     for a in np.arange(0.5, 0.76, 0.02)
 )
 print(f"\nsweep minima: damping-Choi resources {best_choi:.6f}, "

@@ -3,8 +3,8 @@
 Closed forms for the depolarising probability of the protocol with maximally
 entangled ports, the output Choi matrices for the damping-Choi and alternate
 port families, the two parameter points where the diamond norm collapses onto
-the trace norm, and numerical diamond norms by multi-start pure-state search
-certified against analytic bounds.
+the trace norm, and numerical diamond norms by a concave search over the
+input marginal, certified against analytic bounds.
 """
 
 from __future__ import annotations
@@ -116,22 +116,17 @@ def diamond_bounds(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return lower, upper
 
 
-_BELL_ANGLES = np.array([math.pi / 4, math.pi / 2, math.pi / 2, 0.0, 0.0, 0.0])
+def _into_ball(r: np.ndarray) -> np.ndarray:
+    length = math.sqrt(float(r @ r))
+    return r / length if length > 1 else r
 
 
-def _pure_state(angles: np.ndarray) -> np.ndarray:
-    """Two-qubit pure state from 6 real parameters (global phase removed)."""
-    a, b, g, p1, p2, p3 = angles
-    sa, sb = math.sin(a), math.sin(b)
-    return np.array(
-        [
-            math.cos(a),
-            sa * math.cos(b) * np.exp(1j * p1),
-            sa * sb * math.cos(g) * np.exp(1j * p2),
-            sa * sb * math.sin(g) * np.exp(1j * p3),
-        ],
-        dtype=complex,
-    )
+def _sqrt_marginal(r: np.ndarray) -> np.ndarray:
+    """Square root of the qubit state with Bloch vector r, clipped to the unit ball."""
+    x, y, z = r = _into_ball(r)
+    rho = 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
+    root_det = 0.5 * math.sqrt(max(1 - float(r @ r), 0.0))
+    return (rho + root_det * np.eye(2)) / math.sqrt(1 + 2 * root_det)
 
 
 def _output_diff(psi_mat: np.ndarray, k_plus: list, k_minus: list) -> np.ndarray:
@@ -145,43 +140,42 @@ def _output_diff(psi_mat: np.ndarray, k_plus: list, k_minus: list) -> np.ndarray
     return out
 
 
-def diamond_numeric(x: np.ndarray, y: np.ndarray, seed: int = 0, restarts: int = 64) -> float:
-    """Diamond norm by maximising over pure two-qubit inputs.
+# Nelder-Mead runs per diamond norm at most; sweep points need 2-3
+MAX_SEARCH_RUNS = 10
+_NELDER_MEAD = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000}
 
-    Multi-start Nelder-Mead over six angles; the first start is the maximally
-    entangled input (so the result never falls below the trace-norm lower
-    bound), later starts anneal around the incumbent.  Deterministic for a
-    given seed.
+
+def diamond_numeric(x: np.ndarray, y: np.ndarray, seed: int = 0, restarts: int = 64) -> float:
+    """Diamond norm by maximising over the input marginal rho.
+
+    The value 2 ||(sqrt(rho) (x) 1) J (sqrt(rho) (x) 1)||_1 of the Choi
+    difference J is concave in rho (Watrous' SDP), so a local search over
+    the Bloch ball finds the global maximum.  Nelder-Mead starts at the
+    maximally mixed marginal, i.e. the maximally entangled input, so the
+    result never falls below the trace-norm lower bound; it then restarts
+    from the incumbent with a fresh simplex until a run gains no more than
+    1e-15.  ``seed`` and ``restarts`` are accepted for the benchmark's
+    workloads, written against the former multi-start search, and ignored:
+    the search is deterministic.
     """
     kx = [np.asarray(k) for k in choi_to_kraus(x).ops]
     ky = [np.asarray(k) for k in choi_to_kraus(y).ops]
 
-    def value(angles: np.ndarray) -> float:
-        psi = _pure_state(angles).reshape(2, 2)
-        return float(np.abs(np.linalg.eigvalsh(_output_diff(psi, kx, ky))).sum())
+    def neg(r: np.ndarray) -> float:
+        diff = _output_diff(_sqrt_marginal(r), kx, ky)
+        return -float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
-    def neg(angles: np.ndarray) -> float:
-        return -value(angles)
-
-    rng = np.random.default_rng(seed)
-    best_val = value(_BELL_ANGLES)
-    best_angles = _BELL_ANGLES
-    lo = np.zeros(6)
-    hi = np.array([math.pi / 2, math.pi / 2, math.pi / 2, 2 * math.pi, 2 * math.pi, 2 * math.pi])
-    for r in range(max(restarts, 1)):
-        if r == 0:
-            start = _BELL_ANGLES
-        elif r % 2 == 1:
-            start = rng.uniform(lo, hi)
-        else:
-            radius = 0.5 * 0.5 ** (2.0 * r / max(restarts, 1))
-            start = best_angles + rng.normal(scale=radius, size=6)
-        res = minimize(neg, start, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-        if -res.fun > best_val:
-            best_val = -res.fun
-            best_angles = res.x
-    return best_val
+    best = minimize(neg, np.zeros(3), method="Nelder-Mead", options=_NELDER_MEAD)
+    for _ in range(MAX_SEARCH_RUNS - 1):
+        # restart inside the ball: outside it the value is constant along
+        # rays, so a simplex there can stall short of a maximum on the sphere
+        res = minimize(neg, _into_ball(best.x), method="Nelder-Mead", options=_NELDER_MEAD)
+        gain = best.fun - res.fun
+        if gain > 0:
+            best = res
+        if gain <= 1e-15:
+            break
+    return float(-best.fun)
 
 
 # ----------------------------------------------------------------------------

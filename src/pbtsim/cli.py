@@ -52,9 +52,19 @@ def parse_resource(spec: str) -> ResourceFamily:
     )
 
 
-def _check_step(step: float) -> None:
+MAX_GRID_POINTS = 10 ** 6
+
+
+def grid_points(start: float, stop: float, step: float) -> np.ndarray:
+    """start + k * step for k = 0, 1, ... while within 1e-9 steps of stop, capped at stop."""
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, got {step}")
+    span = (stop - start) / step
+    if not span <= MAX_GRID_POINTS - 1:
+        raise ValueError(f"grid from {start} to {stop} in steps of {step} "
+                         f"has more than {MAX_GRID_POINTS} points")
+    count = int(math.floor(span + 1e-9)) + 1
+    return np.minimum(start + step * np.arange(count), stop)
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -64,11 +74,9 @@ def parse_grid(spec: str) -> np.ndarray:
     start, stop, step = (float(p) for p in parts)
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"bad grid {spec!r}: start and stop must be finite")
-    _check_step(step)
     if stop < start:
         raise ValueError(f"bad grid {spec!r}: need stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return np.minimum(start + step * np.arange(count), stop)
+    return grid_points(start, stop, step)
 
 
 def _print_matrix(m: np.ndarray) -> None:
@@ -85,8 +93,12 @@ def _write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
 
 
 def sweep_rows(n: int, p0: float, family: str, grid: np.ndarray,
-               seed: int, restarts: int) -> list[list[float]]:
-    """param, trace_norm, diamond_lower, diamond_upper, diamond_numeric rows."""
+               seed: int = 0, restarts: int = 64) -> list[list[float]]:
+    """param, trace_norm, diamond_lower, diamond_upper, diamond_numeric rows.
+
+    ``seed`` and ``restarts`` are accepted for the benchmark's workloads,
+    written against the former multi-start diamond search, and ignored.
+    """
     target = analysis.ad_choi(p0, "plus")
     rows = []
     for param in grid:
@@ -97,7 +109,7 @@ def sweep_rows(n: int, p0: float, family: str, grid: np.ndarray,
         else:
             raise ValueError(f"unknown sweep family {family!r}")
         lower, upper = analysis.diamond_bounds(out, target)
-        numeric = analysis.diamond_numeric(out, target, seed=seed, restarts=restarts)
+        numeric = analysis.diamond_numeric(out, target)
         rows.append([float(param), lower, lower, upper, numeric])
     return rows
 
@@ -158,7 +170,7 @@ def cmd_ad_sweep(args) -> int:
         grid = parse_grid("0:1:0.01")
     else:
         grid = parse_grid("0.5:1:0.01")
-    rows = sweep_rows(args.ports, args.p0, args.family, grid, args.seed, args.restarts)
+    rows = sweep_rows(args.ports, args.p0, args.family, grid)
     for row in rows:
         if not (row[1] - 1e-6 <= row[4] <= row[3] + 1e-6):
             print(f"diamond estimate escaped its bounds at param={row[0]}", file=sys.stderr)
@@ -174,18 +186,18 @@ def cmd_ad_sweep(args) -> int:
 
 
 def _figure_sweep_files(out: Path, n: int, p0_values, family: str, lo: float, hi: float,
-                        step: float, seed: int, restarts: int, stem: str) -> list[Path]:
+                        step: float, stem: str) -> list[Path]:
+    grid = grid_points(lo, hi, step)
     paths = []
     for p0 in p0_values:
-        grid = parse_grid(f"{lo}:{hi}:{step}")
-        rows = sweep_rows(n, p0, family, grid, seed, restarts)
+        rows = sweep_rows(n, p0, family, grid)
         path = out / f"{stem}_p0_{p0:g}.csv"
         _write_csv(path, _SWEEP_HEADER, rows)
         paths.append(path)
     return paths
 
 
-def _figure_comparison(out: Path, n: int, step: float, seed: int, restarts: int) -> list[Path]:
+def _figure_comparison(out: Path, n: int, step: float) -> list[Path]:
     """Two-panel resource comparison: known-point and near-optimal choices."""
     x = analysis.xi(n)
     header = [
@@ -198,15 +210,17 @@ def _figure_comparison(out: Path, n: int, step: float, seed: int, restarts: int)
         found = analysis.alternate_known_point(n, p0)
         return None if found is None else found[0]
 
-    panels = []
-    for stem, p0_start, choose_p1, choose_a in (
-        ("left", x, lambda p0: (p0 - x) / (1 - x), known_point_a),
-        ("right", x / 2, lambda p0: (2 * p0 - x) / (2 - x),
+    # p0 runs from each panel's start in steps while below 1 - 1e-9
+    stop = 1.0 - 1e-9
+    panels = [
+        ("left", grid_points(x, stop, step), lambda p0: (p0 - x) / (1 - x), known_point_a),
+        ("right", grid_points(x / 2, stop, step), lambda p0: (2 * p0 - x) / (2 - x),
          lambda p0: analysis.alternate_trace_min_a(n, p0)),
-    ):
+    ]
+    paths = []
+    for stem, p0_values, choose_p1, choose_a in panels:
         rows = []
-        p0 = p0_start
-        while p0 < 1.0 - 1e-9:
+        for p0 in (float(p) for p in p0_values if p < stop):
             p1 = choose_p1(p0)
             if 0 <= p1 <= 1:
                 a = choose_a(p0)
@@ -217,32 +231,26 @@ def _figure_comparison(out: Path, n: int, step: float, seed: int, restarts: int)
                     lo_c, up_c = analysis.diamond_bounds(c_choi, target)
                     lo_a, up_a = analysis.diamond_bounds(c_alt, target)
                     rows.append([
-                        p0, p1, lo_c, lo_c, up_c,
-                        analysis.diamond_numeric(c_choi, target, seed=seed, restarts=restarts),
-                        a, lo_a, lo_a, up_a,
-                        analysis.diamond_numeric(c_alt, target, seed=seed, restarts=restarts),
+                        p0, p1, lo_c, lo_c, up_c, analysis.diamond_numeric(c_choi, target),
+                        a, lo_a, lo_a, up_a, analysis.diamond_numeric(c_alt, target),
                     ])
-            p0 += step
         path = out / f"fig4_{stem}.csv"
         _write_csv(path, header, rows)
-        panels.append(path)
-    return panels
+        paths.append(path)
+    return paths
 
 
 def cmd_figure(args) -> int:
-    step = args.step
-    _check_step(step)
-    out = Path(args.out)
+    out, step = Path(args.out), args.step
     out.mkdir(parents=True, exist_ok=True)
-    seed, restarts = args.seed, args.restarts
     if args.id == 1:
-        paths = _figure_sweep_files(out, 4, (0.36, 0.7), "choi", 0.0, 0.99, step, seed, restarts, "fig1")
+        paths = _figure_sweep_files(out, 4, (0.36, 0.7), "choi", 0.0, 0.99, step, "fig1")
     elif args.id == 2:
-        paths = _figure_sweep_files(out, 4, (0.85, 0.95), "choi", 0.0, 0.99, step, seed, restarts, "fig2")
+        paths = _figure_sweep_files(out, 4, (0.85, 0.95), "choi", 0.0, 0.99, step, "fig2")
     elif args.id == 3:
-        paths = _figure_sweep_files(out, 4, (0.36, 0.7), "alternate", 0.5, 0.99, step, seed, restarts, "fig3")
+        paths = _figure_sweep_files(out, 4, (0.36, 0.7), "alternate", 0.5, 0.99, step, "fig3")
     else:  # argparse restricts --id to 1..4
-        paths = _figure_comparison(out, 6, step, seed, restarts)
+        paths = _figure_comparison(out, 6, step)
     for p in paths:
         print(p)
     return 0
@@ -312,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p0", type=float, required=True, help="target damping probability")
     p.add_argument("--family", choices=("choi", "alternate"), required=True)
     p.add_argument("--grid", help="start:stop:step (default 0:1:0.01 or 0.5:1:0.01)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.set_defaults(fn=cmd_ad_sweep)
 
@@ -321,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", type=int, required=True, choices=(1, 2, 3, 4))
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=64)
     p.set_defaults(fn=cmd_figure)
 
     p = sub.add_parser("verify", help="oracle cross-check suite")

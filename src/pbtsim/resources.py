@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import dag, herm_defect, kron_power, max_abs, partial_trace_qubits, permute_qubits
-from .spin import Kind, SpinBasis, SpinLabel, degeneracy
+from .spin import Kind, SpinBasis, SpinLabel, check_port_count, degeneracy
 
 TAGS = ("11", "12", "21", "22")
 
@@ -181,8 +181,7 @@ def make_family(family: ResourceFamily, n: int) -> ReducedResource:
     Product families are built directly from per-port conditional blocks,
     without materialising the 4^n-dimensional state.
     """
-    if n < 1:
-        raise ValueError(f"port count must be positive, got {n}")
+    check_port_count(n)  # before any 2^n x 2^n block is allocated
     if isinstance(family, FromFile):
         loaded = load_resource(family.path)
         if loaded.n != n:
@@ -226,6 +225,35 @@ def reduced_port_state(family: ResourceFamily, n: int) -> np.ndarray:
     d = 2 ** (n + 1)
     # interleave the blocks R^{i+1,j+1} as the B_1 bits (i, j) of one operator
     return np.array([[red.r11, red.r12], [red.r21, red.r22]]).transpose(2, 0, 3, 1).reshape(d, d)
+
+
+def _swapped(op: np.ndarray, qubits: int, *pairs: tuple[int, int]) -> np.ndarray:
+    """op with the tensor slots of each pair exchanged."""
+    src = list(range(qubits))
+    for i, j in pairs:
+        src[i], src[j] = src[j], src[i]
+    return permute_qubits(op, src)
+
+
+def _port_asymmetry(obj: FullResource | ReducedResource) -> float:
+    """Largest change of a resource under an exchange of two adjacent ports.
+
+    A full state exchanges (A_k, B_k) with (A_k+1, B_k+1).  Reduced blocks
+    keep B_1, so they show only the exchanges that leave it alone: those
+    within A_n..A_2 in every block, and A_2 <-> A_1 in r11 + r22, where B_1
+    is traced out.
+    """
+    n = obj.n
+    if isinstance(obj, FullResource):
+        rho = obj.rho_ab
+        return max((max_abs(_swapped(rho, 2 * n, (k, k + 1), (n + k, n + k + 1)), rho)
+                    for k in range(n - 1)), default=0.0)
+    defects = [max_abs(_swapped(obj.block(tag), n, (k, k + 1)), obj.block(tag))
+               for tag in TAGS for k in range(n - 2)]
+    if n >= 2:
+        marg = obj.r11 + obj.r22
+        defects.append(max_abs(_swapped(marg, n, (n - 2, n - 1)), marg))
+    return max(defects, default=0.0)
 
 
 def symmetrize(full: FullResource) -> FullResource:
@@ -326,7 +354,9 @@ def save_resource(path: str | Path, obj: FullResource | ReducedResource) -> None
 def load_resource(path: str | Path) -> ReducedResource:
     """Read a PBTRES file; FULL resources are reduced on the fly.
 
-    Inputs violating Hermiticity/positivity by more than 1e-8 are rejected.
+    Inputs violating Hermiticity, positivity or port symmetry by more than
+    1e-8 are rejected: the channel's closed form holds only for
+    port-symmetric resources.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -346,11 +376,18 @@ def load_resource(path: str | Path) -> ReducedResource:
         d = 2 ** (2 * n)
         if entries.size != d * d:
             raise ValueError(f"expected {d * d} complex entries, got {entries.size}")
-        return reduce_full(FullResource(n=n, rho_ab=entries.reshape(d, d)))
-    d = 2 ** n
-    if entries.size != 4 * d * d:
-        raise ValueError(f"expected {4 * d * d} complex entries, got {entries.size}")
-    blocks = entries.reshape(4, d, d)
-    reduced = ReducedResource(n=n, r11=blocks[0], r12=blocks[1], r21=blocks[2], r22=blocks[3])
-    reduced.validate(atol=FILE_ATOL)
+        full = FullResource(n=n, rho_ab=entries.reshape(d, d))
+        reduced = reduce_full(full)
+        asymmetry = _port_asymmetry(full)
+    else:
+        d = 2 ** n
+        if entries.size != 4 * d * d:
+            raise ValueError(f"expected {4 * d * d} complex entries, got {entries.size}")
+        blocks = entries.reshape(4, d, d)
+        reduced = ReducedResource(n=n, r11=blocks[0], r12=blocks[1], r21=blocks[2], r22=blocks[3])
+        reduced.validate(atol=FILE_ATOL)
+        asymmetry = _port_asymmetry(reduced)
+    if asymmetry > FILE_ATOL:
+        raise ValueError(f"resource is not port symmetric: exchanging two ports changes it by "
+                         f"{asymmetry:.3g}; the channel's closed form needs a port-symmetric resource")
     return reduced

@@ -148,6 +148,11 @@ def _couple(parent: dict, jj_child: int, jj_parent: int, dim: int) -> dict:
     return vecs
 
 
+def check_port_count(n: int) -> None:
+    if not 1 <= n <= MAX_PORTS:
+        raise ValueError(f"port count must be in 1..{MAX_PORTS}, got {n}")
+
+
 @lru_cache(maxsize=None)
 def build_spin_basis(n: int) -> SpinBasis:
     """Construct the coupled spin basis of n qubits.
@@ -156,8 +161,7 @@ def build_spin_basis(n: int) -> SpinBasis:
     parent multiplet it was coupled from; columns are ordered by ascending jj,
     then multiplet, then ascending mm.
     """
-    if not 1 <= n <= MAX_PORTS:
-        raise ValueError(f"port count must be in 1..{MAX_PORTS}, got {n}")
+    check_port_count(n)
     groups: dict[int, list] = {1: [(Kind.UNSPLIT, 1, {-1: _E0, 1: _E1})]}
     for level in range(2, n + 1):
         nxt: dict[int, list] = {}

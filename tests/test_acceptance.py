@@ -1,7 +1,7 @@
 """Acceptance suite: one test per numbered criterion, each printing a
 PASS line with its measured margins.  Heavy sweeps go through the CLI with
-coarser grids and reduced restart counts (both are documented overrides);
-every numeric diamond value is still certified against its analytic bounds.
+coarser grids (a documented override); every numeric diamond value is still
+certified against its analytic bounds.
 """
 
 import csv
@@ -28,7 +28,6 @@ FAMILIES = [Bell(), AdChoi(0.0), AdChoi(0.3), AdChoi(0.7), AdChoi(1.0),
             Alternate(0.1), Alternate(0.5), Alternate(0.9)]
 
 SEED = 20240817
-RESTARTS = 8
 
 
 @contextmanager
@@ -53,16 +52,12 @@ def _read_csv(path: Path) -> list[dict]:
 def figure_data(tmp_path_factory):
     """CSV datasets behind the four figures, generated through the CLI."""
     out = tmp_path_factory.mktemp("figures")
-    assert cli.main(["figure", "--id", "1", "--out", str(out), "--step", "0.04",
-                     "--seed", str(SEED), "--restarts", str(RESTARTS)]) == 0
-    assert cli.main(["figure", "--id", "3", "--out", str(out), "--step", "0.04",
-                     "--seed", str(SEED), "--restarts", str(RESTARTS)]) == 0
-    assert cli.main(["figure", "--id", "4", "--out", str(out), "--step", "0.1",
-                     "--seed", str(SEED), "--restarts", str(RESTARTS)]) == 0
+    assert cli.main(["figure", "--id", "1", "--out", str(out), "--step", "0.04"]) == 0
+    assert cli.main(["figure", "--id", "3", "--out", str(out), "--step", "0.04"]) == 0
+    assert cli.main(["figure", "--id", "4", "--out", str(out), "--step", "0.1"]) == 0
     sweep = out / "adsweep.csv"
     assert cli.main(["ad-sweep", "--ports", "4", "--p0", "0.36", "--family", "choi",
-                     "--grid", "0:0.9:0.06", "--seed", str(SEED),
-                     "--restarts", str(RESTARTS), "--out", str(sweep)]) == 0
+                     "--grid", "0:0.9:0.06", "--out", str(sweep)]) == 0
     return {p.name: _read_csv(p) for p in sorted(out.glob("*.csv"))}
 
 
@@ -137,7 +132,7 @@ def test_ac05_known_point_collapse():
                     lower, upper = analysis.diamond_bounds(out, target)
                     worst_gap = max(worst_gap, abs(upper - lower))
                     worst_analytic = max(worst_analytic, abs(lower - d_analytic))
-                    num = analysis.diamond_numeric(out, target, seed=SEED, restarts=4)
+                    num = analysis.diamond_numeric(out, target)
                     worst_numeric = max(worst_numeric, abs(num - d_analytic))
         assert worst_gap <= 1e-9, f"bound gap {worst_gap:.3e}"
         assert worst_analytic <= 1e-9, f"analytic mismatch {worst_analytic:.3e}"
@@ -236,13 +231,11 @@ def test_ac10_alternate_resource_advantage(figure_data):
         for n, p0 in ((4, 0.36), (6, 0.25)):
             target = analysis.ad_choi(p0, "plus")
             best_choi = min(
-                analysis.diamond_numeric(analysis.pbt_ad_choi(n, float(p1)), target,
-                                         seed=SEED, restarts=RESTARTS)
+                analysis.diamond_numeric(analysis.pbt_ad_choi(n, float(p1)), target)
                 for p1 in np.arange(0.0, p0 + 1e-12, 0.01)
             )
             best_alt = min(
-                analysis.diamond_numeric(analysis.alternate_choi(n, float(a)), target,
-                                         seed=SEED, restarts=RESTARTS)
+                analysis.diamond_numeric(analysis.alternate_choi(n, float(a)), target)
                 for a in np.arange(0.5, 0.8 + 1e-12, 0.01)
             )
             assert best_alt < best_choi, f"n={n} p0={p0}: {best_alt} !< {best_choi}"

@@ -1,3 +1,9 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,10 +14,26 @@ from pbtsim.resources import AdChoi, FullResource, make_family, save_resource
 from conftest import random_density
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(*argv, memory_bytes=None):
+    """The CLI in a child process with a time limit and, if given, an address-space cap."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (memory_bytes, memory_bytes))
+
+    return subprocess.run([sys.executable, "-m", "pbtsim.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=None if memory_bytes is None else cap)
 
 
 class TestSimpleCommands:
@@ -80,21 +102,59 @@ class TestErrors:
     @pytest.mark.parametrize("step", ["0", "-0.1", "nan"])
     def test_figure_comparison_rejects_bad_step(self, capsys, tmp_path, step):
         code, _, err = run_cli(capsys, "figure", "--id", "4", "--out", str(tmp_path),
-                               "--step", step, "--restarts", "1")
+                               "--step", step)
         assert code == 1
         assert "step must be finite and > 0" in err
         assert list(tmp_path.glob("*.csv")) == []
 
-    def test_kraus_rejects_invalid_channel(self, capsys, tmp_path):
-        # a random n=3 state that is not port symmetric: its closed-form
-        # channel is not trace preserving
-        rho = random_density(2 ** 6, np.random.default_rng(20191223))
-        path = tmp_path / "asym.pbtres"
-        save_resource(path, FullResource(n=3, rho_ab=rho))
-        code, out, err = run_cli(capsys, "kraus", "--ports", "3", "--resource", str(path))
+    def test_kraus_rejects_invalid_channel(self, capsys, monkeypatch):
+        # a state that is not trace preserving as a channel (idler marginal != I/2)
+        monkeypatch.setattr(cli, "choi_from_reduced",
+                            lambda reduced: np.diag([1, 0, 0, 0]).astype(complex))
+        code, out, err = run_cli(capsys, "kraus", "--ports", "2", "--resource", "bell")
         assert code == 2
         assert "invalid output Choi matrix" in err
         assert "K1:" not in out
+
+    @pytest.mark.parametrize("command", ["choi", "kraus"])
+    def test_rejects_port_asymmetric_file(self, capsys, tmp_path, command):
+        # a random n=3 state: the closed form would give a channel that is
+        # not trace preserving
+        rho = random_density(2 ** 6, np.random.default_rng(20191223))
+        path = tmp_path / "asym.pbtres"
+        save_resource(path, FullResource(n=3, rho_ab=rho))
+        code, out, err = run_cli(capsys, command, "--ports", "3", "--resource", str(path))
+        assert code == 1
+        assert "not port symmetric" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("grid", ["0:1:1e-300", "0:1:1e-12"])
+    def test_rejects_grid_with_too_many_points(self, capsys, grid):
+        code, out, err = run_cli(capsys, "ad-sweep", "--ports", "3", "--p0", "0.5",
+                                 "--family", "choi", "--grid", grid)
+        assert code == 1
+        assert f"more than {cli.MAX_GRID_POINTS} points" in err
+        assert out == ""
+
+    def test_figure_rejects_step_below_float_spacing(self, tmp_path):
+        # a child process, so that a loop that never advances fails by timeout
+        proc = run_cli_process("figure", "--id", "4", "--out", str(tmp_path), "--step", "1e-20")
+        assert proc.returncode == 1
+        assert f"more than {cli.MAX_GRID_POINTS} points" in proc.stderr
+        assert list(tmp_path.glob("*.csv")) == []
+
+    def test_grid_points_limit(self):
+        assert len(cli.grid_points(0.0, 1.0, 2e-6)) == 500_001
+        for step in (1e-6, 1e-12, 1e-20, 1e-300, 5e-324):  # 10^6 + 1 points and more
+            with pytest.raises(ValueError, match=f"more than {cli.MAX_GRID_POINTS} points"):
+                cli.grid_points(0.0, 1.0, step)
+
+    def test_rejects_port_count_before_allocating(self):
+        # n = 13 product blocks take 4 GiB; under a 3 GB cap only the early check passes
+        proc = run_cli_process("choi", "--ports", "13", "--resource", "bell",
+                               memory_bytes=3 * 10 ** 9)
+        assert proc.returncode == 1
+        assert "port count must be in 1..12, got 13" in proc.stderr
 
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_verification", lambda k: (1e-3, [("n=2 bell", 1e-3)]))
@@ -107,7 +167,7 @@ class TestSweeps:
     def test_sweep_stdout_and_bounds(self, capsys):
         code, out, _ = run_cli(
             capsys, "ad-sweep", "--ports", "3", "--p0", "0.5", "--family", "choi",
-            "--grid", "0:0.5:0.25", "--restarts", "4",
+            "--grid", "0:0.5:0.25",
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -119,7 +179,7 @@ class TestSweeps:
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["ad-sweep", "--ports", "3", "--p0", "0.4", "--family", "alternate",
-                "--grid", "0.5:0.7:0.1", "--seed", "5", "--restarts", "4"]
+                "--grid", "0.5:0.7:0.1"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(args + ["--out", str(a)]) == 0
         assert cli.main(args + ["--out", str(b)]) == 0
@@ -127,11 +187,18 @@ class TestSweeps:
 
     def test_figure_one_writes_panels(self, capsys, tmp_path):
         code, out, _ = run_cli(
-            capsys, "figure", "--id", "1", "--out", str(tmp_path),
-            "--step", "0.5", "--restarts", "2",
+            capsys, "figure", "--id", "1", "--out", str(tmp_path), "--step", "0.5",
         )
         assert code == 0
         files = sorted(p.name for p in tmp_path.glob("*.csv"))
         assert files == ["fig1_p0_0.36.csv", "fig1_p0_0.7.csv"]
         header = (tmp_path / "fig1_p0_0.36.csv").read_text().splitlines()[0]
         assert header == "param,trace_norm,diamond_lower,diamond_upper,diamond_numeric"
+
+    @pytest.mark.parametrize("command", ["ad-sweep", "figure"])
+    def test_no_seed_or_restarts_options(self, capsys, command):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        out = capsys.readouterr().out
+        assert "--seed" not in out
+        assert "--restarts" not in out

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pbtsim.linalg import kron_power, max_abs
+from pbtsim.linalg import kron_power, max_abs, permute_qubits
 from pbtsim.oracle import oracle_choi
 from pbtsim.resources import (AdChoi, Alternate, Bell, FromFile, FullResource,
                               ReducedResource, TAGS, ad_choi_port,
@@ -162,8 +162,8 @@ class TestSymmetrize:
     def test_two_port_average(self, rng):
         sigma = random_density(4, rng)
         tau = random_density(4, rng)
-        both = _two_port_product(sigma, tau)
-        swapped = _two_port_product(tau, sigma)
+        both = _port_product(sigma, tau)
+        swapped = _port_product(tau, sigma)
         sym = symmetrize(both)
         assert max_abs(sym.rho_ab, (both.rho_ab + swapped.rho_ab) / 2) <= 1e-14
 
@@ -179,18 +179,27 @@ class TestSymmetrize:
         # symmetrisation (both sides evaluated by the dense oracle)
         sigma = random_density(4, rng)
         tau = random_density(4, rng)
-        both = _two_port_product(sigma, tau)
-        swapped = _two_port_product(tau, sigma)
+        both = _port_product(sigma, tau)
+        swapped = _port_product(tau, sigma)
         mean = (oracle_choi(reduce_full(both)) + oracle_choi(reduce_full(swapped))) / 2
         sym = oracle_choi(reduce_full(symmetrize(both)))
         np.testing.assert_allclose(sym, mean, atol=1e-12)
 
 
-def _two_port_product(port2: np.ndarray, port1: np.ndarray) -> FullResource:
-    """port2 on (A2, B2), port1 on (A1, B1), slots (A2 A1 B2 B1)."""
-    rho = np.kron(port2, port1)  # slots (A2 B2 A1 B1)
-    t = rho.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
-    return FullResource(n=2, rho_ab=t)
+def _port_product(*ports: np.ndarray) -> FullResource:
+    """ports[0] on (A_n, B_n), ..., ports[-1] on (A_1, B_1), slots (A_n..A_1, B_n..B_1)."""
+    n = len(ports)
+    rho = ports[0]
+    for port in ports[1:]:
+        rho = np.kron(rho, port)  # slots (A_n B_n .. A_1 B_1)
+    src = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
+    return FullResource(n=n, rho_ab=permute_qubits(rho, src))
+
+
+def _saved(tmp_path, obj):
+    path = tmp_path / "res.pbtres"
+    save_resource(path, obj)
+    return path
 
 
 class TestResourceFiles:
@@ -278,3 +287,31 @@ class TestResourceFiles:
         rho[k, k] += 1e-4
         with pytest.raises(ValueError, match="resource state is not positive semidefinite"):
             load_resource(self._full_file(tmp_path, rho))
+
+    def test_rejects_port_asymmetric_full(self, tmp_path):
+        rho = random_density(2 ** 6, np.random.default_rng(20191223))
+        with pytest.raises(ValueError, match="not port symmetric"):
+            load_resource(_saved(tmp_path, FullResource(n=3, rho_ab=rho)))
+
+    def test_rejects_reduced_asymmetric_within_unkept_ports(self, tmp_path):
+        # ports A_2 and A_1 carry the same state, so r11 + r22 is symmetric
+        # under A_2 <-> A_1; only the A_3 <-> A_2 exchange shows the defect
+        gen = np.random.default_rng(3)
+        sigma, tau = random_density(4, gen), random_density(4, gen)
+        red = reduce_full(_port_product(sigma, tau, tau))
+        with pytest.raises(ValueError, match="not port symmetric"):
+            load_resource(_saved(tmp_path, red))
+
+    def test_rejects_reduced_asymmetric_marginal(self, tmp_path):
+        # at n = 2 there is no exchange within A_n..A_2; only r11 + r22 shows it
+        gen = np.random.default_rng(4)
+        red = reduce_full(_port_product(random_density(4, gen), random_density(4, gen)))
+        with pytest.raises(ValueError, match="not port symmetric"):
+            load_resource(_saved(tmp_path, red))
+
+    def test_accepts_port_symmetric_products(self, tmp_path):
+        gen = np.random.default_rng(5)
+        port = random_density(4, gen)
+        for obj in (_port_product(port, port, port), reduce_full(_port_product(port, port, port)),
+                    make_family(Alternate(0.8), 4)):
+            load_resource(_saved(tmp_path, obj))
