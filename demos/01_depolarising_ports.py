@@ -19,6 +19,9 @@ n = 4
 basis = build_spin_basis(n)
 print(f"\nCoupled basis of {n} qubits: {len(basis.labels)} vectors, "
       f"unitarity defect {np.abs(basis.u.conj().T @ basis.u - np.eye(2 ** n)).max():.2e}")
+first = build_spin_basis(n, first_only=True)
+print(f"The channel reads only the first multiplet of each (j, kind): "
+      f"{first.u.shape[1]} of those columns")
 
 reduced = make_family(Bell(), n)
 closed = choi_from_reduced(reduced)

@@ -23,7 +23,7 @@ from .resources import (AdChoi, Alternate, Bell, FromFile, FullResource,
                         ReducedResource, ResourceFamily, SpinCoefficients,
                         full_from_port, g_sum, load_resource, make_family,
                         port_state, reduce_full, reduced_from_port,
-                        reduced_port_state, save_resource, symmetrize,
+                        reduced_port_state, save_resource,
                         to_spin_coefficients, trace_to_first_port)
 from .spin import (Kind, SpinBasis, SpinLabel, build_spin_basis, clebsch_gordan,
                    degeneracy, rho_eigenvalue)

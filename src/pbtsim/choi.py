@@ -9,9 +9,11 @@ conjugation below the diagonal.
 
 Each component sum has a bulk part over total spin ss = 2s of the measured
 (n+1)-qubit system, ss from s_min to n-1, weighted by the square-root
-measurement overlap coefficients, plus a kernel-sector boundary part at
-alpha = 1.  Labels outside the basis contribute exactly 0, which covers the
-s = 0 stratum of odd n without special-casing.
+measurement overlap coefficients and by the number of spin-s multiplets of
+the n-1 unkept ports (their tables are equal, so only alpha = 1 is
+computed), plus a kernel-sector boundary part at alpha = 1.  Labels outside
+the basis contribute exactly 0, which covers the s = 0 stratum of odd n
+without special-casing.
 """
 
 from __future__ import annotations
@@ -123,8 +125,12 @@ def assemble_choi(coeffs: SpinCoefficients) -> np.ndarray:
 
 
 def choi_from_reduced(reduced: ReducedResource) -> np.ndarray:
-    """Full pipeline: reduced blocks -> spin tables -> Choi matrix."""
-    basis = build_spin_basis(reduced.n)
+    """Full pipeline: reduced blocks -> alpha = 1 spin tables -> Choi matrix.
+
+    Exact for port-symmetric resources, whose tables are the same on every
+    multiplet (see ``g_sum``); ``load_resource`` rejects any other input.
+    """
+    basis = build_spin_basis(reduced.n, first_only=True)
     return assemble_choi(to_spin_coefficients(reduced, basis))
 
 

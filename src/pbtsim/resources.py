@@ -7,7 +7,7 @@ qubit, split into the four conditional blocks
     R^{i+1, j+1} = <i|_B1 Tr_{B2..Bn}[pi] |j>_B1 ,
 
 so the reduced form is the primary representation here; full 2n-qubit states
-exist for the brute-force oracle and for port symmetrisation.  Tensor slot
+exist for the brute-force oracle and for FULL resource files.  Tensor slot
 order for full states is (A_n .. A_1, B_n .. B_1); reduced blocks live on
 (A_n .. A_1), i.e. the qubit paired with the kept receiver qubit sits in the
 last slot, matching the spin-basis recursion.
@@ -15,7 +15,6 @@ last slot, matching the spin-basis recursion.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -256,18 +255,6 @@ def _port_asymmetry(obj: FullResource | ReducedResource) -> float:
     return max(defects, default=0.0)
 
 
-def symmetrize(full: FullResource) -> FullResource:
-    """Average over all simultaneous (A_i, B_i) port permutations."""
-    n = full.n
-    if n >= 8:
-        raise ValueError(f"refusing to symmetrise n={n} ports (n! permutations)")
-    acc = np.zeros_like(full.rho_ab)
-    for perm in itertools.permutations(range(n)):
-        src = list(perm) + [n + q for q in perm]
-        acc += permute_qubits(full.rho_ab, src)
-    return FullResource(n=n, rho_ab=acc / math.factorial(n))
-
-
 # ----------------------------------------------------------------------------
 # spin-basis coefficient tables
 # ----------------------------------------------------------------------------
@@ -277,7 +264,8 @@ class SpinCoefficients:
 
     Lookups are by spin label; labels that do not occur in the basis yield
     exactly 0, which implements the out-of-range-as-zero convention of the
-    channel component sums.
+    channel component sums.  On a ``first_only`` basis only alpha = 1 labels
+    occur.
     """
 
     def __init__(self, n: int, basis: SpinBasis, tables: dict):
@@ -299,17 +287,16 @@ class SpinCoefficients:
         """Kernel-sector entry f_{II,II} at jj = n, alpha = 1."""
         return self.f(tag, Kind.II, self.n, mm + dl, 1, Kind.II, self.n, mm + dr, 1)
 
-    def block(self, tag: str) -> np.ndarray:
-        """Computational-basis block recovered from the table."""
-        u = self.basis.u
-        return u @ self.tables[tag] @ dag(u)
-
 
 def to_spin_coefficients(reduced: ReducedResource, basis: SpinBasis) -> SpinCoefficients:
     if basis.n != reduced.n:
         raise ValueError(f"basis is for n={basis.n}, resource for n={reduced.n}")
     u = basis.u
-    tables = {tag: dag(u) @ reduced.block(tag) @ u for tag in TAGS}
+    tables = {}
+    for tag in TAGS:
+        # u is real, so u^T R is one real product on R's interleaved (re, im) view
+        block = np.ascontiguousarray(reduced.block(tag), dtype=complex)
+        tables[tag] = (u.T @ block.view(float)).view(complex) @ u
     return SpinCoefficients(reduced.n, basis, tables)
 
 
@@ -319,14 +306,13 @@ def g_sum(coeffs: SpinCoefficients, tag: str, kinds: tuple[Kind, Kind],
 
     ``signs`` are doubled shifts applied as (jj1, mm1, jj2, mm2) =
     (ss+s1, mm+s2, ss+s3, mm+s4); alpha runs over the parent multiplets at
-    spin ss, of which there are degeneracy(n-1, ss).
+    spin ss, of which there are degeneracy(n-1, ss).  The blocks of a
+    port-symmetric resource commute with permutations of A_n..A_2, so by
+    Schur-Weyl duality every term equals the alpha = 1 term.
     """
     s1, s2, s3, s4 = signs
-    total = 0j
-    for alpha in range(1, degeneracy(coeffs.n - 1, ss) + 1):
-        total += coeffs.f(tag, kinds[0], ss + s1, mm + s2, alpha,
-                          kinds[1], ss + s3, mm + s4, alpha)
-    return total
+    return degeneracy(coeffs.n - 1, ss) * coeffs.f(tag, kinds[0], ss + s1, mm + s2, 1,
+                                                   kinds[1], ss + s3, mm + s4, 1)
 
 
 # ----------------------------------------------------------------------------
@@ -368,7 +354,12 @@ def load_resource(path: str | Path) -> ReducedResource:
     form = lines[2].strip()
     if form not in ("FORM=FULL", "FORM=REDUCED"):
         raise ValueError(f"unknown FORM header: {form!r}")
-    values = np.array(" ".join(lines[3:]).split(), dtype=float)
+    try:
+        values = np.fromstring(" ".join(lines[3:]), sep=" ")
+    except ValueError:
+        raise ValueError("resource entries must be whitespace-separated numbers") from None
+    if not np.isfinite(values).all():
+        raise ValueError("resource entries must be finite; the file holds nan or inf")
     if values.size % 2:
         raise ValueError("odd number of real values; entries must be re/im pairs")
     entries = values[0::2] + 1j * values[1::2]

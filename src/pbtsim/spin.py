@@ -5,6 +5,12 @@ Clebsch-Gordan recursion, together with the eigenvectors of the operator
 rho = sum_i sigma_i (sigma_i = singlet projector between an extra qubit C and
 qubit i) that underlies the square-root measurement.
 
+For port-symmetric resources every spin table is the same on each multiplet
+of a given (jj, kind) (Schur-Weyl duality), so the channel needs only the
+first multiplet of each: ``build_spin_basis(n, first_only=True)`` keeps those,
+a real 2^n x O(n^2) matrix (60 columns at n = 10) instead of the 2^n x 2^n
+unitary.
+
 Half-integer labels are stored doubled (``jj = 2j``, ``mm = 2m``) so that all
 index arithmetic is exact; values are converted to floats only inside
 coefficient formulas.  Qubit ordering: the recursion appends the newest qubit
@@ -21,7 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-#: basis construction is O(4^n) memory; 12 ports is ~270 MB for the unitary
+#: the four 2^n x 2^n complex REDUCED blocks take 1 GiB at 12 ports and
+#: 4 GiB at 13; the compressed basis itself is only 2^n x O(n^2)
 MAX_PORTS = 12
 
 _E0 = np.array([1.0, 0.0])
@@ -110,7 +117,9 @@ class SpinBasis:
     """Coupled spin basis of n qubits.
 
     ``u`` holds the basis vectors as columns (computational basis rows,
-    qubit 1 in the last tensor slot), ordered like ``labels``.
+    qubit 1 in the last tensor slot), ordered like ``labels``: a real
+    orthogonal 2^n x 2^n matrix, or its alpha = 1 columns alone
+    (``first_only``).  The Clebsch-Gordan coefficients are real.
     """
 
     n: int
@@ -154,12 +163,17 @@ def check_port_count(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def build_spin_basis(n: int) -> SpinBasis:
+def build_spin_basis(n: int, first_only: bool = False) -> SpinBasis:
     """Construct the coupled spin basis of n qubits.
 
     Within each jj the Kind.I multiplets come first, each kind ordered by the
     parent multiplet it was coupled from; columns are ordered by ascending jj,
     then multiplet, then ascending mm.
+
+    With ``first_only`` each level keeps just the alpha = 1 multiplet of each
+    (jj, kind): Kind.I from the first parent at jj + 1, Kind.II from the first
+    at jj - 1.  Its columns are exactly the alpha = 1 columns of the full
+    basis.
     """
     check_port_count(n)
     groups: dict[int, list] = {1: [(Kind.UNSPLIT, 1, {-1: _E0, 1: _E1})]}
@@ -168,10 +182,10 @@ def build_spin_basis(n: int) -> SpinBasis:
         dim = 2 ** level
         for jj in range(level % 2, level + 1, 2):
             mults = []
-            for alpha, (_, _, parent) in enumerate(groups.get(jj + 1, ()), start=1):
-                mults.append((Kind.I, alpha, _couple(parent, jj, jj + 1, dim)))
-            for alpha, (_, _, parent) in enumerate(groups.get(jj - 1, ()), start=1):
-                mults.append((Kind.II, alpha, _couple(parent, jj, jj - 1, dim)))
+            for kind, jj_parent in ((Kind.I, jj + 1), (Kind.II, jj - 1)):
+                parents = groups.get(jj_parent, ())[:1 if first_only else None]
+                for alpha, (_, _, parent) in enumerate(parents, start=1):
+                    mults.append((kind, alpha, _couple(parent, jj, jj_parent, dim)))
             if mults:
                 nxt[jj] = mults
         groups = nxt
@@ -182,7 +196,7 @@ def build_spin_basis(n: int) -> SpinBasis:
             for mm in range(-jj, jj + 1, 2):
                 labels.append(SpinLabel(n, jj, mm, kind, alpha))
                 cols.append(vecs[mm])
-    u = np.array(cols, dtype=complex).T
+    u = np.array(cols).T
     u.setflags(write=False)
     index = {lab: k for k, lab in enumerate(labels)}
     return SpinBasis(n=n, labels=tuple(labels), u=u, index=index)

@@ -3,7 +3,29 @@
 import numpy as np
 import pytest
 
-from pbtsim.resources import FullResource, symmetrize
+from pbtsim.linalg import permute_qubits
+from pbtsim.resources import FullResource, reduce_full
+
+
+def symmetrize(full: FullResource) -> FullResource:
+    """Average over all simultaneous (A_i, B_i) port permutations.
+
+    The identity and the transpositions (k, m) for k < m are coset
+    representatives of S_m over S_{m-1}, so averaging over them after the
+    average over S_{m-1} averages over S_m: n(n-1)/2 permutations, not n!.
+    """
+    n = full.n
+    if n >= 8:
+        raise ValueError(f"refusing to symmetrise n={n} ports (a 4^n x 4^n state)")
+    rho = full.rho_ab
+    for m in range(1, n):
+        acc = rho.copy()
+        for k in range(m):
+            perm = list(range(n))
+            perm[k], perm[m] = m, k
+            acc += permute_qubits(rho, perm + [n + q for q in perm])
+        rho = acc / (m + 1)
+    return FullResource(n=n, rho_ab=rho)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -15,6 +37,20 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_symmetric_resource(n: int, rng: np.random.Generator) -> FullResource:
     rho = random_density(2 ** (2 * n), rng)
     return symmetrize(FullResource(n=n, rho_ab=rho))
+
+
+@pytest.fixture(scope="session")
+def symmetric_reduced():
+    """Reduced blocks of one seeded random port-symmetric resource per port
+    count, built once per session (n = 5 takes seconds)."""
+    made = {}
+
+    def get(n: int):
+        if n not in made:
+            made[n] = reduce_full(random_symmetric_resource(n, np.random.default_rng(n)))
+        return made[n]
+
+    return get
 
 
 def random_choi(rng: np.random.Generator) -> np.ndarray:

@@ -3,15 +3,35 @@ import math
 import numpy as np
 import pytest
 
-from pbtsim.analysis import depolarizing_choi, xi
+from pbtsim import choi
+from pbtsim.analysis import alternate_choi, depolarizing_choi, pbt_ad_choi, xi
 from pbtsim.choi import assemble_choi, check_choi, choi_from_reduced, qr_coeffs
 from pbtsim.linalg import max_abs, partial_trace_qubits
 from pbtsim.oracle import oracle_choi
-from pbtsim.resources import (AdChoi, Alternate, Bell, ReducedResource,
-                              make_family, reduce_full, to_spin_coefficients)
-from pbtsim.spin import build_spin_basis
+from pbtsim.resources import (TAGS, AdChoi, Alternate, Bell, ReducedResource,
+                              SpinCoefficients, make_family, reduce_full,
+                              to_spin_coefficients)
+from pbtsim.spin import build_spin_basis, degeneracy
 
 from conftest import random_symmetric_resource
+
+
+def _alpha_sum(coeffs, tag, kinds, signs, ss, mm):
+    """g_sum as the explicit sum over the parent multiplets alpha."""
+    s1, s2, s3, s4 = signs
+    return sum(coeffs.f(tag, kinds[0], ss + s1, mm + s2, alpha, kinds[1], ss + s3, mm + s4, alpha)
+               for alpha in range(1, degeneracy(coeffs.n - 1, ss) + 1))
+
+
+def full_basis_choi(reduced: ReducedResource) -> np.ndarray:
+    """Reference route without the alpha = 1 compression: dense complex
+    congruence with the full unitary, then the explicit sum over alpha."""
+    basis = build_spin_basis(reduced.n)
+    u = basis.u.astype(complex)
+    tables = {tag: u.conj().T @ reduced.block(tag) @ u for tag in TAGS}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(choi, "g_sum", _alpha_sum)
+        return assemble_choi(SpinCoefficients(reduced.n, basis, tables))
 
 
 class TestQRCoeffs:
@@ -94,6 +114,26 @@ class TestAssembleChoi:
             )
             want = lam * choi_from_reduced(ra) + (1 - lam) * choi_from_reduced(rb)
             assert max_abs(choi_from_reduced(mix), want) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("family", [Bell(), AdChoi(0.3), Alternate(0.8)])
+    def test_matches_full_basis_route_on_products(self, n, family):
+        red = make_family(family, n)
+        assert max_abs(choi_from_reduced(red), full_basis_choi(red)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_full_basis_route_on_random_symmetric(self, n, symmetric_reduced):
+        red = symmetric_reduced(n)
+        assert max_abs(choi_from_reduced(red), full_basis_choi(red)) <= 1e-13
+
+    @pytest.mark.parametrize("family, closed", [
+        (Bell(), lambda n: depolarizing_choi(xi(n))),
+        (AdChoi(0.3), lambda n: pbt_ad_choi(n, 0.3)),
+        (Alternate(0.8), lambda n: alternate_choi(n, 0.8)),
+    ], ids=["bell", "ad", "alternate"])
+    def test_closed_forms_at_eleven_ports(self, family, closed):
+        c = choi_from_reduced(make_family(family, 11))
+        assert max_abs(c, closed(11)) <= 1e-12
 
     def test_single_port_rejected(self):
         red = make_family(Bell(), 1)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from pbtsim.resources import (AdChoi, Alternate, Bell, FromFile, FullResource,
                               alternate_port, bell_port, full_from_port,
                               g_sum, load_resource, make_family, port_state,
                               reduce_full, reduced_port_state, save_resource,
-                              symmetrize, to_spin_coefficients)
+                              to_spin_coefficients)
 from pbtsim.spin import Kind, build_spin_basis
 
-from conftest import random_density, random_symmetric_resource
+from conftest import random_density, random_symmetric_resource, symmetrize
 
 
 class TestPortStates:
@@ -82,8 +83,34 @@ class TestSpinCoefficients:
     def test_round_trip(self, n, rng):
         red = make_family(AdChoi(0.35), n)
         coeffs = to_spin_coefficients(red, build_spin_basis(n))
+        u = coeffs.basis.u
         for tag in TAGS:
-            assert max_abs(coeffs.block(tag), red.block(tag)) <= 1e-12
+            assert max_abs(u @ coeffs.tables[tag] @ u.T, red.block(tag)) <= 1e-12
+
+    @staticmethod
+    def _assert_schur_weyl(red):
+        # on the full basis, each column lies in multiplet alpha of spin
+        # jj +- 1 of the unkept ports A_n..A_2: no entry links two different
+        # such multiplets, and every alpha repeats the alpha = 1 sub-table
+        basis = build_spin_basis(red.n)
+        coeffs = to_spin_coefficients(red, basis)
+        alpha = np.array([lab.alpha for lab in basis.labels])
+        parent = np.array([lab.jj + (1 if lab.kind == Kind.I else -1) for lab in basis.labels])
+        first = np.array([basis.index[replace(lab, alpha=1)] for lab in basis.labels])
+        same = (alpha[:, None] == alpha[None, :]) & (parent[:, None] == parent[None, :])
+        for tag in TAGS:
+            t = coeffs.tables[tag]
+            assert np.abs(t[~same]).max() <= 1e-13
+            assert np.abs(t - t[np.ix_(first, first)])[same].max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_schur_weyl_on_random_symmetric(self, n, symmetric_reduced):
+        self._assert_schur_weyl(symmetric_reduced(n))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("family", [Bell(), AdChoi(0.3), Alternate(0.8)])
+    def test_schur_weyl_on_products(self, n, family):
+        self._assert_schur_weyl(make_family(family, n))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_bell_closed_forms(self, n):
@@ -233,6 +260,25 @@ class TestResourceFiles:
         path = tmp_path / "bad.pbtres"
         path.write_text("NOPE 1\nN=2\nFORM=REDUCED\n0 0\n")
         with pytest.raises(ValueError):
+            load_resource(path)
+
+    def test_rejects_malformed_token(self, tmp_path):
+        path = tmp_path / "token.pbtres"
+        path.write_text("PBTRES 1\nN=1\nFORM=REDUCED\n1 0 x 0\n")
+        with pytest.raises(ValueError, match="whitespace-separated numbers"):
+            load_resource(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("form", ["FULL", "REDUCED"])
+    def test_rejects_non_finite(self, tmp_path, form, bad):
+        obj = full_from_port(ad_choi_port(0.3), 2) if form == "FULL" else make_family(AdChoi(0.3), 2)
+        path = _saved(tmp_path, obj)
+        lines = path.read_text().splitlines()
+        row = lines[4].split()
+        row[2] = bad
+        lines[4] = " ".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="must be finite"):
             load_resource(path)
 
     def test_rejects_wrong_count(self, tmp_path):

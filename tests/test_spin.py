@@ -115,6 +115,21 @@ class TestSpinBasis:
                 if n > 1:
                     assert kind_i == degeneracy(n - 1, jj + 1)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_first_only_sizes(self, n):
+        u = build_spin_basis(n, first_only=True).u
+        cols = sum(jj + 1 for jj in range(n % 2, n + 1, 2) for parent in (jj + 1, jj - 1)
+                   if degeneracy(n - 1, parent))
+        assert u.shape == (2 ** n, cols)
+        np.testing.assert_allclose(u.T @ u, np.eye(cols), atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_first_only_columns_are_alpha_one(self, n):
+        full = build_spin_basis(n)
+        first = build_spin_basis(n, first_only=True)
+        assert [lab for lab in full.labels if lab.alpha == 1] == list(first.labels)
+        assert np.array_equal(full.u[:, [full.index[lab] for lab in first.labels]], first.u)
+
     def test_port_count_bounds(self):
         with pytest.raises(ValueError):
             build_spin_basis(0)
