@@ -2,14 +2,16 @@
 
 The map taking Tr_{B2..Bn}[resource] to the simulated channel's Choi matrix
 has an explicit Kraus family: a kernel-sector block and one operator per
-(total spin, projection, multiplet) stratum of the measurement.
+(total spin, projection, multiplet) stratum of the measurement.  Its
+operators are the measurement rows the closed-form Choi assembly sums over,
+so the dense oracle is the independent check.
 """
 
 import numpy as np
 
 from pbtsim import (Alternate, apply_protocol, choi_from_reduced, make_family,
-                    protocol_gram, protocol_kraus, reduced_port_state,
-                    unreduced_multiplicity)
+                    oracle_choi, protocol_gram, protocol_kraus,
+                    reduced_port_state, unreduced_multiplicity)
 
 n = 3
 pk = protocol_kraus(n)
@@ -20,9 +22,9 @@ print(f"{unreduced_multiplicity(n)} copies of each.")
 family = Alternate(0.8)
 rho_red = reduced_port_state(family, n)
 via_kraus = apply_protocol(pk, rho_red)
-via_components = choi_from_reduced(make_family(family, n))
-print("\nprotocol Kraus vs component assembly:",
-      np.abs(via_kraus - via_components).max())
+reduced = make_family(family, n)
+print("\nprotocol Kraus vs Choi assembly:", np.abs(via_kraus - choi_from_reduced(reduced)).max())
+print("protocol Kraus vs dense oracle: ", np.abs(via_kraus - oracle_choi(reduced)).max())
 print("output trace:", np.trace(via_kraus).real)
 
 # sum_k K_k^dag K_k is not the identity: trace preservation is guaranteed

@@ -2,30 +2,31 @@
 
 The Choi matrix is indexed by (idler bit, output bit) with the idler bit
 outermost, relative to the maximally entangled reference state
-(|00> + |11>)/sqrt(2).  Its sixteen entries come from three component sums
-(top-left, top-right and bottom-right diagonal blocks), each evaluated with
-one of the four conditional-block tables and combined with complex
-conjugation below the diagonal.
+(|00> + |11>)/sqrt(2).
 
-Each component sum has a bulk part over total spin ss = 2s of the measured
-(n+1)-qubit system, ss from s_min to n-1, weighted by the square-root
-measurement overlap coefficients and by the number of spin-s multiplets of
-the n-1 unkept ports (their tables are equal, so only alpha = 1 is
-computed), plus a kernel-sector boundary part at alpha = 1.  Labels outside
-the basis contribute exactly 0, which covers the s = 0 stratum of odd n
-without special-casing.
+The square-root measurement acts on the coupled spin basis of the n sender
+qubits through one real row pair G_k per stratum (``measurement_rows``): a
+kernel-sector pair per projection mm, then a bulk pair per total spin
+ss = 2s of the measured (n+1)-qubit system, projection and multiplet of the
+n-1 unkept ports, built from the overlap coefficients ``qr_coeffs``.  Each
+of the four conditional-block tables T gives one 2x2 sum
+sum_k w_k G_k T G_k^T (``g_sum``), and the four sums tile the Choi matrix.
+The protocol's Kraus operators (``kraus.protocol_kraus``) are the same rows
+on the full basis.  Labels outside the basis contribute exactly 0, which
+covers the s = 0 stratum of odd n without special-casing.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import herm_defect, partial_trace_qubits
-from .resources import TAGS, ReducedResource, SpinCoefficients, g_sum, to_spin_coefficients
-from .spin import Kind, build_spin_basis
+from .resources import TAGS, ReducedResource, SpinCoefficients, to_spin_coefficients
+from .spin import Kind, SpinBasis, SpinLabel, build_spin_basis, degeneracy
 
 _I = Kind.I
 _II = Kind.II
@@ -64,71 +65,80 @@ def qr_coeffs(ss: int, mm: int, n: int) -> QRCoeffs:
     )
 
 
-def _components(coeffs: SpinCoefficients, tag: str, n: int) -> tuple[complex, complex, complex]:
-    """The three independent Choi components for one block table."""
-    ss_min = 1 if n % 2 == 0 else 0
-    c11 = 0j
-    c13 = 0j
-    c33 = 0j
-    for ss in range(ss_min, n, 2):
-        for mm in range(-ss, ss + 1, 2):
-            qr = qr_coeffs(ss, mm, n)
+def measurement_rows(basis: SpinBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The square-root measurement's rows in the coupled spin basis.
 
-            def g(kinds, signs):
-                return g_sum(coeffs, tag, kinds, signs, ss, mm)
+    Returns ``(rows, weights)``: ``rows[k]`` is a real 2 x len(basis.labels)
+    pair over the basis columns, in protocol order.  First one kernel row
+    per mm, ascending, at alpha = 1 with weight 1/2; then one bulk row per
+    (ss, mm, alpha) the basis holds, weighted by (n/2) degeneracy(n-1, ss)
+    over the number of those alpha.  The blocks of a port-symmetric resource
+    commute with permutations of A_n..A_2, so by Schur-Weyl duality every
+    alpha gives the same term: on the alpha = 1 basis each bulk row stands
+    for all degeneracy(n-1, ss) multiplets.
+    """
+    n = basis.n
+    width = len(basis.labels)
+    # alpha count per parent spin ss: one Kind.II multiplet at jj = ss + 1 per parent
+    held = Counter(lab.jj - 1 for lab in basis.labels if lab.kind is _II and lab.mm == lab.jj)
+    rows, weights = [], []
 
-            c11 += (
-                qr.q_minus ** 2 * g((_I, _I), (-1, 1, -1, 1))
-                - qr.q_minus * qr.r_plus * (g((_I, _II), (-1, 1, 1, 1)) + g((_II, _I), (1, 1, -1, 1)))
-                + qr.r_plus ** 2 * g((_II, _II), (1, 1, 1, 1))
-            )
-            c13 += (
-                qr.q_minus * qr.q_plus * g((_I, _I), (-1, 1, -1, -1))
-                + qr.q_minus * qr.r_minus * g((_I, _II), (-1, 1, 1, -1))
-                - qr.q_plus * qr.r_plus * g((_II, _I), (1, 1, -1, -1))
-                - qr.r_minus * qr.r_plus * g((_II, _II), (1, 1, 1, -1))
-            )
-            c33 += (
-                qr.q_plus ** 2 * g((_I, _I), (-1, -1, -1, -1))
-                + qr.q_plus * qr.r_minus * (g((_I, _II), (-1, -1, 1, -1)) + g((_II, _I), (1, -1, -1, -1)))
-                + qr.r_minus ** 2 * g((_II, _II), (1, -1, 1, -1))
-            )
-    c11 *= n / 2
-    c13 *= n / 2
-    c33 *= n / 2
-    # kernel-sector boundary terms, weight m/(n+1) written with doubled mm
+    def add(weight, entries):
+        # entries: (row, coefficient, jj, mm, kind, alpha); labels outside the basis add nothing
+        g = np.zeros((2, width))
+        for r, coef, *label in entries:
+            k = basis.index.get(SpinLabel(n, *label))
+            if k is not None:
+                g[r, k] = coef
+        rows.append(g)
+        weights.append(weight)
+
+    # kernel sector, weight m/(n+1) written with doubled mm
     for mm in range(-(n + 1), n + 2, 2):
         w = mm / (2.0 * (n + 1))
-        c11 += 0.5 * (0.5 - w) * coeffs.boundary(tag, mm, 1, 1)
-        c13 += 0.5 * math.sqrt(max(0.25 - w * w, 0.0)) * coeffs.boundary(tag, mm, 1, -1)
-        c33 += 0.5 * (0.5 + w) * coeffs.boundary(tag, mm, -1, -1)
-    return c11, c13, c33
+        add(0.5, [(0, math.sqrt(max(0.5 - w, 0.0)), n, mm + 1, _II, 1),
+                  (1, math.sqrt(max(0.5 + w, 0.0)), n, mm - 1, _II, 1)])
+    for ss in range(1 if n % 2 == 0 else 0, n, 2):
+        weight = (n / 2) * degeneracy(n - 1, ss) / held[ss]
+        for mm in range(-ss, ss + 1, 2):
+            qr = qr_coeffs(ss, mm, n)
+            for alpha in range(1, held[ss] + 1):
+                add(weight, [(0, qr.q_minus, ss - 1, mm + 1, _I, alpha),
+                             (0, -qr.r_plus, ss + 1, mm + 1, _II, alpha),
+                             (1, qr.q_plus, ss - 1, mm - 1, _I, alpha),
+                             (1, qr.r_minus, ss + 1, mm - 1, _II, alpha)])
+    return np.array(rows), np.array(weights)
+
+
+def g_sum(rows: np.ndarray, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_k w_k G_k T G_k^T over the measurement rows G_k, a 2x2 matrix."""
+    return np.einsum("k,kai,kbi->ab", weights, rows @ table, rows)
 
 
 def assemble_choi(coeffs: SpinCoefficients) -> np.ndarray:
-    """Choi matrix of the simulated channel from spin-basis coefficient tables."""
-    n = coeffs.n
-    if n < 2:
+    """Choi matrix of the simulated channel from spin-basis coefficient tables.
+
+    Entry (idler a, output i; idler b, output j) is entry (a, b) of the
+    measurement sum over the block table R^{i+1, j+1}; the lower triangle is
+    set to the conjugate of the upper.
+    """
+    if coeffs.n < 2:
         raise ValueError("at least two ports are required")
-    c11, c13, c33 = {}, {}, {}
-    for tag in TAGS:
-        c11[tag], c13[tag], c33[tag] = _components(coeffs, tag, n)
-    return np.array(
-        [
-            [c11["11"], c11["12"], c13["11"], c13["12"]],
-            [np.conj(c11["12"]), c11["22"], c13["21"], c13["22"]],
-            [np.conj(c13["11"]), np.conj(c13["21"]), c33["11"], c33["12"]],
-            [np.conj(c13["12"]), np.conj(c13["22"]), np.conj(c33["12"]), c33["22"]],
-        ],
-        dtype=complex,
-    )
+    rows, weights = measurement_rows(coeffs.basis)
+    sums = [g_sum(rows, weights, coeffs.tables[tag]) for tag in TAGS]
+    # sums[2i + j][a, b] -> c[2a + i, 2b + j]
+    c = np.array(sums).reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
+    lower = np.tril_indices(4, -1)
+    c[lower] = c.T[lower].conj()
+    return c
 
 
 def choi_from_reduced(reduced: ReducedResource) -> np.ndarray:
     """Full pipeline: reduced blocks -> alpha = 1 spin tables -> Choi matrix.
 
     Exact for port-symmetric resources, whose tables are the same on every
-    multiplet (see ``g_sum``); ``load_resource`` rejects any other input.
+    multiplet (see ``measurement_rows``); ``load_resource`` rejects any
+    other input.
     """
     basis = build_spin_basis(reduced.n, first_only=True)
     return assemble_choi(to_spin_coefficients(reduced, basis))

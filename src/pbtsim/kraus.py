@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import CHOI_PSD_ATOL, qr_coeffs
+from .choi import CHOI_PSD_ATOL, measurement_rows
 from .spin import Kind, build_rho_eigenvectors, build_spin_basis, degeneracy, rho_eigenvalue
 
 EIG_FLOOR = 1e-12  # rank decision for Kraus extraction
@@ -90,51 +90,15 @@ def unreduced_multiplicity(n: int) -> int:
 
 
 def protocol_kraus(n: int) -> ProtocolKraus:
-    """Explicit protocol Kraus operators for n ports."""
+    """Explicit protocol Kraus operators for n ports: each measurement row
+    pair G_k on the full basis, as sqrt(w_k) G_k u^T (x) 1."""
     if n < 2:
         raise ValueError("at least two ports are required")
     basis = build_spin_basis(n)
-    dim = 2 ** n
+    rows, weights = measurement_rows(basis)
     eye2 = np.eye(2, dtype=complex)
-
-    def bra(jj, mm, kind, alpha):
-        col = basis.column(jj, mm, kind, alpha)
-        return None if col is None else col.conj()
-
-    k2 = []
-    for mm in range(-(n + 1), n + 2, 2):
-        g = np.zeros((2, dim), dtype=complex)
-        w = mm / (2.0 * (n + 1))
-        hi = bra(n, mm + 1, Kind.II, 1)
-        if hi is not None:
-            g[0] += math.sqrt(max(0.5 - w, 0.0)) * hi
-        lo = bra(n, mm - 1, Kind.II, 1)
-        if lo is not None:
-            g[1] += math.sqrt(max(0.5 + w, 0.0)) * lo
-        k2.append(np.kron(g / math.sqrt(2), eye2))
-
-    k1 = []
-    ss_min = 1 if n % 2 == 0 else 0
-    scale = math.sqrt(n / 2)
-    for ss in range(ss_min, n, 2):
-        for mm in range(-ss, ss + 1, 2):
-            qr = qr_coeffs(ss, mm, n)
-            for alpha in range(1, degeneracy(n - 1, ss) + 1):
-                g = np.zeros((2, dim), dtype=complex)
-                b = bra(ss - 1, mm + 1, Kind.I, alpha)
-                if b is not None:
-                    g[0] += qr.q_minus * b
-                b = bra(ss + 1, mm + 1, Kind.II, alpha)
-                if b is not None:
-                    g[0] -= qr.r_plus * b
-                b = bra(ss - 1, mm - 1, Kind.I, alpha)
-                if b is not None:
-                    g[1] += qr.q_plus * b
-                b = bra(ss + 1, mm - 1, Kind.II, alpha)
-                if b is not None:
-                    g[1] += qr.r_minus * b
-                k1.append(np.kron(scale * g, eye2))
-    return ProtocolKraus(n=n, k2=tuple(k2), k1=tuple(k1))
+    ops = [np.kron(math.sqrt(w) * g, eye2) for g, w in zip(rows @ basis.u.T, weights)]
+    return ProtocolKraus(n=n, k2=tuple(ops[:n + 2]), k1=tuple(ops[n + 2:]))
 
 
 def apply_protocol(pk: ProtocolKraus, reduced_state: np.ndarray) -> np.ndarray:

@@ -22,13 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import dag, herm_defect, kron_power, max_abs, partial_trace_qubits, permute_qubits
-from .spin import Kind, SpinBasis, SpinLabel, check_port_count, degeneracy
+from .spin import SpinBasis, check_port_count
 
 TAGS = ("11", "12", "21", "22")
 
-HERM_ATOL = 1e-12
-PSD_ATOL = 1e-10
-FILE_ATOL = 1e-8
+FILE_ATOL = 1e-8  # Hermiticity, trace, positivity and port-symmetry defects
 
 
 # ----------------------------------------------------------------------------
@@ -119,15 +117,15 @@ class FullResource:
     n: int
     rho_ab: np.ndarray
 
-    def validate(self, atol: float = HERM_ATOL) -> None:
+    def validate(self) -> None:
         d = 2 ** (2 * self.n)
         if self.rho_ab.shape != (d, d):
             raise ValueError(f"expected shape {(d, d)}, got {self.rho_ab.shape}")
-        if herm_defect(self.rho_ab) > atol:
+        if herm_defect(self.rho_ab) > FILE_ATOL:
             raise ValueError("resource state is not Hermitian")
-        if abs(np.trace(self.rho_ab) - 1) > atol:
+        if abs(np.trace(self.rho_ab) - 1) > FILE_ATOL:
             raise ValueError("resource state trace differs from 1")
-        if np.linalg.eigvalsh(self.rho_ab).min() < -max(atol, PSD_ATOL):
+        if np.linalg.eigvalsh(self.rho_ab).min() < -FILE_ATOL:
             raise ValueError("resource state is not positive semidefinite")
 
 
@@ -144,19 +142,19 @@ class ReducedResource:
     def block(self, tag: str) -> np.ndarray:
         return {"11": self.r11, "12": self.r12, "21": self.r21, "22": self.r22}[tag]
 
-    def validate(self, atol: float = HERM_ATOL) -> None:
+    def validate(self) -> None:
         d = 2 ** self.n
         for tag in TAGS:
             if self.block(tag).shape != (d, d):
                 raise ValueError(f"block {tag}: expected shape {(d, d)}")
-        if herm_defect(self.r11) > atol or herm_defect(self.r22) > atol:
+        if herm_defect(self.r11) > FILE_ATOL or herm_defect(self.r22) > FILE_ATOL:
             raise ValueError("conditional blocks r11/r22 are not Hermitian")
-        if max_abs(self.r21, dag(self.r12)) > atol:
+        if max_abs(self.r21, dag(self.r12)) > FILE_ATOL:
             raise ValueError("r21 is not the adjoint of r12")
-        if abs(np.trace(self.r11) + np.trace(self.r22) - 1) > atol:
+        if abs(np.trace(self.r11) + np.trace(self.r22) - 1) > FILE_ATOL:
             raise ValueError("trace(r11) + trace(r22) differs from 1")
         for blk in (self.r11, self.r22):
-            if np.linalg.eigvalsh(blk).min() < -max(atol, PSD_ATOL):
+            if np.linalg.eigvalsh(blk).min() < -FILE_ATOL:
                 raise ValueError("conditional block is not positive semidefinite")
 
 
@@ -207,7 +205,7 @@ def trace_to_first_port(full: FullResource) -> np.ndarray:
 def reduce_full(full: FullResource) -> ReducedResource:
     """Trace out all receiver qubits but the first and split into blocks."""
     n = full.n
-    full.validate(atol=FILE_ATOL)
+    full.validate()
     arr = trace_to_first_port(full).reshape(2 ** n, 2, 2 ** n, 2)
     return ReducedResource(
         n=n,
@@ -259,33 +257,14 @@ def _port_asymmetry(obj: FullResource | ReducedResource) -> float:
 # spin-basis coefficient tables
 # ----------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
 class SpinCoefficients:
-    """Resource blocks congruence-transformed into the coupled spin basis.
+    """Resource blocks congruence-transformed into the coupled spin basis:
+    ``tables[tag]`` is u^T R^tag u over the columns of ``basis``."""
 
-    Lookups are by spin label; labels that do not occur in the basis yield
-    exactly 0, which implements the out-of-range-as-zero convention of the
-    channel component sums.  On a ``first_only`` basis only alpha = 1 labels
-    occur.
-    """
-
-    def __init__(self, n: int, basis: SpinBasis, tables: dict):
-        self.n = n
-        self.basis = basis
-        self.tables = tables
-
-    def f(self, tag: str, kind1: Kind, jj1: int, mm1: int, alpha1: int,
-          kind2: Kind, jj2: int, mm2: int, alpha2: int) -> complex:
-        i = self.basis.index.get(SpinLabel(self.n, jj1, mm1, kind1, alpha1))
-        if i is None:
-            return 0j
-        j = self.basis.index.get(SpinLabel(self.n, jj2, mm2, kind2, alpha2))
-        if j is None:
-            return 0j
-        return self.tables[tag][i, j]
-
-    def boundary(self, tag: str, mm: int, dl: int, dr: int) -> complex:
-        """Kernel-sector entry f_{II,II} at jj = n, alpha = 1."""
-        return self.f(tag, Kind.II, self.n, mm + dl, 1, Kind.II, self.n, mm + dr, 1)
+    n: int
+    basis: SpinBasis
+    tables: dict
 
 
 def to_spin_coefficients(reduced: ReducedResource, basis: SpinBasis) -> SpinCoefficients:
@@ -298,21 +277,6 @@ def to_spin_coefficients(reduced: ReducedResource, basis: SpinBasis) -> SpinCoef
         block = np.ascontiguousarray(reduced.block(tag), dtype=complex)
         tables[tag] = (u.T @ block.view(float)).view(complex) @ u
     return SpinCoefficients(reduced.n, basis, tables)
-
-
-def g_sum(coeffs: SpinCoefficients, tag: str, kinds: tuple[Kind, Kind],
-          signs: tuple[int, int, int, int], ss: int, mm: int) -> complex:
-    """Sum of f over the shared parent-multiplet index alpha.
-
-    ``signs`` are doubled shifts applied as (jj1, mm1, jj2, mm2) =
-    (ss+s1, mm+s2, ss+s3, mm+s4); alpha runs over the parent multiplets at
-    spin ss, of which there are degeneracy(n-1, ss).  The blocks of a
-    port-symmetric resource commute with permutations of A_n..A_2, so by
-    Schur-Weyl duality every term equals the alpha = 1 term.
-    """
-    s1, s2, s3, s4 = signs
-    return degeneracy(coeffs.n - 1, ss) * coeffs.f(tag, kinds[0], ss + s1, mm + s2, 1,
-                                                   kinds[1], ss + s3, mm + s4, 1)
 
 
 # ----------------------------------------------------------------------------
@@ -351,6 +315,7 @@ def load_resource(path: str | Path) -> ReducedResource:
     if not lines[1].strip().startswith("N="):
         raise ValueError("missing N= header line")
     n = int(lines[1].strip()[2:])
+    check_port_count(n)  # before the body is parsed or a block is shaped
     form = lines[2].strip()
     if form not in ("FORM=FULL", "FORM=REDUCED"):
         raise ValueError(f"unknown FORM header: {form!r}")
@@ -376,7 +341,7 @@ def load_resource(path: str | Path) -> ReducedResource:
             raise ValueError(f"expected {4 * d * d} complex entries, got {entries.size}")
         blocks = entries.reshape(4, d, d)
         reduced = ReducedResource(n=n, r11=blocks[0], r12=blocks[1], r21=blocks[2], r22=blocks[3])
-        reduced.validate(atol=FILE_ATOL)
+        reduced.validate()
         asymmetry = _port_asymmetry(reduced)
     if asymmetry > FILE_ATOL:
         raise ValueError(f"resource is not port symmetric: exchanging two ports changes it by "

@@ -127,10 +127,6 @@ class SpinBasis:
     u: np.ndarray
     index: dict
 
-    def column(self, jj: int, mm: int, kind: Kind, alpha: int) -> np.ndarray | None:
-        k = self.index.get(SpinLabel(self.n, jj, mm, kind, alpha))
-        return None if k is None else self.u[:, k]
-
     def multiplets(self) -> list[tuple[int, Kind, int]]:
         """All (jj, kind, alpha) groups in canonical order."""
         seen: list[tuple[int, Kind, int]] = []

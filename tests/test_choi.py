@@ -3,35 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from pbtsim import choi
 from pbtsim.analysis import alternate_choi, depolarizing_choi, pbt_ad_choi, xi
-from pbtsim.choi import assemble_choi, check_choi, choi_from_reduced, qr_coeffs
+from pbtsim.choi import (assemble_choi, check_choi, choi_from_reduced, g_sum,
+                         measurement_rows, qr_coeffs)
 from pbtsim.linalg import max_abs, partial_trace_qubits
 from pbtsim.oracle import oracle_choi
-from pbtsim.resources import (TAGS, AdChoi, Alternate, Bell, ReducedResource,
-                              SpinCoefficients, make_family, reduce_full,
-                              to_spin_coefficients)
-from pbtsim.spin import build_spin_basis, degeneracy
+from pbtsim.resources import (AdChoi, Alternate, Bell, ReducedResource,
+                              make_family, reduce_full, to_spin_coefficients)
+from pbtsim.spin import Kind, SpinLabel, build_spin_basis, degeneracy
 
 from conftest import random_symmetric_resource
 
 
-def _alpha_sum(coeffs, tag, kinds, signs, ss, mm):
-    """g_sum as the explicit sum over the parent multiplets alpha."""
-    s1, s2, s3, s4 = signs
-    return sum(coeffs.f(tag, kinds[0], ss + s1, mm + s2, alpha, kinds[1], ss + s3, mm + s4, alpha)
-               for alpha in range(1, degeneracy(coeffs.n - 1, ss) + 1))
-
-
 def full_basis_choi(reduced: ReducedResource) -> np.ndarray:
-    """Reference route without the alpha = 1 compression: dense complex
-    congruence with the full unitary, then the explicit sum over alpha."""
-    basis = build_spin_basis(reduced.n)
-    u = basis.u.astype(complex)
-    tables = {tag: u.conj().T @ reduced.block(tag) @ u for tag in TAGS}
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(choi, "g_sum", _alpha_sum)
-        return assemble_choi(SpinCoefficients(reduced.n, basis, tables))
+    """Reference route without the alpha = 1 compression: congruence with the
+    full basis and one measurement row per multiplet alpha."""
+    return assemble_choi(to_spin_coefficients(reduced, build_spin_basis(reduced.n)))
 
 
 class TestQRCoeffs:
@@ -49,6 +36,54 @@ class TestQRCoeffs:
             qr_coeffs(3, 1, 2)   # s beyond (n-1)/2
         with pytest.raises(ValueError):
             qr_coeffs(1, 3, 4)   # |m| > s
+
+
+class TestMeasurementRows:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_counts_and_weights(self, n):
+        ss_values = range(1 if n % 2 == 0 else 0, n, 2)
+        full_rows, full_w = measurement_rows(build_spin_basis(n))
+        first_rows, first_w = measurement_rows(build_spin_basis(n, first_only=True))
+        assert len(full_rows) == n + 2 + sum(degeneracy(n - 1, ss) * (ss + 1) for ss in ss_values)
+        assert len(first_rows) == n + 2 + sum(ss + 1 for ss in ss_values)
+        assert (full_w[:n + 2] == 0.5).all() and (full_w[n + 2:] == n / 2).all()
+        # on the alpha = 1 basis each bulk row carries all of its multiplets
+        assert first_w.sum() == pytest.approx(full_w.sum(), abs=1e-12)
+
+    def test_labels_outside_basis_are_skipped(self):
+        # n = 2, ss = 1, mm = 1: the Kind.I label (jj, mm) = (0, 2) does not
+        # exist, so the top row holds only the Kind.II entry at (2, 2)
+        basis = build_spin_basis(2)
+        rows, _ = measurement_rows(basis)
+        top = rows[4 + 1][0]
+        k = basis.index[SpinLabel(2, 2, 2, Kind.II, 1)]
+        assert np.count_nonzero(top) == 1
+        assert top[k] == -qr_coeffs(1, 1, 2).r_plus
+
+
+class TestGSum:
+    def test_bell_two_port_value(self):
+        basis = build_spin_basis(2)
+        table = to_spin_coefficients(make_family(Bell(), 2), basis).tables["11"]
+        got = g_sum(*measurement_rows(basis), table)
+        want = np.diag([6 + math.sqrt(3), 6 - math.sqrt(3)]) / 24
+        assert max_abs(got, want) <= 1e-15
+
+    def test_zero_table_is_exact_zero(self):
+        for first_only in (False, True):
+            basis = build_spin_basis(4, first_only=first_only)
+            width = len(basis.labels)
+            got = g_sum(*measurement_rows(basis), np.zeros((width, width), dtype=complex))
+            assert np.array_equal(got, np.zeros((2, 2)))
+
+    def test_conjugate_symmetry_between_tags(self, symmetric_reduced):
+        for first_only in (False, True):
+            basis = build_spin_basis(3, first_only=first_only)
+            coeffs = to_spin_coefficients(symmetric_reduced(3), basis)
+            rows, weights = measurement_rows(basis)
+            a = g_sum(rows, weights, coeffs.tables["21"])
+            b = g_sum(rows, weights, coeffs.tables["12"])
+            assert max_abs(a, b.conj().T) <= 1e-14
 
 
 class TestTwoPort:
@@ -134,6 +169,14 @@ class TestAssembleChoi:
     def test_closed_forms_at_eleven_ports(self, family, closed):
         c = choi_from_reduced(make_family(family, 11))
         assert max_abs(c, closed(11)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_products_exactly_hermitian_and_x_shaped(self, n):
+        outside_x = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+        for family in (Bell(), AdChoi(0.3), Alternate(0.8)):
+            c = choi_from_reduced(make_family(family, n))
+            assert np.array_equal(c, c.conj().T)
+            assert (c[outside_x] == 0).all()
 
     def test_single_port_rejected(self):
         red = make_family(Bell(), 1)

@@ -156,6 +156,16 @@ class TestErrors:
         assert proc.returncode == 1
         assert "port count must be in 1..12, got 13" in proc.stderr
 
+    @pytest.mark.parametrize("n", [0, -1, 13])
+    def test_rejects_file_port_count_without_traceback(self, tmp_path, n):
+        path = tmp_path / "ports.pbtres"
+        path.write_text(f"PBTRES 1\nN={n}\nFORM=FULL\n1 0\n")
+        proc = run_cli_process("choi", "--ports", "2", "--resource", str(path))
+        assert proc.returncode == 1
+        assert f"port count must be in 1..12, got {n}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_verification", lambda k: (1e-3, [("n=2 bell", 1e-3)]))
         code, _, err = run_cli(capsys, "verify", "--max-ports", "2")

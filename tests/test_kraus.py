@@ -9,7 +9,7 @@ from pbtsim.kraus import (apply_kraus, apply_protocol, choi_from_kraus,
                           choi_to_kraus, protocol_gram, protocol_kraus,
                           sqrt_measurement_op, unreduced_multiplicity)
 from pbtsim.linalg import max_abs
-from pbtsim.oracle import build_povm
+from pbtsim.oracle import build_povm, oracle_choi
 from pbtsim.resources import (AdChoi, Alternate, Bell, make_family,
                               reduce_full, reduced_port_state,
                               trace_to_first_port)
@@ -114,6 +114,16 @@ class TestProtocolKraus:
         got = apply_protocol(protocol_kraus(n), trace_to_first_port(full))
         want = choi_from_reduced(reduce_full(full))
         assert max_abs(got, want) <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_oracle_on_random_symmetric(self, n, symmetric_reduced):
+        # the Choi assembly shares the measurement rows; the dense oracle does not
+        red = symmetric_reduced(n)
+        d = 2 ** (n + 1)
+        # the blocks R^{i+1,j+1} as the B_1 bits (i, j) of one operator on (A, B_1)
+        blocks = np.array([[red.r11, red.r12], [red.r21, red.r22]])
+        state = blocks.transpose(2, 0, 3, 1).reshape(d, d)
+        assert max_abs(apply_protocol(protocol_kraus(n), state), oracle_choi(red)) <= 1e-10
 
     def test_bell_resource_gives_depolarizing(self):
         n = 4

@@ -9,7 +9,7 @@ from pbtsim.oracle import oracle_choi
 from pbtsim.resources import (AdChoi, Alternate, Bell, FromFile, FullResource,
                               ReducedResource, TAGS, ad_choi_port,
                               alternate_port, bell_port, full_from_port,
-                              g_sum, load_resource, make_family, port_state,
+                              load_resource, make_family, port_state,
                               reduce_full, reduced_port_state, save_resource,
                               to_spin_coefficients)
 from pbtsim.spin import Kind, build_spin_basis
@@ -116,33 +116,20 @@ class TestSpinCoefficients:
     def test_bell_closed_forms(self, n):
         # expansion of the all-Bell r11 block in the coupled basis
         basis = build_spin_basis(n)
-        coeffs = to_spin_coefficients(make_family(Bell(), n), basis)
+        table = to_spin_coefficients(make_family(Bell(), n), basis).tables["11"]
         scale = 1.0 / 2 ** n
-        for lab in basis.labels:
+        for k, lab in enumerate(basis.labels):
             if lab.kind == Kind.I:
                 want = ((lab.jj - lab.mm) / 2 + 1) / (lab.jj + 2) * scale
-                got = coeffs.f("11", Kind.I, lab.jj, lab.mm, lab.alpha,
-                               Kind.I, lab.jj, lab.mm, lab.alpha)
-                assert abs(got - want) <= 1e-13
+                assert abs(table[k, k] - want) <= 1e-13
                 cross = -math.sqrt(((lab.jj - lab.mm) / 2 + 1) * ((lab.jj + lab.mm) / 2 + 1)) \
                     / (lab.jj + 2) * scale
-                got = coeffs.f("11", Kind.I, lab.jj, lab.mm, lab.alpha,
-                               Kind.II, lab.jj + 2, lab.mm, lab.alpha)
-                assert abs(got - cross) <= 1e-13
-                got_t = coeffs.f("11", Kind.II, lab.jj + 2, lab.mm, lab.alpha,
-                                 Kind.I, lab.jj, lab.mm, lab.alpha)
-                assert abs(got_t - cross) <= 1e-13
+                partner = basis.index[replace(lab, jj=lab.jj + 2, kind=Kind.II)]
+                assert abs(table[k, partner] - cross) <= 1e-13
+                assert abs(table[partner, k] - cross) <= 1e-13
             else:
                 want = (lab.jj + lab.mm) / 2 / lab.jj * scale if lab.jj else 0.0
-                got = coeffs.f("11", Kind.II, lab.jj, lab.mm, lab.alpha,
-                               Kind.II, lab.jj, lab.mm, lab.alpha)
-                assert abs(got - want) <= 1e-13
-
-    def test_out_of_range_lookups_are_zero(self):
-        coeffs = to_spin_coefficients(make_family(Bell(), 2), build_spin_basis(2))
-        assert coeffs.f("11", Kind.I, 4, 0, 1, Kind.I, 4, 0, 1) == 0
-        assert coeffs.f("11", Kind.I, 0, 0, 7, Kind.I, 0, 0, 1) == 0
-        assert coeffs.f("11", Kind.II, 2, 6, 1, Kind.II, 2, 0, 1) == 0
+                assert abs(table[k, k] - want) <= 1e-13
 
     def test_hermiticity_between_tables(self, rng):
         red = reduce_full(random_symmetric_resource(3, rng))
@@ -158,26 +145,6 @@ class TestSpinCoefficients:
     def test_basis_mismatch_rejected(self):
         with pytest.raises(ValueError):
             to_spin_coefficients(make_family(Bell(), 2), build_spin_basis(3))
-
-
-class TestGSum:
-    def test_bell_two_port_value(self):
-        coeffs = to_spin_coefficients(make_family(Bell(), 2), build_spin_basis(2))
-        got = g_sum(coeffs, "11", (Kind.I, Kind.II), (-1, 1, 1, 1), 1, -1)
-        assert got == pytest.approx(-1 / 8, abs=1e-15)
-
-    def test_empty_alpha_range_is_zero(self):
-        coeffs = to_spin_coefficients(make_family(Bell(), 2), build_spin_basis(2))
-        assert g_sum(coeffs, "11", (Kind.I, Kind.I), (-1, 1, -1, 1), 2, 0) == 0
-
-    def test_conjugate_symmetry_between_tags(self, rng):
-        red = reduce_full(random_symmetric_resource(3, rng))
-        coeffs = to_spin_coefficients(red, build_spin_basis(3))
-        for ss in (0, 2):
-            for mm in range(-ss - 1, ss + 2, 2):
-                a = g_sum(coeffs, "21", (Kind.II, Kind.I), (1, 1, -1, -1), ss, mm)
-                b = g_sum(coeffs, "12", (Kind.I, Kind.II), (-1, -1, 1, 1), ss, mm)
-                assert a == pytest.approx(np.conj(b), abs=1e-14)
 
 
 class TestSymmetrize:
@@ -279,6 +246,15 @@ class TestResourceFiles:
         lines[4] = " ".join(row)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="must be finite"):
+            load_resource(path)
+
+    @pytest.mark.parametrize("n", [0, -1, 13])
+    @pytest.mark.parametrize("form", ["FULL", "REDUCED"])
+    def test_rejects_port_count_before_body(self, tmp_path, form, n):
+        path = tmp_path / "ports.pbtres"
+        # at N=0 a FULL body of one entry once reached the reduction and failed there
+        path.write_text(f"PBTRES 1\nN={n}\nFORM={form}\n1 0\n")
+        with pytest.raises(ValueError, match="port count must be in 1..12"):
             load_resource(path)
 
     def test_rejects_wrong_count(self, tmp_path):
