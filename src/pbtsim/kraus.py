@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choi import CHOI_PSD_ATOL, measurement_rows
-from .spin import Kind, build_rho_eigenvectors, build_spin_basis, degeneracy, rho_eigenvalue
+from .spin import build_spin_basis
 
 EIG_FLOOR = 1e-12  # rank decision for Kraus extraction
 
@@ -18,8 +18,6 @@ EIG_FLOOR = 1e-12  # rank decision for Kraus extraction
 @dataclass(frozen=True, eq=False)
 class KrausSet:
     ops: tuple[np.ndarray, ...]
-    in_dim: int
-    out_dim: int
 
 
 def choi_to_kraus(choi: np.ndarray) -> KrausSet:
@@ -37,15 +35,15 @@ def choi_to_kraus(choi: np.ndarray) -> KrausSet:
     for k in range(w.size):
         if w[k] > EIG_FLOOR:
             ops.append(math.sqrt(2 * w[k]) * v[:, k].reshape(2, 2).T)
-    return KrausSet(ops=tuple(ops), in_dim=2, out_dim=2)
+    return KrausSet(ops=tuple(ops))
 
 
 def apply_kraus(kraus: KrausSet, state: np.ndarray) -> np.ndarray:
     """sum_k K_k state K_k^dag."""
     state = np.asarray(state)
-    if state.shape != (kraus.in_dim, kraus.in_dim):
-        raise ValueError(f"state shape {state.shape} does not match in_dim {kraus.in_dim}")
-    out = np.zeros((kraus.out_dim, kraus.out_dim), dtype=complex)
+    if state.shape != (2, 2):
+        raise ValueError(f"state shape {state.shape} is not a qubit's (2, 2)")
+    out = np.zeros((2, 2), dtype=complex)
     for k in kraus.ops:
         out += k @ state @ k.conj().T
     return out
@@ -53,8 +51,6 @@ def apply_kraus(kraus: KrausSet, state: np.ndarray) -> np.ndarray:
 
 def choi_from_kraus(kraus: KrausSet) -> np.ndarray:
     """Choi matrix of a qubit channel from its Kraus operators."""
-    if kraus.in_dim != 2 or kraus.out_dim != 2:
-        raise ValueError("choi_from_kraus handles qubit-to-qubit channels only")
     c = np.zeros((4, 4), dtype=complex)
     for k in kraus.ops:
         # (1 (x) K)|Phi> with |Phi> = (|00> + |11>)/sqrt(2); component (idler, out)
@@ -119,39 +115,4 @@ def protocol_gram(pk: ProtocolKraus) -> np.ndarray:
     out = np.zeros((d, d), dtype=complex)
     for k in pk.ops:
         out += k.conj().T @ k
-    return out
-
-
-def sqrt_measurement_op(n: int) -> np.ndarray:
-    """Dense square root of the outcome-1 measurement element.
-
-    Assembled from the rho eigenvectors: the kernel sector contributes
-    1/sqrt(n) per projector, the bulk contributes one rank-1 pair per
-    (ss, mm, alpha) with the inverse square root of its single eigenvalue.
-    """
-    if n < 2:
-        raise ValueError("at least two ports are required")
-    vecs = {}
-    for ev in build_rho_eigenvectors(n):
-        vecs[(ev.sign, ev.jj, ev.mm, ev.kind, ev.alpha)] = ev.vector
-    dim = 2 ** (n + 1)
-    out = np.zeros((dim, dim), dtype=complex)
-    for mm in range(-(n + 1), n + 2, 2):
-        v = vecs[("-", n, mm, Kind.II, 1)]
-        out += np.outer(v, v.conj()) / math.sqrt(n)
-    ss_min = 1 if n % 2 == 0 else 0
-    for ss in range(ss_min, n, 2):
-        a_i = math.sqrt((ss / (2.0 * (ss + 1))) / rho_eigenvalue("-", ss - 1, n)) if ss else 0.0
-        a_ii = math.sqrt(((ss + 2.0) / (2 * (ss + 1.0))) / rho_eigenvalue("+", ss + 1, n))
-        inv_sqrt_eig = math.sqrt((n + 1 - ss) * (n + 3 + ss) / (4.0 * (n + 1)))
-        for mm in range(-ss, ss + 1, 2):
-            for alpha in range(1, degeneracy(n - 1, ss) + 1):
-                v = np.zeros(dim, dtype=complex)
-                key_i = ("-", ss - 1, mm, Kind.I, alpha)
-                if key_i in vecs:
-                    v += a_i * vecs[key_i]
-                key_ii = ("+", ss + 1, mm, Kind.II, alpha)
-                if key_ii in vecs:
-                    v -= a_ii * vecs[key_ii]
-                out += inv_sqrt_eig * np.outer(v, v.conj())
     return out

@@ -142,6 +142,13 @@ class ReducedResource:
     def block(self, tag: str) -> np.ndarray:
         return {"11": self.r11, "12": self.r12, "21": self.r21, "22": self.r22}[tag]
 
+    def joint(self) -> np.ndarray:
+        """The blocks as one operator on (A, B_1), B_1 last: ``reduce_full``'s
+        split undone, R^{i+1,j+1} at the B_1 bits (i, j)."""
+        d = 2 ** (self.n + 1)
+        blocks = np.array([[self.r11, self.r12], [self.r21, self.r22]])
+        return blocks.transpose(2, 0, 3, 1).reshape(d, d)
+
     def validate(self) -> None:
         d = 2 ** self.n
         for tag in TAGS:
@@ -218,10 +225,7 @@ def reduce_full(full: FullResource) -> ReducedResource:
 
 def reduced_port_state(family: ResourceFamily, n: int) -> np.ndarray:
     """Tr_{B2..Bn} of a product family, on (A, B_1) with B_1 last."""
-    red = reduced_from_port(port_state(family), n)
-    d = 2 ** (n + 1)
-    # interleave the blocks R^{i+1,j+1} as the B_1 bits (i, j) of one operator
-    return np.array([[red.r11, red.r12], [red.r21, red.r22]]).transpose(2, 0, 3, 1).reshape(d, d)
+    return reduced_from_port(port_state(family), n).joint()
 
 
 def _swapped(op: np.ndarray, qubits: int, *pairs: tuple[int, int]) -> np.ndarray:

@@ -1,9 +1,15 @@
 """Angular-momentum (spin) structure of n qubits.
 
 Builds the coupled spin basis of n qubits by the standard spin-1/2
-Clebsch-Gordan recursion, together with the eigenvectors of the operator
+Clebsch-Gordan recursion.  One level up it also diagonalises the operator
 rho = sum_i sigma_i (sigma_i = singlet projector between an extra qubit C and
-qubit i) that underlies the square-root measurement.
+qubit i) that underlies the square-root measurement: the recursion couples
+the newest qubit last, so with C as qubit n + 1 every vector of
+``build_spin_basis(n + 1)`` is an eigenvector of rho, its kind naming the
+n-qubit spin it came from.  A Kind.I vector at jj has eigenvalue
+``rho_eigenvalue('+', jj + 1, n)``, a Kind.II vector
+``rho_eigenvalue('-', jj - 1, n)``; the Kind.II vectors at jj = n + 1 span
+the kernel.
 
 For port-symmetric resources every spin table is the same on each multiplet
 of a given (jj, kind) (Schur-Weyl duality), so the channel needs only the
@@ -14,8 +20,7 @@ unitary.
 Half-integer labels are stored doubled (``jj = 2j``, ``mm = 2m``) so that all
 index arithmetic is exact; values are converted to floats only inside
 coefficient formulas.  Qubit ordering: the recursion appends the newest qubit
-as the last (least significant) tensor slot, and the extra qubit C of the
-rho eigenvectors is appended after all n qubits.
+as the last (least significant) tensor slot, so C sits after all n qubits.
 """
 
 from __future__ import annotations
@@ -127,15 +132,6 @@ class SpinBasis:
     u: np.ndarray
     index: dict
 
-    def multiplets(self) -> list[tuple[int, Kind, int]]:
-        """All (jj, kind, alpha) groups in canonical order."""
-        seen: list[tuple[int, Kind, int]] = []
-        for lab in self.labels:
-            key = (lab.jj, lab.kind, lab.alpha)
-            if not seen or seen[-1] != key:
-                seen.append(key)
-        return seen
-
 
 def _couple(parent: dict, jj_child: int, jj_parent: int, dim: int) -> dict:
     """One multiplet of the child level from one parent multiplet."""
@@ -196,46 +192,3 @@ def build_spin_basis(n: int, first_only: bool = False) -> SpinBasis:
     u.setflags(write=False)
     index = {lab: k for k, lab in enumerate(labels)}
     return SpinBasis(n=n, labels=tuple(labels), u=u, index=index)
-
-
-@dataclass(frozen=True, eq=False)
-class RhoEigenvector:
-    """One eigenvector of rho = sum_i sigma_i on the n qubits plus C."""
-
-    sign: str      # '-' -> eigenvalue (n/2 - j)/2, '+' -> (n/2 + j + 1)/2
-    jj: int
-    mm: int        # doubled z-projection of the (n+1)-qubit vector
-    kind: Kind
-    alpha: int
-    eigenvalue: float
-    vector: np.ndarray
-
-
-def build_rho_eigenvectors(n: int) -> list[RhoEigenvector]:
-    """All eigenvectors of rho on the (n+1)-qubit space, C in the last slot.
-
-    The '-' family at jj = n (eigenvalue 0) spans the kernel of rho.
-    """
-    basis = build_spin_basis(n)
-    bykey = {}
-    for k, lab in enumerate(basis.labels):
-        bykey.setdefault((lab.jj, lab.kind, lab.alpha), {})[lab.mm] = basis.u[:, k]
-    out: list[RhoEigenvector] = []
-    for (jj, kind, alpha) in basis.multiplets():
-        mvecs = bykey[(jj, kind, alpha)]
-        for sign in ("-", "+"):
-            if sign == "+" and jj == 0:
-                continue
-            ss = jj + 1 if sign == "-" else jj - 1
-            up = "+" if sign == "-" else "-"
-            lam = rho_eigenvalue(sign, jj, n)
-            for mm in range(-ss, ss + 1, 2):
-                v = np.zeros(2 ** (n + 1), dtype=complex)
-                c0 = clebsch_gordan(up + "-", jj, mm + 1)
-                if c0 and (mm + 1) in mvecs:
-                    v += c0 * np.kron(mvecs[mm + 1], _E0)
-                c1 = clebsch_gordan(up + "+", jj, mm - 1)
-                if c1 and (mm - 1) in mvecs:
-                    v += c1 * np.kron(mvecs[mm - 1], _E1)
-                out.append(RhoEigenvector(sign, jj, mm, kind, alpha, lam, v))
-    return out

@@ -5,6 +5,7 @@ import pytest
 
 from pbtsim.linalg import permute_qubits
 from pbtsim.resources import FullResource, reduce_full
+from pbtsim.spin import Kind, build_spin_basis, rho_eigenvalue
 
 
 def symmetrize(full: FullResource) -> FullResource:
@@ -51,6 +52,20 @@ def symmetric_reduced():
         return made[n]
 
     return get
+
+
+def rho_eigenbasis(n: int):
+    """Eigenbasis of rho = sum_i sigma_i on n ports plus C, as
+    ``(labels, eigenvalues, u)`` with the eigenvectors as the columns of u.
+
+    It is the coupled basis of n + 1 qubits with C coupled last: a Kind.II
+    label at jj aligns C with n-qubit spin jj - 1, a Kind.I label
+    anti-aligns it with spin jj + 1.
+    """
+    basis = build_spin_basis(n + 1)
+    eigenvalues = np.array([rho_eigenvalue("-", lab.jj - 1, n) if lab.kind is Kind.II
+                            else rho_eigenvalue("+", lab.jj + 1, n) for lab in basis.labels])
+    return basis.labels, eigenvalues, basis.u
 
 
 def random_choi(rng: np.random.Generator) -> np.ndarray:

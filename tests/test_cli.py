@@ -75,6 +75,15 @@ class TestSimpleCommands:
         code, out, _ = run_cli(capsys, "choi", "--ports", "2", "--resource", str(path))
         assert code == 0
 
+    def test_verify_success(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--max-ports", "4")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 26  # n = 2..4 times 8 families, then worst and ok
+        assert all(": max deviation " in line for line in lines[:24])
+        assert lines[24].startswith("worst: ")
+        assert lines[25] == "ok"
+
 
 class TestErrors:
     def test_unknown_command(self, capsys):

@@ -7,9 +7,9 @@ from pbtsim.analysis import depolarizing_choi, xi
 from pbtsim.choi import choi_from_reduced
 from pbtsim.kraus import (apply_kraus, apply_protocol, choi_from_kraus,
                           choi_to_kraus, protocol_gram, protocol_kraus,
-                          sqrt_measurement_op, unreduced_multiplicity)
+                          unreduced_multiplicity)
 from pbtsim.linalg import max_abs
-from pbtsim.oracle import build_povm, oracle_choi
+from pbtsim.oracle import oracle_choi
 from pbtsim.resources import (AdChoi, Alternate, Bell, make_family,
                               reduce_full, reduced_port_state,
                               trace_to_first_port)
@@ -119,11 +119,7 @@ class TestProtocolKraus:
     def test_matches_oracle_on_random_symmetric(self, n, symmetric_reduced):
         # the Choi assembly shares the measurement rows; the dense oracle does not
         red = symmetric_reduced(n)
-        d = 2 ** (n + 1)
-        # the blocks R^{i+1,j+1} as the B_1 bits (i, j) of one operator on (A, B_1)
-        blocks = np.array([[red.r11, red.r12], [red.r21, red.r22]])
-        state = blocks.transpose(2, 0, 3, 1).reshape(d, d)
-        assert max_abs(apply_protocol(protocol_kraus(n), state), oracle_choi(red)) <= 1e-10
+        assert max_abs(apply_protocol(protocol_kraus(n), red.joint()), oracle_choi(red)) <= 1e-10
 
     def test_bell_resource_gives_depolarizing(self):
         n = 4
@@ -141,10 +137,3 @@ class TestProtocolKraus:
     def test_unreduced_multiplicity(self):
         assert unreduced_multiplicity(2) == 2
         assert unreduced_multiplicity(5) == 16
-
-
-class TestSqrtMeasurement:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_square_equals_dense_element(self, n):
-        s = sqrt_measurement_op(n)
-        assert max_abs(s @ s, build_povm(n).pi_1) <= 1e-10

@@ -6,7 +6,8 @@ import pytest
 from pbtsim.linalg import max_abs, permute_qubits
 from pbtsim.oracle import build_povm, oracle_choi, povm_element, sigma_op
 from pbtsim.resources import AdChoi, Bell, ReducedResource, make_family
-from pbtsim.spin import build_rho_eigenvectors
+
+from conftest import rho_eigenbasis
 
 
 class TestBuildPovm:
@@ -19,22 +20,16 @@ class TestBuildPovm:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_spectrum_multiplicities_match_labels(self, n):
         w = np.sort(np.linalg.eigvalsh(build_povm(n).rho))
-        labelled = np.sort([v.eigenvalue for v in build_rho_eigenvectors(n)])
-        np.testing.assert_allclose(w, labelled, atol=1e-10)
+        np.testing.assert_allclose(w, np.sort(rho_eigenbasis(n)[1]), atol=1e-10)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_eigenspace_projectors_match(self, n):
-        povm = build_povm(n)
-        w, v = np.linalg.eigh(povm.rho)
-        vecs = build_rho_eigenvectors(n)
-        for value in sorted({round(float(x.eigenvalue), 6) for x in vecs}):
+        w, v = np.linalg.eigh(build_povm(n).rho)
+        _, eig, u = rho_eigenbasis(n)
+        for value in np.unique(eig):
             dense_cols = v[:, np.abs(w - value) < 1e-8]
-            dense_proj = dense_cols @ dense_cols.conj().T
-            mine = np.zeros_like(dense_proj)
-            for x in vecs:
-                if abs(x.eigenvalue - value) < 1e-8:
-                    mine += np.outer(x.vector, x.vector.conj())
-            assert max_abs(dense_proj, mine) <= 1e-10
+            mine = u[:, eig == value]
+            assert max_abs(dense_cols @ dense_cols.conj().T, mine @ mine.T) <= 1e-10
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_element_is_povm(self, n):

@@ -11,7 +11,7 @@ from pbtsim.resources import (AdChoi, Alternate, Bell, FromFile, FullResource,
                               alternate_port, bell_port, full_from_port,
                               load_resource, make_family, port_state,
                               reduce_full, reduced_port_state, save_resource,
-                              to_spin_coefficients)
+                              to_spin_coefficients, trace_to_first_port)
 from pbtsim.spin import Kind, build_spin_basis
 
 from conftest import random_density, random_symmetric_resource, symmetrize
@@ -63,6 +63,11 @@ class TestReduce:
         red = make_family(family, 4)
         red.validate()
         assert abs(np.trace(red.r11) + np.trace(red.r22) - 1) < 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_joint_undoes_split(self, n):
+        full = random_symmetric_resource(n, np.random.default_rng(n))
+        assert np.array_equal(reduce_full(full).joint(), trace_to_first_port(full))
 
 
 class TestReducedPortState:

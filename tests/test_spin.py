@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from pbtsim.oracle import build_povm
-from pbtsim.spin import (Kind, build_rho_eigenvectors, build_spin_basis,
-                         clebsch_gordan, degeneracy, rho_eigenvalue)
+from pbtsim.spin import Kind, build_spin_basis, clebsch_gordan, degeneracy, rho_eigenvalue
 
-from conftest import total_spin_multiplets
+from conftest import rho_eigenbasis, total_spin_multiplets
 
 
 class TestClebschGordan:
@@ -141,41 +140,33 @@ class TestSpinBasis:
 
 
 class TestRhoEigenvectors:
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_orthonormal_complete(self, n):
-        vecs = build_rho_eigenvectors(n)
-        dim = 2 ** (n + 1)
-        assert len(vecs) == dim
-        mat = np.array([v.vector for v in vecs])
-        np.testing.assert_allclose(mat @ mat.conj().T, np.eye(dim), atol=1e-12)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_reconstructs_dense_rho(self, n):
-        rho = build_povm(n).rho
-        acc = np.zeros_like(rho)
-        for v in build_rho_eigenvectors(n):
-            acc += v.eigenvalue * np.outer(v.vector, v.vector.conj())
-        np.testing.assert_allclose(acc, rho, atol=1e-12)
+        _, eig, u = rho_eigenbasis(n)
+        np.testing.assert_allclose((u * eig) @ u.T, build_povm(n).rho, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_rayleigh_quotients(self, n):
-        rho = build_povm(n).rho
-        worst = max(
-            abs(v.vector.conj() @ rho @ v.vector - v.eigenvalue)
-            for v in build_rho_eigenvectors(n)
-        )
-        assert worst <= 1e-10
+        _, eig, u = rho_eigenbasis(n)
+        quotients = np.einsum("ik,ij,jk->k", u, build_povm(n).rho, u)
+        assert np.max(np.abs(quotients - eig)) <= 1e-10
 
     def test_eigenvalues_on_stencil(self):
+        # rho = n/4 - S_C . S_ports: the spin Casimirs of C, the n ports (jp)
+        # and all n + 1 qubits (j) fix each eigenvalue
         for n in (2, 3, 4):
-            for v in build_rho_eigenvectors(n):
-                assert v.eigenvalue == rho_eigenvalue(v.sign, v.jj, n)
+            labels, eig, _ = rho_eigenbasis(n)
+            for lab, value in zip(labels, eig):
+                j = lab.jj / 2
+                jp = j + 0.5 if lab.kind is Kind.I else j - 0.5
+                assert value == pytest.approx(n / 4 - (j * (j + 1) - jp * (jp + 1) - 0.75) / 2,
+                                              abs=1e-14)
 
     def test_kernel_family(self):
         n = 3
-        kernel = [v for v in build_rho_eigenvectors(n) if v.eigenvalue == 0.0]
-        assert all(v.jj == n and v.kind == Kind.II and v.alpha == 1 for v in kernel)
+        labels, eig, u = rho_eigenbasis(n)
+        kernel = [k for k, value in enumerate(eig) if value == 0.0]
+        assert all(labels[k].jj == n + 1 and labels[k].kind == Kind.II
+                   and labels[k].alpha == 1 for k in kernel)
         assert len(kernel) == n + 2
-        rho = build_povm(n).rho
-        for v in kernel:
-            assert np.max(np.abs(rho @ v.vector)) <= 1e-12
+        assert np.max(np.abs(build_povm(n).rho @ u[:, kernel])) <= 1e-12
