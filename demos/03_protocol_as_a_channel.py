@@ -11,13 +11,13 @@ import numpy as np
 
 from pbtsim import (Alternate, apply_protocol, choi_from_reduced, make_family,
                     oracle_choi, protocol_gram, protocol_kraus,
-                    reduced_port_state, unreduced_multiplicity)
+                    reduced_port_state)
 
 n = 3
 pk = protocol_kraus(n)
 print(f"n={n}: {len(pk.k2)} kernel-sector operators + {len(pk.k1)} bulk operators,")
 print(f"each 4 x {2 ** (n + 1)}; the family with explicit receiver qubits has")
-print(f"{unreduced_multiplicity(n)} copies of each.")
+print(f"{2 ** (n - 1)} copies of each.")
 
 family = Alternate(0.8)
 rho_red = reduced_port_state(family, n)

@@ -14,14 +14,15 @@ from .analysis import (AdKnownPoints, AlternateDerivatives, AlternateXYZ,
                        diamond_numeric, difference_spectrum, p0_cross,
                        pbt_ad_choi, symmetric_sum_curvature, trace_min_location,
                        trace_norm, xi)
-from .choi import (QRCoeffs, assemble_choi, check_choi, choi_from_reduced, g_sum,
-                   measurement_rows, qr_coeffs)
+from .choi import (MeasurementRows, QRCoeffs, assemble_choi, check_choi,
+                   choi_from_reduced, g_sum, measurement_rows, qr_coeffs)
 from .kraus import (KrausSet, ProtocolKraus, apply_kraus, apply_protocol,
                     choi_from_kraus, choi_to_kraus, protocol_gram,
-                    protocol_kraus, unreduced_multiplicity)
+                    protocol_kraus)
 from .oracle import DensePovm, build_povm, oracle_choi, povm_element, sigma_op
 from .resources import (AdChoi, Alternate, Bell, FromFile, FullResource,
-                        ReducedResource, ResourceFamily, SpinCoefficients,
+                        ProductResource, ProductTable, ReducedResource,
+                        ResourceFamily, SpinCoefficients,
                         full_from_port, load_resource, make_family,
                         port_state, reduce_full, reduced_from_port,
                         reduced_port_state, save_resource,

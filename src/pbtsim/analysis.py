@@ -158,8 +158,9 @@ def diamond_numeric(x: np.ndarray, y: np.ndarray, seed: int = 0, restarts: int =
     workloads, written against the former multi-start search, and ignored:
     the search is deterministic.
     """
-    kx = [np.asarray(k) for k in choi_to_kraus(x).ops]
-    ky = [np.asarray(k) for k in choi_to_kraus(y).ops]
+    # any Kraus set of each channel will do, and the raw eigenvectors cost least
+    kx = [np.asarray(k) for k in choi_to_kraus(x, canonical=False).ops]
+    ky = [np.asarray(k) for k in choi_to_kraus(y, canonical=False).ops]
 
     def neg(r: np.ndarray) -> float:
         diff = _output_diff(_sqrt_marginal(r), kx, ky)

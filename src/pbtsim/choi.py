@@ -18,21 +18,24 @@ covers the s = 0 stratum of odd n without special-casing.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .linalg import herm_defect, partial_trace_qubits
-from .resources import TAGS, ReducedResource, SpinCoefficients, to_spin_coefficients
-from .spin import Kind, SpinBasis, SpinLabel, build_spin_basis, degeneracy
+from .resources import (TAGS, ProductResource, ReducedResource, SpinCoefficients,
+                        to_spin_coefficients)
+from .spin import Kind, SpinBasis, build_spin_basis, degeneracy
 
 _I = Kind.I
 _II = Kind.II
 
 CHOI_ATOL = 1e-10      # Hermiticity, trace and trace-preservation defects
 CHOI_PSD_ATOL = 1e-9   # most negative eigenvalue tolerated
+
+_LOWER = np.tril_indices(4, -1)
 
 
 @dataclass(frozen=True)
@@ -45,74 +48,119 @@ class QRCoeffs:
     r_plus: float
 
 
-def qr_coeffs(ss: int, mm: int, n: int) -> QRCoeffs:
+def qr_coeffs(ss: int, mm, n: int) -> QRCoeffs:
     """Overlap coefficients; zero radicands give exact 0.
 
-    Doubled arguments: ss = 2s, mm = 2m.  Requires ss <= n - 1 so the
-    divisors stay positive, and |mm| <= ss.
+    Doubled arguments: ss = 2s, mm = 2m (an integer or an integer array).
+    Requires ss <= n - 1 so the divisors stay positive, and |mm| <= ss.
     """
+    mm = np.asarray(mm)
     if ss > n - 1:
         raise ValueError(f"ss={ss} exceeds n-1={n - 1}")
-    if abs(mm) > ss:
-        raise ValueError(f"|mm|={abs(mm)} exceeds ss={ss}")
+    if (abs(mm) > ss).any():
+        raise ValueError(f"|mm|={abs(mm).max()} exceeds ss={ss}")
     dq = (n + 1 - ss) * (ss + 1)
     dr = (n + 3 + ss) * (ss + 1)
     return QRCoeffs(
-        q_minus=math.sqrt((ss - mm) / dq),
-        q_plus=math.sqrt((ss + mm) / dq),
-        r_minus=math.sqrt((ss - mm + 2) / dr),
-        r_plus=math.sqrt((ss + mm + 2) / dr),
+        q_minus=np.sqrt((ss - mm) / dq)[()],
+        q_plus=np.sqrt((ss + mm) / dq)[()],
+        r_minus=np.sqrt((ss - mm + 2) / dr)[()],
+        r_plus=np.sqrt((ss + mm + 2) / dr)[()],
     )
 
 
-def measurement_rows(basis: SpinBasis) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class MeasurementRows:
+    """Row pairs G_k over the basis columns, stored by their entries: pair k
+    holds ``coefs[k, a, e]`` in row a at column ``cols[k, e]``.  Each pair has
+    four entries; a pair with fewer repeats one of its columns with
+    coefficient 0."""
+
+    cols: np.ndarray   # (pairs, 4) integer
+    coefs: np.ndarray  # (pairs, 2, 4) real
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays of every column pair each row pair reads: (pairs, 4, 4)."""
+        return self.cols[:, :, None], self.cols[:, None, :]
+
+
+@lru_cache(maxsize=None)
+def measurement_rows(basis: SpinBasis) -> tuple[MeasurementRows, np.ndarray]:
     """The square-root measurement's rows in the coupled spin basis.
 
-    Returns ``(rows, weights)``: ``rows[k]`` is a real 2 x len(basis.labels)
-    pair over the basis columns, in protocol order.  First one kernel row
-    per mm, ascending, at alpha = 1 with weight 1/2; then one bulk row per
-    (ss, mm, alpha) the basis holds, weighted by (n/2) degeneracy(n-1, ss)
-    over the number of those alpha.  The blocks of a port-symmetric resource
-    commute with permutations of A_n..A_2, so by Schur-Weyl duality every
-    alpha gives the same term: on the alpha = 1 basis each bulk row stands
-    for all degeneracy(n-1, ss) multiplets.
+    Returns ``(rows, weights)`` with one row pair per stratum, in protocol
+    order.  First one kernel pair per mm, ascending, at alpha = 1 with
+    weight 1/2; then one bulk pair per (ss, mm, alpha) the basis holds,
+    weighted by (n/2) degeneracy(n-1, ss) over the number of those alpha.
+    The blocks of a port-symmetric resource commute with permutations of
+    A_n..A_2, so by Schur-Weyl duality every alpha gives the same term: on
+    the alpha = 1 basis each bulk pair stands for all degeneracy(n-1, ss)
+    multiplets.  Every pair reads columns of one parent multiplet only
+    (``SpinBasis.parents``): a kernel pair that of spin n - 1, a bulk pair
+    that of spin ss, at projections mm and mm +- 2.  The result is cached
+    per basis (bases are cached too) and read-only.
     """
     n = basis.n
-    width = len(basis.labels)
+    # column of each multiplet's lowest projection, keyed (jj, kind, alpha)
+    start = {(lab.jj, lab.kind, lab.alpha): k for k, lab in enumerate(basis.labels)
+             if lab.mm == -lab.jj}
     # alpha count per parent spin ss: one Kind.II multiplet at jj = ss + 1 per parent
-    held = Counter(lab.jj - 1 for lab in basis.labels if lab.kind is _II and lab.mm == lab.jj)
-    rows, weights = [], []
+    held = Counter(jj - 1 for jj, kind, _ in start if kind is _II)
+    cols, coefs, weights = [], [], []
 
-    def add(weight, entries):
-        # entries: (row, coefficient, jj, mm, kind, alpha); labels outside the basis add nothing
-        g = np.zeros((2, width))
-        for r, coef, *label in entries:
-            k = basis.index.get(SpinLabel(n, *label))
-            if k is not None:
-                g[r, k] = coef
-        rows.append(g)
-        weights.append(weight)
+    def pairs(mm, entries):
+        # one pair per projection in mm; entries: (row, coefficients, jj, mm shift, kind, alpha).
+        # Labels outside the basis add nothing: coefficient 0 at a column the
+        # pair holds, so that every pair reads one parent multiplet
+        c = np.full((mm.size, 4), -1)
+        g = np.zeros((mm.size, 2, 4))
+        for e, (r, coef, jj, shift, kind, alpha) in enumerate(entries):
+            there = np.abs(mm + shift) <= jj
+            if (jj, kind, alpha) in start and there.any():
+                c[:, e] = np.where(there, start[jj, kind, alpha] + (mm + shift + jj) // 2, -1)
+                g[:, r, e] = np.where(there, coef, 0.0)
+        return np.where(c < 0, c.max(axis=1, keepdims=True), c), g
+
+    def add(weight, c, g):
+        cols.append(c)
+        coefs.append(g)
+        weights.append(np.full(len(c), weight))
 
     # kernel sector, weight m/(n+1) written with doubled mm
-    for mm in range(-(n + 1), n + 2, 2):
-        w = mm / (2.0 * (n + 1))
-        add(0.5, [(0, math.sqrt(max(0.5 - w, 0.0)), n, mm + 1, _II, 1),
-                  (1, math.sqrt(max(0.5 + w, 0.0)), n, mm - 1, _II, 1)])
+    mm = np.arange(-(n + 1), n + 2, 2)
+    w = mm / (2.0 * (n + 1))
+    add(0.5, *pairs(mm, [(0, np.sqrt(np.maximum(0.5 - w, 0.0)), n, 1, _II, 1),
+                         (1, np.sqrt(np.maximum(0.5 + w, 0.0)), n, -1, _II, 1)]))
     for ss in range(1 if n % 2 == 0 else 0, n, 2):
-        weight = (n / 2) * degeneracy(n - 1, ss) / held[ss]
-        for mm in range(-ss, ss + 1, 2):
-            qr = qr_coeffs(ss, mm, n)
-            for alpha in range(1, held[ss] + 1):
-                add(weight, [(0, qr.q_minus, ss - 1, mm + 1, _I, alpha),
-                             (0, -qr.r_plus, ss + 1, mm + 1, _II, alpha),
-                             (1, qr.q_plus, ss - 1, mm - 1, _I, alpha),
-                             (1, qr.r_minus, ss + 1, mm - 1, _II, alpha)])
-    return np.array(rows), np.array(weights)
+        mm = np.arange(-ss, ss + 1, 2)
+        qr = qr_coeffs(ss, mm, n)
+        # strata ordered by mm, then alpha
+        by_alpha = [pairs(mm, [(0, qr.q_minus, ss - 1, 1, _I, alpha),
+                               (0, -qr.r_plus, ss + 1, 1, _II, alpha),
+                               (1, qr.q_plus, ss - 1, -1, _I, alpha),
+                               (1, qr.r_minus, ss + 1, -1, _II, alpha)])
+                    for alpha in range(1, held[ss] + 1)]
+        add((n / 2) * degeneracy(n - 1, ss) / held[ss],
+            *(np.stack(part, axis=1).reshape(-1, *part[0].shape[1:]) for part in zip(*by_alpha)))
+    rows = MeasurementRows(np.concatenate(cols), np.concatenate(coefs))
+    weights = np.concatenate(weights)
+    for a in (rows.cols, rows.coefs, weights):
+        a.setflags(write=False)
+    return rows, weights
 
 
-def g_sum(rows: np.ndarray, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum_k w_k G_k T G_k^T over the measurement rows G_k, a 2x2 matrix."""
-    return np.einsum("k,kai,kbi->ab", weights, rows @ table, rows)
+def g_sum(rows: MeasurementRows, weights: np.ndarray, table) -> np.ndarray:
+    """sum_k w_k G_k T G_k^T over the measurement rows G_k, a 2x2 matrix.
+
+    T is read only at the columns each row pair holds, as ``table[i, j]``
+    with integer index arrays: a dense array, or a ``ProductTable``.
+    """
+    sub = table[rows.pairs]
+    return np.einsum("k,kai,kbi->ab", weights, rows.coefs @ sub, rows.coefs)
 
 
 def assemble_choi(coeffs: SpinCoefficients) -> np.ndarray:
@@ -128,19 +176,19 @@ def assemble_choi(coeffs: SpinCoefficients) -> np.ndarray:
     sums = [g_sum(rows, weights, coeffs.tables[tag]) for tag in TAGS]
     # sums[2i + j][a, b] -> c[2a + i, 2b + j]
     c = np.array(sums).reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
-    lower = np.tril_indices(4, -1)
-    c[lower] = c.T[lower].conj()
+    c[_LOWER] = c.T[_LOWER].conj()
     return c
 
 
-def choi_from_reduced(reduced: ReducedResource) -> np.ndarray:
-    """Full pipeline: reduced blocks -> alpha = 1 spin tables -> Choi matrix.
+def choi_from_reduced(reduced: ReducedResource | ProductResource) -> np.ndarray:
+    """Full pipeline: resource -> alpha = 1 spin tables -> Choi matrix.
 
     Exact for port-symmetric resources, whose tables are the same on every
     multiplet (see ``measurement_rows``); ``load_resource`` rejects any
-    other input.
+    other input.  A product resource needs the basis labels only.
     """
-    basis = build_spin_basis(reduced.n, first_only=True)
+    vectors = not isinstance(reduced, ProductResource)
+    basis = build_spin_basis(reduced.n, first_only=True, vectors=vectors)
     return assemble_choi(to_spin_coefficients(reduced, basis))
 
 

@@ -13,6 +13,12 @@ from .choi import CHOI_PSD_ATOL, measurement_rows
 from .spin import build_spin_basis
 
 EIG_FLOOR = 1e-12  # rank decision for Kraus extraction
+EIG_GAP = 1e-8     # eigenvalues closer than this share one eigenspace
+KRAUS_ZERO = 1e-14  # operator entries (real or imaginary part) below this are 0
+
+# a fixed generic 4 x 4 frame (condition number 5.1); it is real, so a real
+# Choi matrix gets real operators
+_FRAME = np.cos(np.outer(np.sqrt([2.0, 3.0, 5.0, 7.0]), np.arange(1, 5)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -20,21 +26,45 @@ class KrausSet:
     ops: tuple[np.ndarray, ...]
 
 
-def choi_to_kraus(choi: np.ndarray) -> KrausSet:
+def choi_to_kraus(choi: np.ndarray, canonical: bool = True) -> KrausSet:
     """Kraus operators of the qubit channel with the given Choi matrix.
 
-    Eigenvalues below EIG_FLOOR are dropped; each kept eigenvector v (indexed
-    idler-outermost) becomes the operator K[out, in] = sqrt(2*lam) <in out|v>,
-    so that sum_k (1 (x) K_k) |Phi><Phi| (1 (x) K_k)^dag recovers the Choi
-    matrix for the normalised reference state |Phi>.
+    Eigenvalues below EIG_FLOOR are dropped.  Each operator comes from a
+    vector b (indexed idler-outermost) as K[out, in] = sqrt(2) <in out|b>,
+    and sum_k b_k b_k^dag is the Choi matrix, so that
+    sum_k (1 (x) K_k) |Phi><Phi| (1 (x) K_k)^dag recovers it for the
+    normalised reference state |Phi>.
+
+    With ``canonical=False`` the vectors are sqrt(lam) v for the
+    eigenvectors v that eigh returns, which are arbitrary inside a
+    degenerate eigenspace.  The canonical set groups the eigenvalues into
+    clusters split where neighbours differ by more than EIG_GAP.  A cluster
+    of r eigenvalues with eigenspace projector P and spectral part C gives
+    b_i = C^(1/2) q_i, where q = F (F^dag F)^(-1/2) orthonormalises F = P W
+    for the first r columns W of a fixed generic frame; so
+    sum_i b_i b_i^dag = C, and the operators depend on P and C only.  Real
+    and imaginary parts below KRAUS_ZERO are set to 0, so Choi matrices
+    equal to within rounding give the same operators.
     """
     w, v = np.linalg.eigh(np.asarray(choi))
     if w.min() < -CHOI_PSD_ATOL:
         raise ValueError(f"Choi matrix is not positive semidefinite (min eig {w.min():.3e})")
+    keep = w > EIG_FLOOR
+    w, v = w[keep], v[:, keep]
+    if not canonical:
+        return KrausSet(ops=tuple(math.sqrt(2 * lam) * vec.reshape(2, 2).T
+                                  for lam, vec in zip(w, v.T)))
     ops = []
-    for k in range(w.size):
-        if w[k] > EIG_FLOOR:
-            ops.append(math.sqrt(2 * w[k]) * v[:, k].reshape(2, 2).T)
+    for cluster in np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > EIG_GAP) + 1):
+        vc = v[:, cluster]
+        root = (vc * np.sqrt(w[cluster])) @ vc.conj().T
+        f = vc @ (vc.conj().T @ _FRAME[:, :cluster.size])
+        s, u = np.linalg.eigh(f.conj().T @ f)
+        q = f @ ((u / np.sqrt(s)) @ u.conj().T)
+        for b in (root @ q).T:
+            k = math.sqrt(2) * b.reshape(2, 2).T
+            ops.append(np.where(abs(k.real) < KRAUS_ZERO, 0.0, k.real)
+                       + 1j * np.where(abs(k.imag) < KRAUS_ZERO, 0.0, k.imag))
     return KrausSet(ops=tuple(ops))
 
 
@@ -67,8 +97,8 @@ class ProtocolKraus:
     (dimension 4).  ``k2`` covers the kernel sector of the measurement
     (ascending mm), ``k1`` the bulk (ss outer, mm middle, alpha inner).
     The family with the traced receiver qubits kept explicit is identical up
-    to the choice of a basis bra on those n-1 qubits; its size is
-    unreduced_multiplicity(n) copies of each operator here.
+    to the choice of a basis bra on those n-1 qubits: 2^(n-1) copies of each
+    operator here.
     """
 
     n: int
@@ -80,11 +110,6 @@ class ProtocolKraus:
         return self.k2 + self.k1
 
 
-def unreduced_multiplicity(n: int) -> int:
-    """Basis-vector count of the traced receiver qubits."""
-    return 2 ** (n - 1)
-
-
 def protocol_kraus(n: int) -> ProtocolKraus:
     """Explicit protocol Kraus operators for n ports: each measurement row
     pair G_k on the full basis, as sqrt(w_k) G_k u^T (x) 1."""
@@ -93,7 +118,9 @@ def protocol_kraus(n: int) -> ProtocolKraus:
     basis = build_spin_basis(n)
     rows, weights = measurement_rows(basis)
     eye2 = np.eye(2, dtype=complex)
-    ops = [np.kron(math.sqrt(w) * g, eye2) for g, w in zip(rows @ basis.u.T, weights)]
+    # G_k u^T: each row pair's coefficients times the basis vectors of its columns
+    bras = rows.coefs @ basis.u.T[rows.cols]
+    ops = [np.kron(math.sqrt(w) * g, eye2) for g, w in zip(bras, weights)]
     return ProtocolKraus(n=n, k2=tuple(ops[:n + 2]), k1=tuple(ops[n + 2:]))
 
 

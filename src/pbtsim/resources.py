@@ -7,7 +7,10 @@ qubit, split into the four conditional blocks
     R^{i+1, j+1} = <i|_B1 Tr_{B2..Bn}[pi] |j>_B1 ,
 
 so the reduced form is the primary representation here; full 2n-qubit states
-exist for the brute-force oracle and for FULL resource files.  Tensor slot
+exist for the brute-force oracle and for FULL resource files.  A product of
+one two-qubit port state on every port is kept as that port
+(``ProductResource``): its spin tables come from the port alone, and its
+2^n x 2^n blocks are built only when asked for.  Tensor slot
 order for full states is (A_n .. A_1, B_n .. B_1); reduced blocks live on
 (A_n .. A_1), i.e. the qubit paired with the kept receiver qubit sits in the
 last slot, matching the spin-basis recursion.
@@ -17,12 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
 from .linalg import dag, herm_defect, kron_power, max_abs, partial_trace_qubits, permute_qubits
-from .spin import SpinBasis, check_port_count
+from .spin import MAX_PORTS, MAX_PRODUCT_PORTS, Parents, SpinBasis, check_port_count
 
 TAGS = ("11", "12", "21", "22")
 
@@ -165,9 +171,15 @@ class ReducedResource:
                 raise ValueError("conditional block is not positive semidefinite")
 
 
+def _port_blocks(port: np.ndarray) -> dict:
+    """The port's conditional blocks <i|_B port |j>_B on A, keyed (i, j)."""
+    return {(i, j): np.array(port[i::2, j::2], dtype=complex) for i in (0, 1) for j in (0, 1)}
+
+
 def reduced_from_port(port: np.ndarray, n: int) -> ReducedResource:
     """Reduced blocks of the n-fold product of one two-qubit port state."""
-    t = {(i, j): np.array(port[i::2, j::2], dtype=complex) for i in (0, 1) for j in (0, 1)}
+    check_port_count(n)  # before any 2^n x 2^n block is allocated
+    t = _port_blocks(port)
     marg = t[(0, 0)] + t[(1, 1)]
     rest = kron_power(marg, n - 1)
     return ReducedResource(
@@ -179,19 +191,53 @@ def reduced_from_port(port: np.ndarray, n: int) -> ReducedResource:
     )
 
 
-def make_family(family: ResourceFamily, n: int) -> ReducedResource:
-    """Reduced blocks for a named family on n ports.
+@dataclass(frozen=True, eq=False)
+class ProductResource:
+    """The n-fold product of one two-qubit port state, kept as the port.
 
-    Product families are built directly from per-port conditional blocks,
-    without materialising the 4^n-dimensional state.
+    ``to_spin_coefficients`` reads only the port, at any n up to
+    MAX_PRODUCT_PORTS.  The reduced blocks (``reduced``, and the
+    ReducedResource interface below) are built on first use, and only up to
+    MAX_PORTS ports.
     """
-    check_port_count(n)  # before any 2^n x 2^n block is allocated
+
+    n: int
+    port: np.ndarray
+
+    @cached_property
+    def reduced(self) -> ReducedResource:
+        return reduced_from_port(self.port, self.n)
+
+    r11 = property(lambda self: self.reduced.r11)
+    r12 = property(lambda self: self.reduced.r12)
+    r21 = property(lambda self: self.reduced.r21)
+    r22 = property(lambda self: self.reduced.r22)
+
+    def block(self, tag: str) -> np.ndarray:
+        return self.reduced.block(tag)
+
+    def joint(self) -> np.ndarray:
+        return self.reduced.joint()
+
+    def validate(self) -> None:
+        self.reduced.validate()
+
+
+def make_family(family: ResourceFamily, n: int) -> ReducedResource | ProductResource:
+    """The resource of a named family on n ports.
+
+    A file gives its reduced blocks (n up to MAX_PORTS); a product family
+    gives a ProductResource (n up to MAX_PRODUCT_PORTS), which allocates
+    nothing of size 2^n unless its blocks are asked for.
+    """
     if isinstance(family, FromFile):
+        check_port_count(n)  # before the file is read
         loaded = load_resource(family.path)
         if loaded.n != n:
             raise ValueError(f"resource file has N={loaded.n}, expected {n}")
         return loaded
-    return reduced_from_port(port_state(family), n)
+    check_port_count(n, MAX_PRODUCT_PORTS)
+    return ProductResource(n, port_state(family))
 
 
 def full_from_port(port: np.ndarray, n: int) -> FullResource:
@@ -263,17 +309,30 @@ def _port_asymmetry(obj: FullResource | ReducedResource) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SpinCoefficients:
-    """Resource blocks congruence-transformed into the coupled spin basis:
-    ``tables[tag]`` is u^T R^tag u over the columns of ``basis``."""
+    """Resource blocks in the coupled spin basis: ``tables[tag]`` is
+    u^T R^tag u over the columns of ``basis``, read as ``table[i, j]`` with
+    integer index arrays.  It is a dense array after the congruence, or a
+    ``ProductTable`` for a product resource."""
 
     n: int
     basis: SpinBasis
     tables: dict
 
 
-def to_spin_coefficients(reduced: ReducedResource, basis: SpinBasis) -> SpinCoefficients:
+def to_spin_coefficients(reduced: ReducedResource | ProductResource,
+                         basis: SpinBasis) -> SpinCoefficients:
+    """Spin tables by Schur-Weyl duality from the port of a product resource,
+    else by the dense congruence u^T R u of the reduced blocks."""
     if basis.n != reduced.n:
         raise ValueError(f"basis is for n={basis.n}, resource for n={reduced.n}")
+    if isinstance(reduced, ProductResource):
+        if reduced.n < 2:
+            raise ValueError("at least two ports are required")
+        t = _port_blocks(reduced.port)
+        entries = _ProductEntries(basis.parents, _sym_band(t[(0, 0)] + t[(1, 1)], reduced.n))
+        tables = {f"{i + 1}{j + 1}": ProductTable(entries, t[(i, j)])
+                  for i in (0, 1) for j in (0, 1)}
+        return SpinCoefficients(reduced.n, basis, tables)
     u = basis.u
     tables = {}
     for tag in TAGS:
@@ -281,6 +340,143 @@ def to_spin_coefficients(reduced: ReducedResource, basis: SpinBasis) -> SpinCoef
         block = np.ascontiguousarray(reduced.block(tag), dtype=complex)
         tables[tag] = (u.T @ block.view(float)).view(complex) @ u
     return SpinCoefficients(reduced.n, basis, tables)
+
+
+@dataclass(frozen=True, eq=False)
+class ProductTable:
+    """The spin table u^T (M^(x)(n-1) (x) t) u of a product resource, read
+    entrywise as ``table[i, j]`` with integer index arrays.
+
+    M is the port's A marginal and t one conditional port block.  Column c
+    couples A_1 to multiplet alpha of spin ss of A_n..A_2 (``Parents``).
+    There M^(x)(n-1) acts as det(M)^((n-1-ss)/2) Sym^ss(M) in the Dicke
+    basis (Schur-Weyl duality for GL(2)), and it links no two multiplets, so
+    an entry is a sum over the bits b, b' of A_1 of t[b, b'] times
+    ``entries`` (shared by the four tables of one resource).
+    """
+
+    entries: _ProductEntries
+    t: np.ndarray  # (2, 2): <b|t|b'>
+
+    def __getitem__(self, index) -> np.ndarray:
+        return np.einsum("...bc,bc->...", self.entries.at(index), self.t)
+
+
+class _ProductEntries:
+    """cg_i[b] cg_j[b'] <ss; pos_i[b]| det(M)^(..) Sym^ss(M) |ss; pos_j[b']>
+    for table entries (i, j) of one multiplet, 0 between multiplets.
+
+    ``band`` holds the five central diagonals of each det(M)^(..) Sym^ss(M)
+    (``_sym_band``): every entry the measurement rows read, which pair
+    projections at most 2 apart.  Other entries of one multiplet raise
+    ValueError.  The last index asked for is remembered, so the four tables
+    of a resource read one gather.
+    """
+
+    def __init__(self, parents: Parents, band: np.ndarray):
+        self.parents = parents
+        self.band = band
+        self._last: tuple = (None, None)
+
+    def at(self, index) -> np.ndarray:
+        if index is not self._last[0]:
+            self._last = (index, self._gather(*(np.asarray(x) for x in index)))
+        return self._last[1]
+
+    def _gather(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        p = self.parents
+        same = (p.jj[i] == p.jj[j]) & (p.alpha[i] == p.alpha[j])
+        pos_i, pos_j = p.pos[i][..., :, None], p.pos[j][..., None, :]
+        if (same & (np.abs(pos_i[..., 0, 0] - pos_j[..., 0, 0]) > 1)).any():
+            raise ValueError("a product table holds only entries at projections at most 2 apart")
+        # the flattened band; where a parent state does not exist cg is 0, so
+        # any entry read there will do
+        row = (p.jj[i] // 2 * self.band.shape[1])[..., None, None] + pos_i
+        e = np.take(self.band, 5 * row + pos_j - pos_i + 2, mode="clip")
+        cg = p.cg[i][..., :, None] * p.cg[j][..., None, :]
+        return np.where(same[..., None, None], cg * e, 0)
+
+
+_BAND_CHUNK = 1 << 16  # Sym^ss terms summed per vectorised step
+
+
+def _band_layout(n: int, zero: tuple) -> Iterator[tuple]:
+    """The terms of ``_sym_band`` for n ports and the zero pattern of M
+    (M11, M10, M01, M00 == 0), in chunks of whole band entries, made one at
+    a time.
+
+    Each chunk is (target, entry, powers, lam, log_binom): the flat band index
+    of its entries, and per term the entry it adds to, the powers of
+    M11, M10, M01, M00, the det power (n-1-ss)/2, and the log of its
+    binomial factors.  A zero entry of M carries power 0 in every term, so
+    for a diagonal M only j = k = l remains.
+    """
+    ss, k, d = (x.ravel() for x in np.meshgrid(np.arange((n - 1) % 2, n, 2), np.arange(n),
+                                                np.arange(-2, 3), indexing="ij"))
+    lo = np.maximum(0, 2 * k + d - ss)
+    hi = np.minimum(k, k + d)
+    z11, z10, z01, z00 = zero
+    if z10:
+        lo = np.maximum(lo, k)
+    if z01:
+        lo = np.maximum(lo, k + d)
+    if z11:
+        hi = np.minimum(hi, 0)
+    if z00:
+        hi = np.minimum(hi, 2 * k + d - ss)
+    keep = (k <= ss) & (k + d >= 0) & (k + d <= ss) & (hi >= lo)
+    ss, k, l, lo, count = ss[keep], k[keep], k[keep] + d[keep], lo[keep], (hi - lo + 1)[keep]
+    target = 5 * ((ss // 2) * (n + 1) + k) + (l - k) + 2
+    log_fact = gammaln(np.arange(n + 1) + 1.0)
+
+    def log_comb(a, b):
+        return log_fact[a] - log_fact[b] - log_fact[a - b]
+
+    ends = np.cumsum(count)
+    start = 0
+    while start < ss.size:
+        first = ends[start] - count[start]
+        stop = max(int(np.searchsorted(ends, first + _BAND_CHUNK, "right")), start + 1)
+        entry = np.repeat(np.arange(stop - start), count[start:stop])
+        rows = entry + start
+        j = lo[rows] + np.arange(first, ends[stop - 1]) - (ends - count)[rows]
+        s_, k_, l_ = ss[rows], k[rows], l[rows]
+        powers = np.stack([j, k_ - j, l_ - j, s_ - k_ - l_ + j], axis=1).astype(float)
+        log_binom = (log_comb(k_, j) + log_comb(s_ - k_, l_ - j)
+                     + 0.5 * (log_comb(s_, k_) - log_comb(s_, l_)))
+        yield target[start:stop], entry, powers, (n - 1 - s_) / 2, log_binom
+        start = stop
+
+
+@lru_cache(maxsize=None)
+def _small_band_layout(n: int, zero: tuple) -> tuple:
+    """``_band_layout`` kept for reuse at n <= MAX_PORTS, as the spin bases are."""
+    return tuple(_band_layout(n, zero))
+
+
+def _sym_band(m: np.ndarray, n: int) -> np.ndarray:
+    """det(M)^((n-1-ss)/2) Sym^ss(M) for each spin ss of n - 1 qubits, on its
+    five central diagonals: entry [ss // 2, k, d + 2] links the normalised
+    Dicke states with k and k + d ones, 0 where k + d leaves 0..ss.
+
+    Sym^ss(M)[k, l] = sqrt(C(ss, k) / C(ss, l)) sum_j C(k, j) C(ss - k, l - j)
+    M11^j M10^(k-j) M01^(l-j) M00^(ss-k-l+j).  Each term, with the det power,
+    is summed as exp(log magnitude + i phase), so no binomial or power
+    overflows at large n.
+    """
+    entries = m[[1, 1, 0, 0], [1, 0, 1, 0]]  # M11, M10, M01, M00
+    zero = entries == 0
+    log_abs = np.log(np.abs(entries), where=~zero, out=np.zeros(4))
+    arg = np.angle(entries)
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    layout = (_small_band_layout if n <= MAX_PORTS else _band_layout)(n, tuple(zero.tolist()))
+    band = np.zeros(((n - 1) // 2 + 1) * (n + 1) * 5, dtype=complex)
+    for target, entry, powers, lam, log_binom in layout:
+        terms = np.exp(log_binom + powers @ log_abs + xlogy(lam, abs(det))
+                       + 1j * (powers @ arg + lam * np.angle(det)))
+        band[target] = (np.bincount(entry, terms.real, target.size)
+                        + 1j * np.bincount(entry, terms.imag, target.size))
+    return band.reshape((n - 1) // 2 + 1, n + 1, 5)
 
 
 # ----------------------------------------------------------------------------

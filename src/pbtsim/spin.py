@@ -15,7 +15,9 @@ For port-symmetric resources every spin table is the same on each multiplet
 of a given (jj, kind) (Schur-Weyl duality), so the channel needs only the
 first multiplet of each: ``build_spin_basis(n, first_only=True)`` keeps those,
 a real 2^n x O(n^2) matrix (60 columns at n = 10) instead of the 2^n x 2^n
-unitary.
+unitary.  A product resource needs only their labels and how each label
+couples to its parent multiplet (``SpinBasis.parents``), so with
+``vectors=False`` no 2^n array is built and n may reach MAX_PRODUCT_PORTS.
 
 Half-integer labels are stored doubled (``jj = 2j``, ``mm = 2m``) so that all
 index arithmetic is exact; values are converted to floats only inside
@@ -28,13 +30,20 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-#: the four 2^n x 2^n complex REDUCED blocks take 1 GiB at 12 ports and
-#: 4 GiB at 13; the compressed basis itself is only 2^n x O(n^2)
+#: cap wherever 2^n-dimensional arrays are built (resource blocks, basis
+#: vectors): the four 2^n x 2^n complex blocks take 1 GiB at 12 ports and
+#: 4 GiB at 13
 MAX_PORTS = 12
+#: cap on product resources, which build no 2^n array: their label-only
+#: basis grows as n^2 and Sym^ss of a general port marginal costs n^3.  At
+#: 500 ports one Choi matrix takes about 1.6 s and 0.4 GB for the built-in
+#: families (diagonal marginal) and about 5 s for a general port, with one
+#: BLAS thread
+MAX_PRODUCT_PORTS = 500
 
 _E0 = np.array([1.0, 0.0])
 _E1 = np.array([0.0, 1.0])
@@ -48,32 +57,29 @@ class Kind(enum.Enum):
     UNSPLIT = "1"    # n = 1 base case
 
 
-def clebsch_gordan(branch: str, jj: int, mm: int) -> float:
+def clebsch_gordan(branch: str, jj, mm):
     """<j, m, 1/2, s2 | j +- 1/2, m +- 1/2> in the Condon-Shortley convention.
 
     ``branch`` holds two signs, e.g. ``"+-"``: the first selects whether the
     target total spin is j+1/2 or j-1/2, the second whether the target
     z-projection is m+1/2 or m-1/2.  ``jj`` and ``mm`` are the doubled source
-    labels.  Couplings whose source or target state does not exist return
+    labels, integers or integer arrays (the result then has their broadcast
+    shape).  Couplings whose source or target state does not exist return
     exactly 0.
     """
     if branch not in ("++", "+-", "-+", "--"):
         raise ValueError(f"unknown coupling branch {branch!r}")
-    if jj < 0:
+    jj, mm = np.asarray(jj), np.asarray(mm)
+    if (jj < 0).any():
         raise ValueError(f"negative spin magnitude: jj={jj}")
-    if (jj - mm) % 2:
+    if ((jj - mm) % 2).any():
         raise ValueError(f"jj={jj} and mm={mm} must have equal parity")
     jj_t = jj + 1 if branch[0] == "+" else jj - 1
     mm_t = mm + 1 if branch[1] == "+" else mm - 1
-    if abs(mm) > jj or jj_t < 0 or abs(mm_t) > jj_t:
-        return 0.0
-    if branch == "++":
-        return math.sqrt((jj + mm + 2) / (2.0 * (jj + 1)))
-    if branch == "+-":
-        return math.sqrt((jj - mm + 2) / (2.0 * (jj + 1)))
-    if branch == "--":
-        return math.sqrt((jj + mm) / (2.0 * (jj + 1)))
-    return -math.sqrt((jj - mm) / (2.0 * (jj + 1)))
+    exists = (abs(mm) <= jj) & (jj_t >= 0) & (abs(mm_t) <= jj_t)
+    radicand = {"++": jj + mm + 2, "+-": jj - mm + 2, "--": jj + mm, "-+": jj - mm}[branch]
+    value = np.sqrt(np.where(exists, radicand, 0) / (2.0 * (jj + 1)))
+    return (-value if branch == "-+" else value)[()]
 
 
 def degeneracy(ports: int, jj: int) -> int:
@@ -117,6 +123,21 @@ class SpinLabel:
     alpha: int     # multiplet index within (jj, kind), 1-based
 
 
+@dataclass(frozen=True)
+class Parents:
+    """How each basis column couples the last qubit to a multiplet of the
+    other n - 1 qubits: column c is sum_b cg[c, b] |jj[c]; pos[c, b]> (x) |b>,
+    where |jj; pos> is the state of multiplet alpha[c] of spin jj[c] at
+    doubled projection 2 pos - jj (mm + 1 for b = 0, mm - 1 for b = 1).
+    Where that state does not exist, pos is -1 or jj + 1 and cg is 0.
+    """
+
+    jj: np.ndarray     # (columns,)
+    alpha: np.ndarray  # (columns,)
+    pos: np.ndarray    # (columns, 2)
+    cg: np.ndarray     # (columns, 2), from ``coupling``
+
+
 @dataclass(frozen=True, eq=False)
 class SpinBasis:
     """Coupled spin basis of n qubits.
@@ -124,38 +145,63 @@ class SpinBasis:
     ``u`` holds the basis vectors as columns (computational basis rows,
     qubit 1 in the last tensor slot), ordered like ``labels``: a real
     orthogonal 2^n x 2^n matrix, or its alpha = 1 columns alone
-    (``first_only``).  The Clebsch-Gordan coefficients are real.
+    (``first_only``), or None when only the labels were built.  The
+    Clebsch-Gordan coefficients are real.
     """
 
     n: int
     labels: tuple[SpinLabel, ...]
-    u: np.ndarray
-    index: dict
+    u: np.ndarray | None
+
+    @cached_property
+    def index(self) -> dict:
+        """Column of each label."""
+        return {lab: k for k, lab in enumerate(self.labels)}
+
+    @cached_property
+    def parents(self) -> Parents:
+        jj, mm, parent, alpha = np.array(
+            [(lab.jj, lab.mm, lab.jj + 1 if lab.kind is Kind.I else lab.jj - 1, lab.alpha)
+             for lab in self.labels]).T
+        cg = np.stack(coupling(jj, parent, mm), axis=-1)
+        pos = (mm[:, None] + np.array([1, -1]) + parent[:, None]) // 2
+        return Parents(jj=parent, alpha=alpha, pos=pos, cg=cg)
+
+
+def coupling(jj_child, jj_parent, mm):
+    """How child vector |jj_child, mm> is built from its parent multiplet:
+    the coefficients of |jj_parent, mm + 1> (x) |0> and |jj_parent, mm - 1> (x) |1>.
+    Arguments may be integer arrays, as in ``clebsch_gordan``."""
+    aligned = np.asarray(jj_parent) < jj_child  # the child has spin j + 1/2
+
+    def coefficient(second: str, mm_parent):
+        return np.where(aligned, clebsch_gordan("+" + second, jj_parent, mm_parent),
+                        clebsch_gordan("-" + second, jj_parent, mm_parent))[()]
+
+    return coefficient("-", np.asarray(mm) + 1), coefficient("+", np.asarray(mm) - 1)
 
 
 def _couple(parent: dict, jj_child: int, jj_parent: int, dim: int) -> dict:
     """One multiplet of the child level from one parent multiplet."""
-    first = "-" if jj_parent > jj_child else "+"
     vecs = {}
-    for mm in range(-jj_child, jj_child + 1, 2):
+    mms = np.arange(-jj_child, jj_child + 1, 2)
+    for mm, c0, c1 in zip(mms.tolist(), *coupling(jj_child, jj_parent, mms)):
         v = np.zeros(dim)
-        c0 = clebsch_gordan(first + "-", jj_parent, mm + 1)
         if c0 and (mm + 1) in parent:
             v += c0 * np.kron(parent[mm + 1], _E0)
-        c1 = clebsch_gordan(first + "+", jj_parent, mm - 1)
         if c1 and (mm - 1) in parent:
             v += c1 * np.kron(parent[mm - 1], _E1)
         vecs[mm] = v
     return vecs
 
 
-def check_port_count(n: int) -> None:
-    if not 1 <= n <= MAX_PORTS:
-        raise ValueError(f"port count must be in 1..{MAX_PORTS}, got {n}")
+def check_port_count(n: int, limit: int = MAX_PORTS) -> None:
+    if not 1 <= n <= limit:
+        raise ValueError(f"port count must be in 1..{limit}, got {n}")
 
 
 @lru_cache(maxsize=None)
-def build_spin_basis(n: int, first_only: bool = False) -> SpinBasis:
+def build_spin_basis(n: int, first_only: bool = False, vectors: bool = True) -> SpinBasis:
     """Construct the coupled spin basis of n qubits.
 
     Within each jj the Kind.I multiplets come first, each kind ordered by the
@@ -165,9 +211,10 @@ def build_spin_basis(n: int, first_only: bool = False) -> SpinBasis:
     With ``first_only`` each level keeps just the alpha = 1 multiplet of each
     (jj, kind): Kind.I from the first parent at jj + 1, Kind.II from the first
     at jj - 1.  Its columns are exactly the alpha = 1 columns of the full
-    basis.
+    basis.  ``vectors=False`` builds the labels alone (``u`` is None); for
+    the alpha = 1 labels n may then exceed MAX_PORTS.
     """
-    check_port_count(n)
+    check_port_count(n, MAX_PORTS if vectors or not first_only else MAX_PRODUCT_PORTS)
     groups: dict[int, list] = {1: [(Kind.UNSPLIT, 1, {-1: _E0, 1: _E1})]}
     for level in range(2, n + 1):
         nxt: dict[int, list] = {}
@@ -177,7 +224,8 @@ def build_spin_basis(n: int, first_only: bool = False) -> SpinBasis:
             for kind, jj_parent in ((Kind.I, jj + 1), (Kind.II, jj - 1)):
                 parents = groups.get(jj_parent, ())[:1 if first_only else None]
                 for alpha, (_, _, parent) in enumerate(parents, start=1):
-                    mults.append((kind, alpha, _couple(parent, jj, jj_parent, dim)))
+                    vecs = _couple(parent, jj, jj_parent, dim) if vectors else None
+                    mults.append((kind, alpha, vecs))
             if mults:
                 nxt[jj] = mults
         groups = nxt
@@ -187,8 +235,10 @@ def build_spin_basis(n: int, first_only: bool = False) -> SpinBasis:
         for kind, alpha, vecs in groups[jj]:
             for mm in range(-jj, jj + 1, 2):
                 labels.append(SpinLabel(n, jj, mm, kind, alpha))
-                cols.append(vecs[mm])
-    u = np.array(cols).T
-    u.setflags(write=False)
-    index = {lab: k for k, lab in enumerate(labels)}
-    return SpinBasis(n=n, labels=tuple(labels), u=u, index=index)
+                if vectors:
+                    cols.append(vecs[mm])
+    u = None
+    if vectors:
+        u = np.array(cols).T
+        u.setflags(write=False)
+    return SpinBasis(n=n, labels=tuple(labels), u=u)

@@ -55,10 +55,15 @@ class TestMeasurementRows:
         # exist, so the top row holds only the Kind.II entry at (2, 2)
         basis = build_spin_basis(2)
         rows, _ = measurement_rows(basis)
-        top = rows[4 + 1][0]
+        top = rows.coefs[4 + 1][0]
         k = basis.index[SpinLabel(2, 2, 2, Kind.II, 1)]
         assert np.count_nonzero(top) == 1
-        assert top[k] == -qr_coeffs(1, 1, 2).r_plus
+        assert rows.cols[4 + 1][top != 0] == [k]
+        assert top[top != 0] == [-qr_coeffs(1, 1, 2).r_plus]
+        # the missing entry repeats a column the pair holds
+        held = {basis.index[SpinLabel(2, jj, mm, kind, 1)]
+                for jj, mm, kind in ((2, 2, Kind.II), (0, 0, Kind.I), (2, 0, Kind.II))}
+        assert set(rows.cols[4 + 1].tolist()) == held
 
 
 class TestGSum:
@@ -154,7 +159,7 @@ class TestAssembleChoi:
     @pytest.mark.parametrize("family", [Bell(), AdChoi(0.3), Alternate(0.8)])
     def test_matches_full_basis_route_on_products(self, n, family):
         red = make_family(family, n)
-        assert max_abs(choi_from_reduced(red), full_basis_choi(red)) <= 1e-13
+        assert max_abs(choi_from_reduced(red), full_basis_choi(red.reduced)) <= 1e-13
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_full_basis_route_on_random_symmetric(self, n, symmetric_reduced):

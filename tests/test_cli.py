@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from pbtsim import cli
-from pbtsim.analysis import pbt_ad_choi
+from pbtsim.analysis import depolarizing_choi, pbt_ad_choi, xi
 from pbtsim.resources import AdChoi, FullResource, make_family, save_resource
+from pbtsim.spin import MAX_PRODUCT_PORTS
 
 from conftest import random_density
 
@@ -74,6 +75,21 @@ class TestSimpleCommands:
         save_resource(path, make_family(AdChoi(0.3), 2))
         code, out, _ = run_cli(capsys, "choi", "--ports", "2", "--resource", str(path))
         assert code == 0
+
+    @pytest.mark.parametrize("spec", ["bell", "ad:0.77", "alternate:0.13"])
+    def test_kraus_same_from_file_and_family(self, capsys, tmp_path, spec):
+        # the file takes the dense congruence, the family the product route
+        path = tmp_path / "res.pbtres"
+        save_resource(path, make_family(cli.parse_resource(spec), 4))
+        outputs = [run_cli(capsys, "kraus", "--ports", "4", "--resource", res)
+                   for res in (str(path), spec)]
+        assert [code for code, _, _ in outputs] == [0, 0]
+        lines = [out.splitlines() for _, out, _ in outputs]
+        assert [line for line in lines[0] if "j" not in line] == \
+            [line for line in lines[1] if "j" not in line]
+        values = [np.array([complex(tok) for line in ls if "j" in line for tok in line.split()])
+                  for ls in lines]
+        np.testing.assert_allclose(values[0], values[1], rtol=0, atol=1e-11)
 
     def test_verify_success(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--max-ports", "4")
@@ -159,11 +175,25 @@ class TestErrors:
                 cli.grid_points(0.0, 1.0, step)
 
     def test_rejects_port_count_before_allocating(self):
-        # n = 13 product blocks take 4 GiB; under a 3 GB cap only the early check passes
+        # n = 13 product blocks would take 4 GiB: under a 3 GB cap the product
+        # route runs because it allocates none; above its cap it stops early
         proc = run_cli_process("choi", "--ports", "13", "--resource", "bell",
                                memory_bytes=3 * 10 ** 9)
+        assert proc.returncode == 0, proc.stderr
+        got = np.array([[complex(tok) for tok in line.split()]
+                        for line in proc.stdout.strip().splitlines()])
+        np.testing.assert_allclose(got, depolarizing_choi(xi(13)), atol=1e-11)
+        over = MAX_PRODUCT_PORTS + 1
+        proc = run_cli_process("choi", "--ports", str(over), "--resource", "bell",
+                               memory_bytes=3 * 10 ** 9)
         assert proc.returncode == 1
-        assert "port count must be in 1..12, got 13" in proc.stderr
+        assert f"port count must be in 1..{MAX_PRODUCT_PORTS}, got {over}" in proc.stderr
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_products_need_two_ports(self, capsys, n):
+        code, out, err = run_cli(capsys, "choi", "--ports", n, "--resource", "bell")
+        assert code == 1
+        assert out == ""
 
     @pytest.mark.parametrize("n", [0, -1, 13])
     def test_rejects_file_port_count_without_traceback(self, tmp_path, n):

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from pbtsim import cli
 from pbtsim.analysis import depolarizing_choi, xi
 from pbtsim.choi import choi_from_reduced
-from pbtsim.kraus import (apply_kraus, apply_protocol, choi_from_kraus,
-                          choi_to_kraus, protocol_gram, protocol_kraus,
-                          unreduced_multiplicity)
+from pbtsim.kraus import (KrausSet, apply_kraus, apply_protocol, choi_from_kraus,
+                          choi_to_kraus, protocol_gram, protocol_kraus)
 from pbtsim.linalg import max_abs
 from pbtsim.oracle import oracle_choi
-from pbtsim.resources import (AdChoi, Alternate, Bell, make_family,
-                              reduce_full, reduced_port_state,
+from pbtsim.resources import (AdChoi, Alternate, Bell, make_family, port_state,
+                              reduce_full, reduced_from_port, reduced_port_state,
                               trace_to_first_port)
 from pbtsim.spin import degeneracy
 
@@ -69,6 +69,48 @@ class TestChoiToKraus:
         bad = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
         with pytest.raises(ValueError):
             choi_to_kraus(bad)
+
+
+class TestCanonicalKraus:
+    def test_rotation_inside_degenerate_eigenspace(self, rng):
+        # the same channel written in eigenbases rotated inside its triply
+        # degenerate eigenspace
+        c = depolarizing_choi(0.37)
+        w, v = np.linalg.eigh(c)
+        assert np.ptp(w[:3]) < 1e-15 < w[3] - w[2]
+        want = choi_to_kraus(c).ops
+        for _ in range(5):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+            turned = v.copy()
+            turned[:, :3] = v[:, :3] @ q
+            got = choi_to_kraus((turned * w) @ turned.conj().T).ops
+            assert len(got) == len(want) == 4
+            assert max(max_abs(a, b) for a, b in zip(got, want)) <= 1e-12
+
+    def test_raw_set_is_the_eigendecomposition(self, rng):
+        c = random_choi(rng)
+        w, v = np.linalg.eigh(c)
+        raw = choi_to_kraus(c, canonical=False).ops
+        assert len(raw) == 2
+        for lam, vec, k in zip(w[w > 1e-12], v.T[w > 1e-12], raw):
+            np.testing.assert_array_equal(k, math.sqrt(2 * lam) * vec.reshape(2, 2).T)
+        assert max_abs(choi_from_kraus(KrausSet(raw)), c) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_same_operators_from_product_and_dense_routes(self, n):
+        # the two routes give Choi matrices equal to within rounding but not
+        # bit for bit; printed at 12 digits the operators can still differ
+        # in a last digit that rounds the other way
+        for spec in ("bell", "ad:0.3", "ad:0.77", "alternate:0.13", "alternate:0.7"):
+            family = cli.parse_resource(spec)
+            sets = []
+            for resource in (make_family(family, n), reduced_from_port(port_state(family), n)):
+                c = choi_from_reduced(resource)
+                ops = choi_to_kraus(c).ops
+                assert max_abs(choi_from_kraus(KrausSet(ops)), c) <= 1e-12
+                sets.append(ops)
+            assert len(sets[0]) == len(sets[1])
+            assert max(max_abs(a, b) for a, b in zip(*sets)) <= 1e-13, spec
 
 
 class TestApplyKraus:
@@ -133,7 +175,3 @@ class TestProtocolKraus:
     def test_input_dimension_check(self):
         with pytest.raises(ValueError):
             apply_protocol(protocol_kraus(2), np.eye(4))
-
-    def test_unreduced_multiplicity(self):
-        assert unreduced_multiplicity(2) == 2
-        assert unreduced_multiplicity(5) == 16
