@@ -17,8 +17,7 @@ from . import analysis
 from .choi import check_choi, choi_from_reduced
 from .kraus import apply_protocol, choi_to_kraus, protocol_kraus
 from .oracle import MAX_ORACLE_PORTS, oracle_choi
-from .resources import (AdChoi, Alternate, Bell, FromFile, ResourceFamily,
-                        make_family, reduced_port_state)
+from .resources import AdChoi, Alternate, Bell, FromFile, ResourceFamily, make_family
 
 USAGE_EXIT = 1
 VALIDATION_EXIT = 2
@@ -274,8 +273,7 @@ def run_verification(max_ports: int) -> tuple[float, list[tuple[str, float]]]:
             reduced = make_family(family, n)
             closed = choi_from_reduced(reduced)
             dev = float(np.max(np.abs(closed - oracle_choi(reduced))))
-            dev = max(dev, float(np.max(np.abs(
-                closed - apply_protocol(pk, reduced_port_state(family, n))))))
+            dev = max(dev, float(np.max(np.abs(closed - apply_protocol(pk, reduced.joint())))))
             results.append((f"n={n} {name}", dev))
             worst = max(worst, dev)
     return worst, results
