@@ -20,14 +20,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import herm_defect, partial_trace_qubits
 from .resources import (TAGS, ProductResource, ReducedResource, SpinCoefficients,
                         to_spin_coefficients)
-from .spin import Kind, SpinBasis, build_spin_basis, degeneracy
+from .spin import Kind, SpinBasis, build_spin_basis, cached_up_to_max_ports, degeneracy
 
 _I = Kind.I
 _II = Kind.II
@@ -88,7 +88,7 @@ class MeasurementRows:
         return self.cols[:, :, None], self.cols[:, None, :]
 
 
-@lru_cache(maxsize=None)
+@cached_up_to_max_ports(lambda basis: basis.n)
 def measurement_rows(basis: SpinBasis) -> tuple[MeasurementRows, np.ndarray]:
     """The square-root measurement's rows in the coupled spin basis.
 
@@ -101,8 +101,8 @@ def measurement_rows(basis: SpinBasis) -> tuple[MeasurementRows, np.ndarray]:
     the alpha = 1 basis each bulk pair stands for all degeneracy(n-1, ss)
     multiplets.  Every pair reads columns of one parent multiplet only
     (``SpinBasis.parents``): a kernel pair that of spin n - 1, a bulk pair
-    that of spin ss, at projections mm and mm +- 2.  The result is cached
-    per basis (bases are cached too) and read-only.
+    that of spin ss, at projections mm and mm +- 2.  The result is read-only
+    and cached per basis up to MAX_PORTS, as the bases are.
     """
     n = basis.n
     # column of each multiplet's lowest projection, keyed (jj, kind, alpha)
@@ -187,8 +187,7 @@ def choi_from_reduced(reduced: ReducedResource | ProductResource) -> np.ndarray:
     multiplet (see ``measurement_rows``); ``load_resource`` rejects any
     other input.  A product resource needs the basis labels only.
     """
-    vectors = not isinstance(reduced, ProductResource)
-    basis = build_spin_basis(reduced.n, first_only=True, vectors=vectors)
+    basis = build_spin_basis(reduced.n, first_only=True)
     return assemble_choi(to_spin_coefficients(reduced, basis))
 
 

@@ -20,15 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .linalg import dag, herm_defect, kron_power, max_abs, partial_trace_qubits, permute_qubits
-from .spin import MAX_PORTS, MAX_PRODUCT_PORTS, Parents, SpinBasis, check_port_count
+from .spin import (MAX_PRODUCT_PORTS, Parents, SpinBasis, cached_up_to_max_ports,
+                   check_port_count)
 
 TAGS = ("11", "12", "21", "22")
 
@@ -397,19 +397,17 @@ class _ProductEntries:
         return np.where(same[..., None, None], cg * e, 0)
 
 
-_BAND_CHUNK = 1 << 16  # Sym^ss terms summed per vectorised step
-
-
-def _band_layout(n: int, zero: tuple) -> Iterator[tuple]:
+@cached_up_to_max_ports(lambda n: n)
+def _band_layout(n: int, zero: tuple) -> tuple:
     """The terms of ``_sym_band`` for n ports and the zero pattern of M
-    (M11, M10, M01, M00 == 0), in chunks of whole band entries, made one at
-    a time.
+    (M11, M10, M01, M00 == 0).
 
-    Each chunk is (target, entry, powers, lam, log_binom): the flat band index
-    of its entries, and per term the entry it adds to, the powers of
+    Returns (target, entry, powers, lam, log_binom): the flat band index of
+    each band entry, and per term the entry it adds to, the powers of
     M11, M10, M01, M00, the det power (n-1-ss)/2, and the log of its
     binomial factors.  A zero entry of M carries power 0 in every term, so
-    for a diagonal M only j = k = l remains.
+    for a diagonal M (every built-in family) only j = k = l remains, about
+    n^2/4 terms; a general M has O(n^3).
     """
     ss, k, d = (x.ravel() for x in np.meshgrid(np.arange((n - 1) % 2, n, 2), np.arange(n),
                                                 np.arange(-2, 3), indexing="ij"))
@@ -427,31 +425,17 @@ def _band_layout(n: int, zero: tuple) -> Iterator[tuple]:
     keep = (k <= ss) & (k + d >= 0) & (k + d <= ss) & (hi >= lo)
     ss, k, l, lo, count = ss[keep], k[keep], k[keep] + d[keep], lo[keep], (hi - lo + 1)[keep]
     target = 5 * ((ss // 2) * (n + 1) + k) + (l - k) + 2
+    entry = np.repeat(np.arange(target.size), count)
+    j = lo[entry] + np.arange(entry.size) - (np.cumsum(count) - count)[entry]
+    ss, k, l = ss[entry], k[entry], l[entry]
+    powers = np.stack([j, k - j, l - j, ss - k - l + j], axis=1).astype(float)
     log_fact = gammaln(np.arange(n + 1) + 1.0)
 
     def log_comb(a, b):
         return log_fact[a] - log_fact[b] - log_fact[a - b]
 
-    ends = np.cumsum(count)
-    start = 0
-    while start < ss.size:
-        first = ends[start] - count[start]
-        stop = max(int(np.searchsorted(ends, first + _BAND_CHUNK, "right")), start + 1)
-        entry = np.repeat(np.arange(stop - start), count[start:stop])
-        rows = entry + start
-        j = lo[rows] + np.arange(first, ends[stop - 1]) - (ends - count)[rows]
-        s_, k_, l_ = ss[rows], k[rows], l[rows]
-        powers = np.stack([j, k_ - j, l_ - j, s_ - k_ - l_ + j], axis=1).astype(float)
-        log_binom = (log_comb(k_, j) + log_comb(s_ - k_, l_ - j)
-                     + 0.5 * (log_comb(s_, k_) - log_comb(s_, l_)))
-        yield target[start:stop], entry, powers, (n - 1 - s_) / 2, log_binom
-        start = stop
-
-
-@lru_cache(maxsize=None)
-def _small_band_layout(n: int, zero: tuple) -> tuple:
-    """``_band_layout`` kept for reuse at n <= MAX_PORTS, as the spin bases are."""
-    return tuple(_band_layout(n, zero))
+    log_binom = log_comb(k, j) + log_comb(ss - k, l - j) + 0.5 * (log_comb(ss, k) - log_comb(ss, l))
+    return target, entry, powers, (n - 1 - ss) / 2, log_binom
 
 
 def _sym_band(m: np.ndarray, n: int) -> np.ndarray:
@@ -469,13 +453,12 @@ def _sym_band(m: np.ndarray, n: int) -> np.ndarray:
     log_abs = np.log(np.abs(entries), where=~zero, out=np.zeros(4))
     arg = np.angle(entries)
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    layout = (_small_band_layout if n <= MAX_PORTS else _band_layout)(n, tuple(zero.tolist()))
+    target, entry, powers, lam, log_binom = _band_layout(n, tuple(zero.tolist()))
+    terms = np.exp(log_binom + powers @ log_abs + xlogy(lam, abs(det))
+                   + 1j * (powers @ arg + lam * np.angle(det)))
     band = np.zeros(((n - 1) // 2 + 1) * (n + 1) * 5, dtype=complex)
-    for target, entry, powers, lam, log_binom in layout:
-        terms = np.exp(log_binom + powers @ log_abs + xlogy(lam, abs(det))
-                       + 1j * (powers @ arg + lam * np.angle(det)))
-        band[target] = (np.bincount(entry, terms.real, target.size)
-                        + 1j * np.bincount(entry, terms.imag, target.size))
+    band[target] = (np.bincount(entry, terms.real, target.size)
+                    + 1j * np.bincount(entry, terms.imag, target.size))
     return band.reshape((n - 1) // 2 + 1, n + 1, 5)
 
 

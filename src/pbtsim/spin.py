@@ -16,8 +16,9 @@ of a given (jj, kind) (Schur-Weyl duality), so the channel needs only the
 first multiplet of each: ``build_spin_basis(n, first_only=True)`` keeps those,
 a real 2^n x O(n^2) matrix (60 columns at n = 10) instead of the 2^n x 2^n
 unitary.  A product resource needs only their labels and how each label
-couples to its parent multiplet (``SpinBasis.parents``), so with
-``vectors=False`` no 2^n array is built and n may reach MAX_PRODUCT_PORTS.
+couples to its parent multiplet (``SpinBasis.parents``); the vectors are
+built on first use of ``SpinBasis.u``, so for it no 2^n array is built and n
+may reach MAX_PRODUCT_PORTS.
 
 Half-integer labels are stored doubled (``jj = 2j``, ``mm = 2m``) so that all
 index arithmetic is exact; values are converted to floats only inside
@@ -30,7 +31,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
+from typing import Callable
 
 import numpy as np
 
@@ -39,10 +41,10 @@ import numpy as np
 #: 4 GiB at 13
 MAX_PORTS = 12
 #: cap on product resources, which build no 2^n array: their label-only
-#: basis grows as n^2 and Sym^ss of a general port marginal costs n^3.  At
-#: 500 ports one Choi matrix takes about 1.6 s and 0.4 GB for the built-in
-#: families (diagonal marginal) and about 5 s for a general port, with one
-#: BLAS thread
+#: basis grows as n^2.  A diagonal port marginal (every built-in family) gives
+#: about n^2/4 terms of Sym^ss, and one Choi matrix at 500 ports takes about
+#: 1.8 s and 0.4 GB; a general marginal gives O(n^3) terms, all held at once:
+#: 0.7 s and 0.3 GB at 200 ports, about 3 GB at 500 (one BLAS thread)
 MAX_PRODUCT_PORTS = 500
 
 _E0 = np.array([1.0, 0.0])
@@ -145,13 +147,21 @@ class SpinBasis:
     ``u`` holds the basis vectors as columns (computational basis rows,
     qubit 1 in the last tensor slot), ordered like ``labels``: a real
     orthogonal 2^n x 2^n matrix, or its alpha = 1 columns alone
-    (``first_only``), or None when only the labels were built.  The
-    Clebsch-Gordan coefficients are real.
+    (``first_only``).  The Clebsch-Gordan coefficients are real.
     """
 
     n: int
+    first_only: bool
     labels: tuple[SpinLabel, ...]
-    u: np.ndarray | None
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """The basis vectors, built on first use and only up to MAX_PORTS."""
+        check_port_count(self.n)
+        multiplets = _multiplets(self.n, self.first_only, vectors=True)
+        u = np.array([vecs[mm] for jj, _, _, vecs in multiplets for mm in range(-jj, jj + 1, 2)]).T
+        u.setflags(write=False)
+        return u
 
     @cached_property
     def index(self) -> dict:
@@ -200,8 +210,46 @@ def check_port_count(n: int, limit: int = MAX_PORTS) -> None:
         raise ValueError(f"port count must be in 1..{limit}, got {n}")
 
 
-@lru_cache(maxsize=None)
-def build_spin_basis(n: int, first_only: bool = False, vectors: bool = True) -> SpinBasis:
+def cached_up_to_max_ports(ports: Callable) -> Callable:
+    """``lru_cache`` for the calls whose port count, ``ports`` of the first
+    argument, is at most MAX_PORTS; larger calls are computed afresh.  So a
+    caller sweeping n up to MAX_PRODUCT_PORTS keeps nothing above MAX_PORTS,
+    where one label-only basis alone holds O(n^2) labels."""
+    def decorate(fn: Callable) -> Callable:
+        cached = lru_cache(maxsize=None)(fn)
+
+        @wraps(fn)
+        def call(first, *args, **kwargs):
+            return (cached if ports(first) <= MAX_PORTS else fn)(first, *args, **kwargs)
+
+        call.cache_info = cached.cache_info
+        return call
+
+    return decorate
+
+
+def _multiplets(n: int, first_only: bool, vectors: bool) -> list[tuple]:
+    """Every multiplet of n qubits as (jj, kind, alpha, vectors by mm), in
+    column order; the vectors are None unless ``vectors`` is set."""
+    groups: dict[int, list] = {1: [(Kind.UNSPLIT, 1, {-1: _E0, 1: _E1} if vectors else None)]}
+    for level in range(2, n + 1):
+        nxt: dict[int, list] = {}
+        dim = 2 ** level
+        for jj in range(level % 2, level + 1, 2):
+            mults = []
+            for kind, jj_parent in ((Kind.I, jj + 1), (Kind.II, jj - 1)):
+                parents = groups.get(jj_parent, ())[:1 if first_only else None]
+                for alpha, (_, _, parent) in enumerate(parents, start=1):
+                    vecs = None if parent is None else _couple(parent, jj, jj_parent, dim)
+                    mults.append((kind, alpha, vecs))
+            if mults:
+                nxt[jj] = mults
+        groups = nxt
+    return [(jj, kind, alpha, vecs) for jj in sorted(groups) for kind, alpha, vecs in groups[jj]]
+
+
+@cached_up_to_max_ports(lambda n: n)
+def build_spin_basis(n: int, first_only: bool = False) -> SpinBasis:
     """Construct the coupled spin basis of n qubits.
 
     Within each jj the Kind.I multiplets come first, each kind ordered by the
@@ -211,34 +259,12 @@ def build_spin_basis(n: int, first_only: bool = False, vectors: bool = True) -> 
     With ``first_only`` each level keeps just the alpha = 1 multiplet of each
     (jj, kind): Kind.I from the first parent at jj + 1, Kind.II from the first
     at jj - 1.  Its columns are exactly the alpha = 1 columns of the full
-    basis.  ``vectors=False`` builds the labels alone (``u`` is None); for
-    the alpha = 1 labels n may then exceed MAX_PORTS.
+    basis, O(n^2) labels, so n may reach MAX_PRODUCT_PORTS; the full basis
+    has 2^n labels and stops at MAX_PORTS.  Only the labels are built here,
+    the vectors on first use of ``SpinBasis.u``.
     """
-    check_port_count(n, MAX_PORTS if vectors or not first_only else MAX_PRODUCT_PORTS)
-    groups: dict[int, list] = {1: [(Kind.UNSPLIT, 1, {-1: _E0, 1: _E1})]}
-    for level in range(2, n + 1):
-        nxt: dict[int, list] = {}
-        dim = 2 ** level
-        for jj in range(level % 2, level + 1, 2):
-            mults = []
-            for kind, jj_parent in ((Kind.I, jj + 1), (Kind.II, jj - 1)):
-                parents = groups.get(jj_parent, ())[:1 if first_only else None]
-                for alpha, (_, _, parent) in enumerate(parents, start=1):
-                    vecs = _couple(parent, jj, jj_parent, dim) if vectors else None
-                    mults.append((kind, alpha, vecs))
-            if mults:
-                nxt[jj] = mults
-        groups = nxt
-    labels: list[SpinLabel] = []
-    cols: list[np.ndarray] = []
-    for jj in sorted(groups):
-        for kind, alpha, vecs in groups[jj]:
-            for mm in range(-jj, jj + 1, 2):
-                labels.append(SpinLabel(n, jj, mm, kind, alpha))
-                if vectors:
-                    cols.append(vecs[mm])
-    u = None
-    if vectors:
-        u = np.array(cols).T
-        u.setflags(write=False)
-    return SpinBasis(n=n, labels=tuple(labels), u=u)
+    check_port_count(n, MAX_PRODUCT_PORTS if first_only else MAX_PORTS)
+    labels = tuple(SpinLabel(n, jj, mm, kind, alpha)
+                   for jj, kind, alpha, _ in _multiplets(n, first_only, vectors=False)
+                   for mm in range(-jj, jj + 1, 2))
+    return SpinBasis(n=n, first_only=first_only, labels=labels)

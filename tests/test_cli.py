@@ -9,7 +9,7 @@ import pytest
 
 from pbtsim import cli
 from pbtsim.analysis import depolarizing_choi, pbt_ad_choi, xi
-from pbtsim.resources import AdChoi, FullResource, make_family, save_resource
+from pbtsim.resources import AdChoi, FullResource, ReducedResource, make_family, save_resource
 from pbtsim.spin import MAX_PRODUCT_PORTS
 
 from conftest import random_density
@@ -90,6 +90,24 @@ class TestSimpleCommands:
         values = [np.array([complex(tok) for line in ls if "j" in line for tok in line.split()])
                   for ls in lines]
         np.testing.assert_allclose(values[0], values[1], rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_kraus_bytes_same_from_product_and_dense_routes(self, capsys, monkeypatch, n):
+        # the dense route: the family's blocks, materialised, through the congruence
+        dense = []
+
+        def materialised(family, ports):
+            dense.append(make_family(family, ports).reduced)
+            return dense[-1]
+
+        for spec in ("bell", "ad:0.3", "ad:0.77", "alternate:0.13", "alternate:0.7"):
+            argv = ("kraus", "--ports", str(n), "--resource", spec)
+            product = run_cli(capsys, *argv)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "make_family", materialised)
+                assert run_cli(capsys, *argv) == product, spec
+            assert product[0] == 0
+            assert isinstance(dense[-1], ReducedResource)
 
     def test_verify_success(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--max-ports", "4")

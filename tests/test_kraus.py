@@ -99,8 +99,7 @@ class TestCanonicalKraus:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_same_operators_from_product_and_dense_routes(self, n):
         # the two routes give Choi matrices equal to within rounding but not
-        # bit for bit; printed at 12 digits the operators can still differ
-        # in a last digit that rounds the other way
+        # bit for bit; the printed operators are compared in test_cli
         for spec in ("bell", "ad:0.3", "ad:0.77", "alternate:0.13", "alternate:0.7"):
             family = cli.parse_resource(spec)
             sets = []

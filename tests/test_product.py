@@ -10,6 +10,7 @@ off-diagonal band of Sym^ss(M).
 import numpy as np
 import pytest
 
+from pbtsim import resources
 from pbtsim.analysis import alternate_choi, depolarizing_choi, pbt_ad_choi, xi
 from pbtsim.choi import check_choi, choi_from_reduced, measurement_rows
 from pbtsim.linalg import max_abs
@@ -102,18 +103,30 @@ def test_blocks_built_on_first_use_only():
 def test_port_caps(tmp_path):
     with pytest.raises(ValueError, match=f"port count must be in 1..{MAX_PORTS}, got 13"):
         build_spin_basis(13)
+    labels_only = build_spin_basis(13, first_only=True)
+    assert len(labels_only.labels) == 98
     with pytest.raises(ValueError, match=f"port count must be in 1..{MAX_PORTS}, got 13"):
-        build_spin_basis(13, first_only=True)
-    assert len(build_spin_basis(13, first_only=True, vectors=False).labels) == 98
+        labels_only.u
     over = MAX_PRODUCT_PORTS + 1
     with pytest.raises(ValueError, match=f"port count must be in 1..{MAX_PRODUCT_PORTS}"):
-        build_spin_basis(over, first_only=True, vectors=False)
+        build_spin_basis(over, first_only=True)
     with pytest.raises(ValueError, match=f"port count must be in 1..{MAX_PRODUCT_PORTS}"):
         make_family(Bell(), over)
     with pytest.raises(ValueError, match="port count must be in 1..12, got 13"):
         make_family(FromFile(str(tmp_path / "never_read.pbtres")), 13)
     with pytest.raises(ValueError, match="at least two ports"):
         choi_from_reduced(make_family(Bell(), 1))
+
+
+def test_caches_keep_nothing_above_the_dense_cap():
+    caches = (build_spin_basis, measurement_rows, resources._band_layout)
+    choi_from_reduced(make_family(Bell(), MAX_PORTS))
+    choi_from_reduced(ProductResource(MAX_PORTS, random_port(1)))
+    sizes = [cache.cache_info().currsize for cache in caches]
+    for n in range(MAX_PORTS + 1, MAX_PORTS + 9):
+        choi_from_reduced(make_family(AdChoi(0.3), n))
+        choi_from_reduced(ProductResource(n, random_port(n)))
+    assert [cache.cache_info().currsize for cache in caches] == sizes
 
 
 def test_saved_product_reads_back_as_the_same_channel(tmp_path):
