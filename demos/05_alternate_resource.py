@@ -37,4 +37,4 @@ best_alt = min(
 )
 print(f"\nsweep minima: damping-Choi resources {best_choi:.6f}, "
       f"alternate resources {best_alt:.6f}")
-print("advantage:", best_choi - best_alt)
+print(f"advantage: {best_choi - best_alt:.12g}")

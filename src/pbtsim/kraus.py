@@ -26,7 +26,7 @@ class KrausSet:
     ops: tuple[np.ndarray, ...]
 
 
-def choi_to_kraus(choi: np.ndarray, canonical: bool = True) -> KrausSet:
+def choi_to_kraus(choi: np.ndarray) -> KrausSet:
     """Kraus operators of the qubit channel with the given Choi matrix.
 
     Eigenvalues below EIG_FLOOR are dropped.  Each operator comes from a
@@ -35,9 +35,8 @@ def choi_to_kraus(choi: np.ndarray, canonical: bool = True) -> KrausSet:
     sum_k (1 (x) K_k) |Phi><Phi| (1 (x) K_k)^dag recovers it for the
     normalised reference state |Phi>.
 
-    With ``canonical=False`` the vectors are sqrt(lam) v for the
-    eigenvectors v that eigh returns, which are arbitrary inside a
-    degenerate eigenspace.  The canonical set groups the eigenvalues into
+    The set is canonical: the eigenvectors that eigh returns are arbitrary
+    inside a degenerate eigenspace, so the eigenvalues are grouped into
     clusters split where neighbours differ by more than EIG_GAP.  A cluster
     of r eigenvalues with eigenspace projector P and spectral part C gives
     b_i = C^(1/2) q_i, where q = F (F^dag F)^(-1/2) orthonormalises F = P W
@@ -51,9 +50,6 @@ def choi_to_kraus(choi: np.ndarray, canonical: bool = True) -> KrausSet:
         raise ValueError(f"Choi matrix is not positive semidefinite (min eig {w.min():.3e})")
     keep = w > EIG_FLOOR
     w, v = w[keep], v[:, keep]
-    if not canonical:
-        return KrausSet(ops=tuple(math.sqrt(2 * lam) * vec.reshape(2, 2).T
-                                  for lam, vec in zip(w, v.T)))
     ops = []
     for cluster in np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > EIG_GAP) + 1):
         vc = v[:, cluster]

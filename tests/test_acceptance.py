@@ -201,7 +201,7 @@ def test_ac09_alternate_derivatives():
                         - analysis.alternate_xyz(n, a - h).z) / (2 * h)
                 assert abs(d.dy_da - fd_y) <= 1e-5 * abs(fd_y)
                 assert abs(d.dz_da - fd_z) <= 1e-5 * max(abs(fd_z), 1e-9)
-        # the curvature of y[a] + y[1-a] at a = 1/2, taken with the same
+        # the exact curvature of y[a] + y[1-a] at a = 1/2 against a
         # five-point stencil on the dense square-root-measurement oracle,
         # which shares no code with the spin-basis sums
         curv = {n: analysis.symmetric_sum_curvature(n) for n in range(2, 11)}

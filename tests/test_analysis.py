@@ -5,7 +5,7 @@ import pytest
 
 from pbtsim import analysis
 from pbtsim.choi import choi_from_reduced
-from pbtsim.linalg import max_abs
+from pbtsim.linalg import max_abs, partial_trace_qubits
 from pbtsim.resources import AdChoi, Alternate, make_family
 
 XI2 = (6 - math.sqrt(3)) / 6
@@ -214,8 +214,8 @@ class TestDiamondNumeric:
         # X-shaped Choi differences are invariant under diagonal phase
         # rotations, so a diagonal input marginal is optimal
         rng = np.random.default_rng(5)
-        # a point whose first Nelder-Mead run leaves the ball and stalls
-        # 2.2e-4 short; the restart from the clipped incumbent recovers it
+        # a point where the first run of a search clipped to the Bloch ball
+        # stalled 2.2e-4 short on the plateau outside it
         cases = [(analysis.alternate_choi(5, 0.9248591877504492), 0.35747014315067516)]
         for n in range(3, 7):
             for family in ("choi", "alternate"):
@@ -231,6 +231,72 @@ class TestDiamondNumeric:
             exact = _golden_diagonal_max(out - target)
             worst = max(worst, abs(analysis.diamond_numeric(out, target) - exact))
         assert worst <= 1e-9
+
+    def test_points_where_a_clipped_search_stalled(self):
+        # with Bloch vectors clipped to the ball instead of folded into it,
+        # rounding-level changes of the input made the search stop at
+        # 0.983302 at the first point, and it stopped 9.5e-6 to 1.7e-3 short
+        # at the other three
+        got = analysis.diamond_numeric(analysis.alternate_choi(4, 0.95), analysis.ad_choi(0.36))
+        assert abs(got - 0.984593256789) <= 1e-9
+        for a, p0 in ((0.935, 0.36), (0.98, 0.34), (0.995, 0.26)):
+            out, target = analysis.alternate_choi(5, a), analysis.ad_choi(p0, "plus")
+            exact = _golden_diagonal_max(out - target)
+            assert abs(analysis.diamond_numeric(out, target) - exact) <= 1e-9
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_figure_grid_exact_and_stable_under_rounding_noise(self, n):
+        # both families over their figure ranges for three targets; each
+        # point is also searched again with x moved by Hermitian noise of
+        # size 1e-15 whose trace over the output vanishes, so x stays a
+        # trace-preserving channel's Choi matrix to rounding
+        rng = np.random.default_rng(n)
+        worst_exact = worst_noise = 0.0
+        for p0 in (0.36, 0.7, 0.95):
+            target = analysis.ad_choi(p0, "plus")
+            outs = ([analysis.pbt_ad_choi(n, float(p1)) for p1 in np.linspace(0, 1, 11)]
+                    + [analysis.alternate_choi(n, float(a)) for a in np.linspace(0.5, 1, 11)])
+            for out in outs:
+                got = analysis.diamond_numeric(out, target)
+                worst_exact = max(worst_exact, abs(got - _golden_diagonal_max(out - target)))
+                h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                h = h + h.conj().T
+                h -= np.kron(partial_trace_qubits(h, 2, [0]), np.eye(2) / 2)
+                noisy = out + 1e-15 * h / np.abs(h).max()
+                worst_noise = max(worst_noise, abs(analysis.diamond_numeric(noisy, target) - got))
+        assert worst_exact <= 1e-9
+        assert worst_noise <= 1e-9
+
+    def test_known_points_exit_with_the_lower_bound(self, monkeypatch):
+        # where the bounds meet the value is certified, so no search runs
+        def no_search(*args, **kwargs):
+            raise AssertionError("search ran at a point with meeting bounds")
+
+        rows = []
+        for n in (3, 4, 6):
+            for p0 in (0.3, 0.45, 0.6, 0.8, 0.95):
+                kp = analysis.ad_known_points(n, p0)
+                rows += [(analysis.pbt_ad_choi(n, p1), p0) for p1 in (kp.p1_a, kp.p1_b)
+                         if p1 is not None]
+                known = analysis.alternate_known_point(n, p0)
+                if known is not None:
+                    rows.append((analysis.alternate_choi(n, known[0]), p0))
+        assert len(rows) == 39
+        monkeypatch.setattr(analysis, "minimize", no_search)
+        for out, p0 in rows:
+            target = analysis.ad_choi(p0, "plus")
+            lower, upper = analysis.diamond_bounds(out, target)
+            got = analysis.diamond_numeric(out, target)
+            assert got == lower
+            # the bounds can cross by rounding (1.1e-16 at most on these rows)
+            assert got <= upper + 1e-15
+
+    def test_fold_maps_radii_into_the_ball_as_a_triangle_wave(self):
+        for length, folded in ((0.3, 0.3), (1.0, 1.0), (1.25, 0.75), (2.0, 0.0),
+                               (2.5, 0.5), (3.0, 1.0), (3.5, 0.5)):
+            r = length * np.array([0.6, 0.0, -0.8])
+            assert np.allclose(analysis._fold(r), folded * np.array([0.6, 0.0, -0.8]),
+                               atol=1e-15, rtol=0)
 
     def test_no_sampled_marginal_beats_result(self, rng):
         from conftest import random_choi
@@ -385,6 +451,62 @@ class TestAlternateXYZ:
     def test_domain(self):
         with pytest.raises(ValueError):
             analysis.alternate_xyz(3, 1.2)
+        with pytest.raises(ValueError):
+            analysis.alternate_xyz(3, np.array([0.2, -0.1]))
+
+    @pytest.mark.parametrize("n", [2, 5, 12, 50])
+    def test_array_parameter_matches_scalar(self, n):
+        grid = np.linspace(0.0, 1.0, 9)
+        got = analysis.alternate_xyz(n, grid)
+        for k, a in enumerate(grid):
+            one = analysis.alternate_xyz(n, float(a))
+            assert np.allclose([got.x[k], got.y[k], got.z[k]], [one.x, one.y, one.z],
+                               atol=1e-15, rtol=0)
+
+
+def _alternate_loop(n: int, a: float) -> tuple[float, ...]:
+    """x, y, z, dy/da and dz/da summed term by term over the spin strata."""
+    terms = []  # (sum, coefficient, exponent of a); the exponent of 1 - a is n minus it
+    for ss in range(1 if n % 2 == 0 else 0, n, 2):
+        s = ss / 2
+        common = math.comb(n, (n - 1 - ss) // 2) / (2 * (ss + 1))
+        wa, wb = (n + 1) / 2 - s, (n + 3) / 2 + s
+        for mm in range(-ss, ss + 1, 2):
+            m = mm / 2
+            terms += [
+                ("x", common * ((s - m) / math.sqrt(wa) + (s + m + 1) / math.sqrt(wb)) ** 2,
+                 (n + 1) / 2 + m),
+                ("y", common * (s + m) * (s - m + 1) * (1 / math.sqrt(wa) - 1 / math.sqrt(wb)) ** 2,
+                 (n - 1) / 2 + m),
+                ("z", common * ((s * s - m * m) / wa + 2 * (s * s + m * m + s) / math.sqrt(wa * wb)
+                                + ((s + 1) ** 2 - m * m) / wb), n / 2 + m),
+            ]
+    for mm in range(-(n + 1), n + 2, 2):
+        m = mm / 2
+        ce = ((n + 1) / 2 + m) * ((n + 1) / 2 - m) / (2 * n * (n + 1))
+        terms += [("x", ce, (n + 1) / 2 + m), ("z", -ce, n / 2 + m),
+                  ("y", ((n - 1) / 2 + m) * ((n + 1) / 2 + m) / (2 * n * (n + 1)), (n - 1) / 2 + m)]
+    out = dict.fromkeys(("x", "y", "z", "dy", "dz"), 0.0)
+    for which, c, e in terms:
+        if c:
+            f = n - e
+            out[which] += c * a ** e * (1 - a) ** f
+            if which != "x":
+                out["d" + which] += c * (e * a ** (e - 1) * (1 - a) ** f
+                                         - f * a ** e * (1 - a) ** (f - 1))
+    return tuple(out.values())
+
+
+class TestAlternateTable:
+    @pytest.mark.parametrize("n", list(range(2, 13)) + [50])
+    def test_matches_term_by_term_sums(self, n):
+        # the table merges like terms and sums them in another order
+        for a in np.linspace(0.05, 0.95, 7):
+            x, y, z, dy, dz = _alternate_loop(n, float(a))
+            v = analysis.alternate_xyz(n, float(a))
+            d = analysis.alternate_derivatives(n, float(a))
+            assert max(abs(v.x - x), abs(v.y - y), abs(v.z - z)) <= 1e-14
+            assert max(abs(d.dy_da - dy), abs(d.dz_da - dz)) <= 1e-12
 
 
 class TestAlternateKnownPoint:
@@ -453,6 +575,11 @@ class TestAlternateDerivatives:
     def test_endpoints_rejected(self):
         with pytest.raises(ValueError):
             analysis.alternate_derivatives(3, 0.0)
+
+    def test_symmetric_curvature_exact_values(self):
+        # exact differentiation of the n = 2 and n = 3 sums
+        assert abs(analysis.symmetric_sum_curvature(2) - 2 / math.sqrt(3)) <= 1e-13
+        assert abs(analysis.symmetric_sum_curvature(3) - 2.0) <= 1e-13
 
     def test_symmetric_curvature_positive(self):
         # a = 1/2 is a local minimum of y[a] + y[1-a] for every tested n

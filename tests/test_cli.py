@@ -114,8 +114,8 @@ class TestSimpleCommands:
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 26  # n = 2..4 times 8 families, then worst and ok
-        assert all(": max deviation " in line for line in lines[:24])
-        assert lines[24].startswith("worst: ")
+        assert all(line.endswith(": max deviation below 1e-10") for line in lines[:24])
+        assert lines[24] == "worst: below 1e-10"
         assert lines[25] == "ok"
 
 
@@ -228,6 +228,15 @@ class TestErrors:
         code, _, err = run_cli(capsys, "verify", "--max-ports", "2")
         assert code == 2
         assert "FAILED" in err
+
+    def test_verify_prints_values_only_above_threshold(self, capsys, monkeypatch):
+        results = [("n=2 bell", 1e-3), ("n=2 ad:0", 3e-17)]
+        monkeypatch.setattr(cli, "run_verification", lambda k: (1e-3, results))
+        code, out, _ = run_cli(capsys, "verify", "--max-ports", "2")
+        assert code == 2
+        assert out.splitlines() == ["n=2 bell: max deviation 1.000e-03",
+                                    "n=2 ad:0: max deviation below 1e-10",
+                                    "worst: 1.000e-03"]
 
 
 class TestSweeps:

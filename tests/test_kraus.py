@@ -87,15 +87,6 @@ class TestCanonicalKraus:
             assert len(got) == len(want) == 4
             assert max(max_abs(a, b) for a, b in zip(got, want)) <= 1e-12
 
-    def test_raw_set_is_the_eigendecomposition(self, rng):
-        c = random_choi(rng)
-        w, v = np.linalg.eigh(c)
-        raw = choi_to_kraus(c, canonical=False).ops
-        assert len(raw) == 2
-        for lam, vec, k in zip(w[w > 1e-12], v.T[w > 1e-12], raw):
-            np.testing.assert_array_equal(k, math.sqrt(2 * lam) * vec.reshape(2, 2).T)
-        assert max_abs(choi_from_kraus(KrausSet(raw)), c) <= 1e-12
-
     @pytest.mark.parametrize("n", range(2, 10))
     def test_same_operators_from_product_and_dense_routes(self, n):
         # the two routes give Choi matrices equal to within rounding but not
