@@ -17,7 +17,7 @@ print("\nThe two-port value is (6 - sqrt(3))/6 =", (6 - np.sqrt(3)) / 6)
 
 n = 4
 basis = build_spin_basis(n)
-print(f"\nCoupled basis of {n} qubits: {len(basis.labels)} vectors, "
+print(f"\nCoupled basis of {n} qubits: {len(basis)} vectors, "
       f"unitarity defect {np.abs(basis.u.conj().T @ basis.u - np.eye(2 ** n)).max():.2e}")
 first = build_spin_basis(n, first_only=True)
 print(f"The channel reads only the first multiplet of each (j, kind): "

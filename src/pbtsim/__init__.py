@@ -27,8 +27,8 @@ from .resources import (AdChoi, Alternate, Bell, FromFile, FullResource,
                         port_state, reduce_full, reduced_from_port,
                         reduced_port_state, save_resource,
                         to_spin_coefficients, trace_to_first_port)
-from .spin import (Kind, SpinBasis, SpinLabel, build_spin_basis, clebsch_gordan,
-                   degeneracy, rho_eigenvalue)
+from .spin import (SpinBasis, build_spin_basis, clebsch_gordan, degeneracy,
+                   rho_eigenvalue)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq, minimize
+from scipy.special import xlogy
 
 # no longer called here; kept as a module attribute, which the benchmark's
 # tracer patches (bench/tracing.py)
@@ -307,47 +308,63 @@ class AlternateXYZ:
     z: float | np.ndarray
 
 
+def _log_binomial_over_power_of_two(n: int, k: int) -> float:
+    """log(C(n, k) / 2^n), from the exact integer: its leading bits and the
+    power of two it falls short of 2^n by."""
+    c = math.comb(n, k)
+    bits = c.bit_length()
+    return math.log(c / (1 << bits)) + (bits - n) * math.log(2)
+
+
 @lru_cache(maxsize=64)
-def _alternate_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The x, y and z sums as sum_e c_e a^e (1-a)^(n-e), e = 0, 1/2, .., n.
+def _alternate_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x, y and z sums as sum_e c_e (2a)^e (2(1-a))^(n-e), e = 0, 1/2, .., n.
 
-    Returns the exponents e and the coefficients, one row per sum.  Every
-    term of the three sums has exponents adding up to n, so like terms merge
-    into one column; terms with negative exponents have zero coefficient and
-    are left out.
+    Returns the exponents e, a scale per exponent, and one row of mantissas
+    per sum, with c_e = mantissa exp(scale).  Every term of the three sums has
+    exponents adding up to n, so like terms merge into one column, whose
+    scale is the largest log magnitude among its terms.  The binomial weights
+    enter as log(C(n, k) / 2^n), so nothing overflows at any n, and at
+    a = 1/2 each term is exp(scale) times a mantissa; zero terms are left out.
     """
-    coef = np.zeros((3, 2 * n + 1))
-
-    def add(row: int, two_e: int, c: float) -> None:
-        if c:
-            coef[row, two_e] += c
-
-    for ss in range(1 if n % 2 == 0 else 0, n, 2):
-        common = math.factorial(n) / (
-            2 * math.factorial((n - 1 - ss) // 2) * math.factorial((n + 1 + ss) // 2) * (ss + 1)
-        )
-        s = ss / 2.0
-        wa = (n + 1) / 2.0 - s
-        wb = (n + 3) / 2.0 + s
-        for mm in range(-ss, ss + 1, 2):
-            m = mm / 2.0
-            add(0, n + 1 + mm, common * (wa ** -0.5 * (s - m) + wb ** -0.5 * (s + m + 1)) ** 2)
-            add(1, n - 1 + mm, common * (s + m) * (s - m + 1) * (wa ** -0.5 - wb ** -0.5) ** 2)
-            add(2, n + mm, common * (
-                (s * s - m * m) / wa
-                + 2 * (wa * wb) ** -0.5 * (s * s + m * m + s)
-                + ((s + 1) ** 2 - m * m) / wb
-            ))
-    for mm in range(-(n + 1), n + 2, 2):
-        m = mm / 2.0
-        ce = ((n + 1) / 2.0 + m) * ((n + 1) / 2.0 - m) / (2.0 * n * (n + 1))
-        add(0, n + 1 + mm, ce)
-        add(2, n + mm, -ce)
-        add(1, n - 1 + mm, ((n - 1) / 2.0 + m) * ((n + 1) / 2.0 + m) / (2.0 * n * (n + 1)))
-    expo = np.arange(2 * n + 1) / 2.0
-    expo.setflags(write=False)
-    coef.setflags(write=False)
-    return expo, coef
+    # bulk strata: spin ss of the n - 1 unkept ports, projection mm
+    spins = np.arange(1 - n % 2, n, 2)
+    log_binom = np.array([_log_binomial_over_power_of_two(n, (n - 1 - x) // 2)
+                          for x in spins.tolist()])
+    ss, mm = np.meshgrid(spins, np.arange(-n, n + 1), indexing="ij")
+    keep = (abs(mm) <= ss) & ((ss - mm) % 2 == 0)
+    ss, mm = ss[keep], mm[keep]
+    log_common = log_binom[ss // 2] - np.log(2.0 * (ss + 1))
+    s, m = ss / 2.0, mm / 2.0
+    wa = (n + 1) / 2.0 - s
+    wb = (n + 3) / 2.0 + s
+    # kernel sector
+    mk = np.arange(-(n + 1), n + 2, 2)
+    k, half, norm = mk / 2.0, (n + 1) / 2.0, 2.0 * n * (n + 1)
+    log_kernel = -n * math.log(2)
+    terms = [  # (sum, doubled exponent, log of a positive factor, the other factor)
+        (0, n + 1 + mm, log_common, (wa ** -0.5 * (s - m) + wb ** -0.5 * (s + m + 1)) ** 2),
+        (1, n - 1 + mm, log_common, (s + m) * (s - m + 1) * (wa ** -0.5 - wb ** -0.5) ** 2),
+        (2, n + mm, log_common, (s * s - m * m) / wa + 2 * (wa * wb) ** -0.5 * (s * s + m * m + s)
+         + ((s + 1) ** 2 - m * m) / wb),
+        (0, n + 1 + mk, log_kernel, (half + k) * (half - k) / norm),
+        (2, n + mk, log_kernel, -(half + k) * (half - k) / norm),
+        (1, n - 1 + mk, log_kernel, ((n - 1) / 2.0 + k) * (half + k) / norm),
+    ]
+    width = 2 * n + 1
+    row, col, log_abs, value = (np.concatenate([np.broadcast_to(t[i], t[1].shape) for t in terms])
+                                for i in range(4))
+    keep = value != 0
+    row, col, value = row[keep], col[keep], value[keep]
+    log_abs = log_abs[keep] + np.log(np.abs(value))
+    scale = np.full(width, -np.inf)
+    np.maximum.at(scale, col, log_abs)
+    mantissa = np.bincount(row * width + col, np.sign(value) * np.exp(log_abs - scale[col]),
+                           3 * width).reshape(3, width)
+    table = np.arange(width) / 2.0, scale, mantissa
+    for x in table:
+        x.setflags(write=False)
+    return table
 
 
 def _alternate_sums(n: int, a, order: int = 0) -> np.ndarray:
@@ -356,14 +373,14 @@ def _alternate_sums(n: int, a, order: int = 0) -> np.ndarray:
     d/da a^e (1-a)^f = a^e (1-a)^f g with g = e/a - f/(1-a), and the second
     derivative has the factor g^2 + g' with g' = -e/a^2 - f/(1-a)^2.
     """
-    e, coef = _alternate_table(n)
+    e, scale, mantissa = _alternate_table(n)
     f = n - e
     a = np.asarray(a, dtype=float)[..., None]
-    terms = a ** e * (1 - a) ** f
+    terms = np.exp(scale + xlogy(e, 2 * a) + xlogy(f, 2 * (1 - a)))
     if order:
         g = e / a - f / (1 - a)
         terms = terms * (g if order == 1 else g * g - e / a ** 2 - f / (1 - a) ** 2)
-    return terms @ coef.T
+    return terms @ mantissa.T
 
 
 def alternate_xyz(n: int, a) -> AlternateXYZ:

@@ -18,7 +18,6 @@ covers the s = 0 stratum of odd n without special-casing.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,10 +26,8 @@ import numpy as np
 from .linalg import herm_defect, partial_trace_qubits
 from .resources import (TAGS, ProductResource, ReducedResource, SpinCoefficients,
                         to_spin_coefficients)
-from .spin import Kind, SpinBasis, build_spin_basis, cached_up_to_max_ports, degeneracy
-
-_I = Kind.I
-_II = Kind.II
+from .spin import (SpinBasis, build_spin_basis, cached_up_to_max_ports, degeneracy,
+                   held_multiplets)
 
 CHOI_ATOL = 1e-10      # Hermiticity, trace and trace-preservation defects
 CHOI_PSD_ATOL = 1e-9   # most negative eigenvalue tolerated
@@ -101,28 +98,29 @@ def measurement_rows(basis: SpinBasis) -> tuple[MeasurementRows, np.ndarray]:
     the alpha = 1 basis each bulk pair stands for all degeneracy(n-1, ss)
     multiplets.  Every pair reads columns of one parent multiplet only
     (``SpinBasis.parents``): a kernel pair that of spin n - 1, a bulk pair
-    that of spin ss, at projections mm and mm +- 2.  The result is read-only
+    that of spin ss, at projections mm and mm +- 2, found in closed form
+    from the column order of ``build_spin_basis``.  The result is read-only
     and cached per basis up to MAX_PORTS, as the bases are.
     """
     n = basis.n
-    # column of each multiplet's lowest projection, keyed (jj, kind, alpha)
-    start = {(lab.jj, lab.kind, lab.alpha): k for k, lab in enumerate(basis.labels)
-             if lab.mm == -lab.jj}
-    # alpha count per parent spin ss: one Kind.II multiplet at jj = ss + 1 per parent
-    held = Counter(jj - 1 for jj, kind, _ in start if kind is _II)
+    held = [held_multiplets(n, ss, basis.first_only) for ss in range(n + 2)]
     cols, coefs, weights = [], [], []
 
-    def pairs(mm, entries):
-        # one pair per projection in mm; entries: (row, coefficients, jj, mm shift, kind, alpha).
-        # Labels outside the basis add nothing: coefficient 0 at a column the
-        # pair holds, so that every pair reads one parent multiplet
+    def pairs(mm, parent, alpha, entries):
+        # one pair per projection in mm, reading multiplet alpha of spin parent;
+        # entries: (row, coefficients, jj, mm shift).  Labels outside the basis
+        # add nothing: coefficient 0 at a column the pair holds, so that every
+        # pair reads one parent multiplet
         c = np.full((mm.size, 4), -1)
         g = np.zeros((mm.size, 2, 4))
-        for e, (r, coef, jj, shift, kind, alpha) in enumerate(entries):
+        for e, (r, coef, jj, shift) in enumerate(entries):
             there = np.abs(mm + shift) <= jj
-            if (jj, kind, alpha) in start and there.any():
-                c[:, e] = np.where(there, start[jj, kind, alpha] + (mm + shift + jj) // 2, -1)
-                g[:, r, e] = np.where(there, coef, 0.0)
+            # the multiplet's lowest projection: within jj, those coupled from
+            # spin jj + 1 come first
+            start = (np.searchsorted(basis.jj, jj) + (alpha - 1) * (jj + 1)
+                     + (held[jj + 1] * (jj + 1) if parent < jj else 0))
+            c[:, e] = np.where(there, start + (mm + shift + jj) // 2, -1)
+            g[:, r, e] = np.where(there, coef, 0.0)
         return np.where(c < 0, c.max(axis=1, keepdims=True), c), g
 
     def add(weight, c, g):
@@ -133,16 +131,16 @@ def measurement_rows(basis: SpinBasis) -> tuple[MeasurementRows, np.ndarray]:
     # kernel sector, weight m/(n+1) written with doubled mm
     mm = np.arange(-(n + 1), n + 2, 2)
     w = mm / (2.0 * (n + 1))
-    add(0.5, *pairs(mm, [(0, np.sqrt(np.maximum(0.5 - w, 0.0)), n, 1, _II, 1),
-                         (1, np.sqrt(np.maximum(0.5 + w, 0.0)), n, -1, _II, 1)]))
+    add(0.5, *pairs(mm, n - 1, 1, [(0, np.sqrt(np.maximum(0.5 - w, 0.0)), n, 1),
+                                   (1, np.sqrt(np.maximum(0.5 + w, 0.0)), n, -1)]))
     for ss in range(1 if n % 2 == 0 else 0, n, 2):
         mm = np.arange(-ss, ss + 1, 2)
         qr = qr_coeffs(ss, mm, n)
         # strata ordered by mm, then alpha
-        by_alpha = [pairs(mm, [(0, qr.q_minus, ss - 1, 1, _I, alpha),
-                               (0, -qr.r_plus, ss + 1, 1, _II, alpha),
-                               (1, qr.q_plus, ss - 1, -1, _I, alpha),
-                               (1, qr.r_minus, ss + 1, -1, _II, alpha)])
+        by_alpha = [pairs(mm, ss, alpha, [(0, qr.q_minus, ss - 1, 1),
+                                          (0, -qr.r_plus, ss + 1, 1),
+                                          (1, qr.q_plus, ss - 1, -1),
+                                          (1, qr.r_minus, ss + 1, -1)])
                     for alpha in range(1, held[ss] + 1)]
         add((n / 2) * degeneracy(n - 1, ss) / held[ss],
             *(np.stack(part, axis=1).reshape(-1, *part[0].shape[1:]) for part in zip(*by_alpha)))

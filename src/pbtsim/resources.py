@@ -27,8 +27,7 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .linalg import dag, herm_defect, kron_power, max_abs, partial_trace_qubits, permute_qubits
-from .spin import (MAX_PRODUCT_PORTS, Parents, SpinBasis, cached_up_to_max_ports,
-                   check_port_count)
+from .spin import MAX_PRODUCT_PORTS, SpinBasis, cached_up_to_max_ports, check_port_count
 
 TAGS = ("11", "12", "21", "22")
 
@@ -329,7 +328,7 @@ def to_spin_coefficients(reduced: ReducedResource | ProductResource,
         if reduced.n < 2:
             raise ValueError("at least two ports are required")
         t = _port_blocks(reduced.port)
-        entries = _ProductEntries(basis.parents, _sym_band(t[(0, 0)] + t[(1, 1)], reduced.n))
+        entries = _ProductEntries(basis, _sym_band(t[(0, 0)] + t[(1, 1)], reduced.n))
         tables = {f"{i + 1}{j + 1}": ProductTable(entries, t[(i, j)])
                   for i in (0, 1) for j in (0, 1)}
         return SpinCoefficients(reduced.n, basis, tables)
@@ -348,7 +347,7 @@ class ProductTable:
     entrywise as ``table[i, j]`` with integer index arrays.
 
     M is the port's A marginal and t one conditional port block.  Column c
-    couples A_1 to multiplet alpha of spin ss of A_n..A_2 (``Parents``).
+    couples A_1 to multiplet alpha of spin ss of A_n..A_2 (``SpinBasis.parents``).
     There M^(x)(n-1) acts as det(M)^((n-1-ss)/2) Sym^ss(M) in the Dicke
     basis (Schur-Weyl duality for GL(2)), and it links no two multiplets, so
     an entry is a sum over the bits b, b' of A_1 of t[b, b'] times
@@ -373,8 +372,8 @@ class _ProductEntries:
     of a resource read one gather.
     """
 
-    def __init__(self, parents: Parents, band: np.ndarray):
-        self.parents = parents
+    def __init__(self, basis: SpinBasis, band: np.ndarray):
+        self.basis = basis
         self.band = band
         self._last: tuple = (None, None)
 
@@ -384,17 +383,17 @@ class _ProductEntries:
         return self._last[1]
 
     def _gather(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        p = self.parents
-        same = (p.jj[i] == p.jj[j]) & (p.alpha[i] == p.alpha[j])
-        pos_i, pos_j = p.pos[i][..., :, None], p.pos[j][..., None, :]
+        b = self.basis
+        pos, cg = b.parents
+        same = (b.parent[i] == b.parent[j]) & (b.alpha[i] == b.alpha[j])
+        pos_i, pos_j = pos[i][..., :, None], pos[j][..., None, :]
         if (same & (np.abs(pos_i[..., 0, 0] - pos_j[..., 0, 0]) > 1)).any():
             raise ValueError("a product table holds only entries at projections at most 2 apart")
         # the flattened band; where a parent state does not exist cg is 0, so
         # any entry read there will do
-        row = (p.jj[i] // 2 * self.band.shape[1])[..., None, None] + pos_i
+        row = (b.parent[i] // 2 * self.band.shape[1])[..., None, None] + pos_i
         e = np.take(self.band, 5 * row + pos_j - pos_i + 2, mode="clip")
-        cg = p.cg[i][..., :, None] * p.cg[j][..., None, :]
-        return np.where(same[..., None, None], cg * e, 0)
+        return np.where(same[..., None, None], cg[i][..., :, None] * cg[j][..., None, :] * e, 0)
 
 
 @cached_up_to_max_ports(lambda n: n)

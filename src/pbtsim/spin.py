@@ -1,21 +1,23 @@
 """Angular-momentum (spin) structure of n qubits.
 
 Builds the coupled spin basis of n qubits by the standard spin-1/2
-Clebsch-Gordan recursion.  One level up it also diagonalises the operator
-rho = sum_i sigma_i (sigma_i = singlet projector between an extra qubit C and
-qubit i) that underlies the square-root measurement: the recursion couples
-the newest qubit last, so with C as qubit n + 1 every vector of
-``build_spin_basis(n + 1)`` is an eigenvector of rho, its kind naming the
-n-qubit spin it came from.  A Kind.I vector at jj has eigenvalue
-``rho_eigenvalue('+', jj + 1, n)``, a Kind.II vector
-``rho_eigenvalue('-', jj - 1, n)``; the Kind.II vectors at jj = n + 1 span
-the kernel.
+Clebsch-Gordan recursion.  Each column is labelled by four integers: its
+doubled total spin jj and projection mm, the doubled spin ``parent`` of the
+(n-1)-qubit multiplet it couples the last qubit to (jj + 1 or jj - 1), and
+that multiplet's index alpha.  One level up the basis also diagonalises the
+operator rho = sum_i sigma_i (sigma_i = singlet projector between an extra
+qubit C and qubit i) that underlies the square-root measurement: the
+recursion couples the newest qubit last, so with C as qubit n + 1 every
+vector of ``build_spin_basis(n + 1)`` is an eigenvector of rho, its parent
+being the n-qubit spin.  A vector with parent = jj + 1 has eigenvalue
+``rho_eigenvalue('+', jj + 1, n)``, one with parent = jj - 1
+``rho_eigenvalue('-', jj - 1, n)``; those at jj = n + 1 span the kernel.
 
 For port-symmetric resources every spin table is the same on each multiplet
-of a given (jj, kind) (Schur-Weyl duality), so the channel needs only the
+of a given (jj, parent) (Schur-Weyl duality), so the channel needs only the
 first multiplet of each: ``build_spin_basis(n, first_only=True)`` keeps those,
 a real 2^n x O(n^2) matrix (60 columns at n = 10) instead of the 2^n x 2^n
-unitary.  A product resource needs only their labels and how each label
+unitary.  A product resource needs only their labels and how each column
 couples to its parent multiplet (``SpinBasis.parents``); the vectors are
 built on first use of ``SpinBasis.u``, so for it no 2^n array is built and n
 may reach MAX_PRODUCT_PORTS.
@@ -28,7 +30,6 @@ as the last (least significant) tensor slot, so C sits after all n qubits.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
@@ -43,20 +44,9 @@ MAX_PORTS = 12
 #: cap on product resources, which build no 2^n array: their label-only
 #: basis grows as n^2.  A diagonal port marginal (every built-in family) gives
 #: about n^2/4 terms of Sym^ss, and one Choi matrix at 500 ports takes about
-#: 1.8 s and 0.4 GB; a general marginal gives O(n^3) terms, all held at once:
+#: 1.2 s and 0.35 GB; a general marginal gives O(n^3) terms, all held at once:
 #: 0.7 s and 0.3 GB at 200 ports, about 3 GB at 500 (one BLAS thread)
 MAX_PRODUCT_PORTS = 500
-
-_E0 = np.array([1.0, 0.0])
-_E1 = np.array([0.0, 1.0])
-
-
-class Kind(enum.Enum):
-    """How a coupled basis vector was built from the (n-1)-qubit basis."""
-
-    I = "I"          # parent multiplet has j + 1/2
-    II = "II"        # parent multiplet has j - 1/2
-    UNSPLIT = "1"    # n = 1 base case
 
 
 def clebsch_gordan(branch: str, jj, mm):
@@ -114,68 +104,59 @@ def rho_eigenvalue(sign: str, jj: int, n: int) -> float:
     raise ValueError(f"sign must be '-' or '+', got {sign!r}")
 
 
-@dataclass(frozen=True)
-class SpinLabel:
-    """Label of one coupled-basis vector of ``n`` qubits."""
-
-    n: int
-    jj: int        # doubled total spin
-    mm: int        # doubled z-projection
-    kind: Kind
-    alpha: int     # multiplet index within (jj, kind), 1-based
-
-
-@dataclass(frozen=True)
-class Parents:
-    """How each basis column couples the last qubit to a multiplet of the
-    other n - 1 qubits: column c is sum_b cg[c, b] |jj[c]; pos[c, b]> (x) |b>,
-    where |jj; pos> is the state of multiplet alpha[c] of spin jj[c] at
-    doubled projection 2 pos - jj (mm + 1 for b = 0, mm - 1 for b = 1).
-    Where that state does not exist, pos is -1 or jj + 1 and cg is 0.
-    """
-
-    jj: np.ndarray     # (columns,)
-    alpha: np.ndarray  # (columns,)
-    pos: np.ndarray    # (columns, 2)
-    cg: np.ndarray     # (columns, 2), from ``coupling``
-
-
 @dataclass(frozen=True, eq=False)
 class SpinBasis:
-    """Coupled spin basis of n qubits.
+    """Coupled spin basis of n qubits, one entry per column in each label
+    array: doubled total spin ``jj`` and projection ``mm``, the doubled spin
+    ``parent`` (jj + 1 or jj - 1) of the (n-1)-qubit multiplet the column
+    couples the last qubit to, and that multiplet's index ``alpha`` (from 1)
+    among those of spin ``parent``.
 
     ``u`` holds the basis vectors as columns (computational basis rows,
-    qubit 1 in the last tensor slot), ordered like ``labels``: a real
-    orthogonal 2^n x 2^n matrix, or its alpha = 1 columns alone
-    (``first_only``).  The Clebsch-Gordan coefficients are real.
+    qubit 1 in the last tensor slot): a real orthogonal 2^n x 2^n matrix, or
+    its alpha = 1 columns alone (``first_only``).  The Clebsch-Gordan
+    coefficients are real.
     """
 
     n: int
     first_only: bool
-    labels: tuple[SpinLabel, ...]
+    jj: np.ndarray
+    mm: np.ndarray
+    parent: np.ndarray
+    alpha: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.jj)
 
     @cached_property
     def u(self) -> np.ndarray:
-        """The basis vectors, built on first use and only up to MAX_PORTS."""
+        """The basis vectors, built on first use and only up to MAX_PORTS,
+        one level at a time from the label arrays alone."""
         check_port_count(self.n)
-        multiplets = _multiplets(self.n, self.first_only, vectors=True)
-        u = np.array([vecs[mm] for jj, _, _, vecs in multiplets for mm in range(-jj, jj + 1, 2)]).T
+        ut, jj_prev = np.ones((1, 1)), np.zeros(1, dtype=int)  # zero qubits: spin 0
+        for level in range(1, self.n + 1):
+            basis = build_spin_basis(level, self.first_only)
+            pos, cg = basis.parents
+            # the multiplets of one spin sit in order from its first column
+            col = np.searchsorted(jj_prev, basis.parent) + (basis.alpha - 1) * (basis.parent + 1)
+            col = np.clip(col[:, None] + pos, 0, len(jj_prev) - 1)
+            # + 0.0 turns the -0.0 of a negative coefficient into 0.0
+            ut = (ut[col] * cg[..., None] + 0.0).transpose(0, 2, 1).reshape(len(basis), -1)
+            jj_prev = basis.jj
+        u = ut.T
         u.setflags(write=False)
         return u
 
     @cached_property
-    def index(self) -> dict:
-        """Column of each label."""
-        return {lab: k for k, lab in enumerate(self.labels)}
-
-    @cached_property
-    def parents(self) -> Parents:
-        jj, mm, parent, alpha = np.array(
-            [(lab.jj, lab.mm, lab.jj + 1 if lab.kind is Kind.I else lab.jj - 1, lab.alpha)
-             for lab in self.labels]).T
-        cg = np.stack(coupling(jj, parent, mm), axis=-1)
-        pos = (mm[:, None] + np.array([1, -1]) + parent[:, None]) // 2
-        return Parents(jj=parent, alpha=alpha, pos=pos, cg=cg)
+    def parents(self) -> tuple[np.ndarray, np.ndarray]:
+        """How each column couples the last qubit to its parent multiplet, as
+        (pos, cg), each (columns, 2): column c is
+        sum_b cg[c, b] |parent[c]; pos[c, b]> (x) |b>, where |parent; pos> is
+        the state of multiplet alpha[c] of spin parent[c] at doubled projection
+        2 pos - parent (mm + 1 for b = 0, mm - 1 for b = 1).  Where that state
+        does not exist, pos is -1 or parent + 1 and cg is 0."""
+        cg = np.stack(coupling(self.jj, self.parent, self.mm), axis=-1)
+        return (self.mm[:, None] + np.array([1, -1]) + self.parent[:, None]) // 2, cg
 
 
 def coupling(jj_child, jj_parent, mm):
@@ -191,20 +172,6 @@ def coupling(jj_child, jj_parent, mm):
     return coefficient("-", np.asarray(mm) + 1), coefficient("+", np.asarray(mm) - 1)
 
 
-def _couple(parent: dict, jj_child: int, jj_parent: int, dim: int) -> dict:
-    """One multiplet of the child level from one parent multiplet."""
-    vecs = {}
-    mms = np.arange(-jj_child, jj_child + 1, 2)
-    for mm, c0, c1 in zip(mms.tolist(), *coupling(jj_child, jj_parent, mms)):
-        v = np.zeros(dim)
-        if c0 and (mm + 1) in parent:
-            v += c0 * np.kron(parent[mm + 1], _E0)
-        if c1 and (mm - 1) in parent:
-            v += c1 * np.kron(parent[mm - 1], _E1)
-        vecs[mm] = v
-    return vecs
-
-
 def check_port_count(n: int, limit: int = MAX_PORTS) -> None:
     if not 1 <= n <= limit:
         raise ValueError(f"port count must be in 1..{limit}, got {n}")
@@ -214,7 +181,7 @@ def cached_up_to_max_ports(ports: Callable) -> Callable:
     """``lru_cache`` for the calls whose port count, ``ports`` of the first
     argument, is at most MAX_PORTS; larger calls are computed afresh.  So a
     caller sweeping n up to MAX_PRODUCT_PORTS keeps nothing above MAX_PORTS,
-    where one label-only basis alone holds O(n^2) labels."""
+    where the label arrays of one first-only basis alone hold O(n^2) entries."""
     def decorate(fn: Callable) -> Callable:
         cached = lru_cache(maxsize=None)(fn)
 
@@ -228,43 +195,44 @@ def cached_up_to_max_ports(ports: Callable) -> Callable:
     return decorate
 
 
-def _multiplets(n: int, first_only: bool, vectors: bool) -> list[tuple]:
-    """Every multiplet of n qubits as (jj, kind, alpha, vectors by mm), in
-    column order; the vectors are None unless ``vectors`` is set."""
-    groups: dict[int, list] = {1: [(Kind.UNSPLIT, 1, {-1: _E0, 1: _E1} if vectors else None)]}
-    for level in range(2, n + 1):
-        nxt: dict[int, list] = {}
-        dim = 2 ** level
-        for jj in range(level % 2, level + 1, 2):
-            mults = []
-            for kind, jj_parent in ((Kind.I, jj + 1), (Kind.II, jj - 1)):
-                parents = groups.get(jj_parent, ())[:1 if first_only else None]
-                for alpha, (_, _, parent) in enumerate(parents, start=1):
-                    vecs = None if parent is None else _couple(parent, jj, jj_parent, dim)
-                    mults.append((kind, alpha, vecs))
-            if mults:
-                nxt[jj] = mults
-        groups = nxt
-    return [(jj, kind, alpha, vecs) for jj in sorted(groups) for kind, alpha, vecs in groups[jj]]
+def held_multiplets(n: int, ss: int, first_only: bool) -> int:
+    """How many multiplets of spin ss of the first n - 1 qubits the basis of
+    n qubits couples each child spin jj = ss +- 1 from."""
+    if first_only:  # without the factorials of degeneracy: 20 us each at 500 ports
+        return int(0 <= ss < n and (n - 1 - ss) % 2 == 0)
+    return degeneracy(n - 1, ss)
+
+
+def _runs(counts) -> np.ndarray:
+    """0, 1, .., c - 1 for each count c, concatenated."""
+    counts = np.asarray(counts)
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 @cached_up_to_max_ports(lambda n: n)
 def build_spin_basis(n: int, first_only: bool = False) -> SpinBasis:
     """Construct the coupled spin basis of n qubits.
 
-    Within each jj the Kind.I multiplets come first, each kind ordered by the
-    parent multiplet it was coupled from; columns are ordered by ascending jj,
-    then multiplet, then ascending mm.
+    Columns are ordered by ascending jj, then parent (jj + 1 before jj - 1),
+    then alpha, then ascending mm; the labels are built in closed form, with
+    degeneracy(n - 1, parent) multiplets per (jj, parent).
 
-    With ``first_only`` each level keeps just the alpha = 1 multiplet of each
-    (jj, kind): Kind.I from the first parent at jj + 1, Kind.II from the first
-    at jj - 1.  Its columns are exactly the alpha = 1 columns of the full
-    basis, O(n^2) labels, so n may reach MAX_PRODUCT_PORTS; the full basis
-    has 2^n labels and stops at MAX_PORTS.  Only the labels are built here,
-    the vectors on first use of ``SpinBasis.u``.
+    With ``first_only`` each (jj, parent) keeps just its alpha = 1 multiplet.
+    Its columns are exactly the alpha = 1 columns of the full basis, O(n^2)
+    of them, so n may reach MAX_PRODUCT_PORTS; the full basis has 2^n columns
+    and stops at MAX_PORTS.  Only the labels are built here, the vectors on
+    first use of ``SpinBasis.u``.
     """
     check_port_count(n, MAX_PRODUCT_PORTS if first_only else MAX_PORTS)
-    labels = tuple(SpinLabel(n, jj, mm, kind, alpha)
-                   for jj, kind, alpha, _ in _multiplets(n, first_only, vectors=False)
-                   for mm in range(-jj, jj + 1, 2))
-    return SpinBasis(n=n, first_only=first_only, labels=labels)
+    # one entry per multiplet
+    jj = np.repeat(np.arange(n % 2, n + 1, 2), 2)
+    parent = jj + np.tile([1, -1], jj.size // 2)
+    count = [held_multiplets(n, ss, first_only) for ss in parent.tolist()]
+    jj, parent, alpha = np.repeat(jj, count), np.repeat(parent, count), _runs(count) + 1
+    # one entry per column, mm ascending within each multiplet
+    width = jj + 1
+    jj, parent, alpha = (np.repeat(x, width) for x in (jj, parent, alpha))
+    mm = 2 * _runs(width) - jj
+    for x in (jj, mm, parent, alpha):
+        x.setflags(write=False)
+    return SpinBasis(n, first_only, jj, mm, parent, alpha)

@@ -5,7 +5,7 @@ import pytest
 
 from pbtsim.linalg import permute_qubits
 from pbtsim.resources import FullResource, reduce_full
-from pbtsim.spin import Kind, build_spin_basis, rho_eigenvalue
+from pbtsim.spin import build_spin_basis, rho_eigenvalue
 
 
 def symmetrize(full: FullResource) -> FullResource:
@@ -56,16 +56,16 @@ def symmetric_reduced():
 
 def rho_eigenbasis(n: int):
     """Eigenbasis of rho = sum_i sigma_i on n ports plus C, as
-    ``(labels, eigenvalues, u)`` with the eigenvectors as the columns of u.
+    ``(basis, eigenvalues, u)`` with the eigenvectors as the columns of u.
 
-    It is the coupled basis of n + 1 qubits with C coupled last: a Kind.II
-    label at jj aligns C with n-qubit spin jj - 1, a Kind.I label
-    anti-aligns it with spin jj + 1.
+    It is the coupled basis of n + 1 qubits with C coupled last, so each
+    column's parent is the n-qubit spin: a column with parent = jj - 1
+    aligns C with it, one with parent = jj + 1 anti-aligns it.
     """
     basis = build_spin_basis(n + 1)
-    eigenvalues = np.array([rho_eigenvalue("-", lab.jj - 1, n) if lab.kind is Kind.II
-                            else rho_eigenvalue("+", lab.jj + 1, n) for lab in basis.labels])
-    return basis.labels, eigenvalues, basis.u
+    eigenvalues = np.array([rho_eigenvalue("-" if parent < jj else "+", parent, n)
+                            for jj, parent in zip(basis.jj.tolist(), basis.parent.tolist())])
+    return basis, eigenvalues, basis.u
 
 
 def random_choi(rng: np.random.Generator) -> np.ndarray:
@@ -80,12 +80,10 @@ def random_choi(rng: np.random.Generator) -> np.ndarray:
     return c
 
 
-def total_spin_multiplets(m: int) -> dict:
-    """Multiplet counts of m qubits by dense diagonalisation of the total spin.
-
-    Independent of the package's combinatorial formula: builds J^2 from the
-    one-qubit spin operators and bins its eigenvalues j(j+1).
-    """
+def total_spin(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Total J^2 and J_z of m qubits, built densely from the one-qubit spin
+    operators, independent of the package's recursion.  Here |0> has
+    S_z = +1/2; the package's labels give |0> the projection -1/2."""
     sx = np.array([[0, 1], [1, 0]], dtype=complex) / 2
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex) / 2
     sz = np.array([[1, 0], [0, -1]], dtype=complex) / 2
@@ -99,12 +97,27 @@ def total_spin_multiplets(m: int) -> dict:
                 op = np.kron(op, comp if slot == q else np.eye(2))
             total += op
         j2 += total @ total
-    eigs = np.linalg.eigvalsh(j2)
+    return j2, total
+
+
+def total_spin_multiplets(m: int) -> dict:
+    """Multiplet counts of m qubits by dense diagonalisation of the total spin.
+
+    Independent of the package's combinatorial formula: bins the eigenvalues
+    j(j+1) of ``total_spin``'s J^2.
+    """
+    eigs = np.linalg.eigvalsh(total_spin(m)[0])
     counts: dict[int, int] = {}
     for e in eigs:
         jj = round(np.sqrt(4 * e + 1) - 1)  # j(j+1) = e  ->  2j = sqrt(4e+1) - 1
         counts[jj] = counts.get(jj, 0) + 1
     return {jj: c // (jj + 1) for jj, c in counts.items()}
+
+
+def column_index(basis) -> dict:
+    """Column of each (jj, mm, parent, alpha) label of a spin basis."""
+    labels = zip(*(x.tolist() for x in (basis.jj, basis.mm, basis.parent, basis.alpha)))
+    return {label: k for k, label in enumerate(labels)}
 
 
 @pytest.fixture(scope="session")

@@ -508,6 +508,17 @@ class TestAlternateTable:
             assert max(abs(v.x - x), abs(v.y - y), abs(v.z - z)) <= 1e-14
             assert max(abs(d.dy_da - dy), abs(d.dz_da - dz)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1030, 1100, 1500])
+    def test_no_overflow_past_a_thousand_ports(self, n):
+        # the binomial weights pass 1e308 at about 1020 ports
+        got = analysis.alternate_choi(n, 0.5)
+        assert max_abs(got, analysis.depolarizing_choi(analysis.xi(n))) <= 1e-12
+        for a in (0.0, 0.3, 0.7, 1.0):
+            assert np.isfinite(list(vars(analysis.alternate_xyz(n, a)).values())).all()
+        # the derivatives are singular at a = 0 and 1
+        for a in (0.3, 0.7):
+            assert np.isfinite(list(vars(analysis.alternate_derivatives(n, a)).values())).all()
+
 
 class TestAlternateKnownPoint:
     def test_reachable_range_starts_at_xi(self):

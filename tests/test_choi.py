@@ -10,9 +10,9 @@ from pbtsim.linalg import max_abs, partial_trace_qubits
 from pbtsim.oracle import oracle_choi
 from pbtsim.resources import (AdChoi, Alternate, Bell, ReducedResource,
                               make_family, reduce_full, to_spin_coefficients)
-from pbtsim.spin import Kind, SpinLabel, build_spin_basis, degeneracy
+from pbtsim.spin import build_spin_basis, degeneracy
 
-from conftest import random_symmetric_resource
+from conftest import column_index, random_symmetric_resource
 
 
 def full_basis_choi(reduced: ReducedResource) -> np.ndarray:
@@ -51,18 +51,18 @@ class TestMeasurementRows:
         assert first_w.sum() == pytest.approx(full_w.sum(), abs=1e-12)
 
     def test_labels_outside_basis_are_skipped(self):
-        # n = 2, ss = 1, mm = 1: the Kind.I label (jj, mm) = (0, 2) does not
-        # exist, so the top row holds only the Kind.II entry at (2, 2)
+        # n = 2, ss = 1, mm = 1: the label (jj, mm) = (0, 2) coupled from
+        # spin 1 does not exist, so the top row holds only the entry at (2, 2)
         basis = build_spin_basis(2)
+        index = column_index(basis)
         rows, _ = measurement_rows(basis)
         top = rows.coefs[4 + 1][0]
-        k = basis.index[SpinLabel(2, 2, 2, Kind.II, 1)]
+        k = index[2, 2, 1, 1]
         assert np.count_nonzero(top) == 1
         assert rows.cols[4 + 1][top != 0] == [k]
         assert top[top != 0] == [-qr_coeffs(1, 1, 2).r_plus]
         # the missing entry repeats a column the pair holds
-        held = {basis.index[SpinLabel(2, jj, mm, kind, 1)]
-                for jj, mm, kind in ((2, 2, Kind.II), (0, 0, Kind.I), (2, 0, Kind.II))}
+        held = {index[jj, mm, 1, 1] for jj, mm in ((2, 2), (0, 0), (2, 0))}
         assert set(rows.cols[4 + 1].tolist()) == held
 
 
@@ -77,7 +77,7 @@ class TestGSum:
     def test_zero_table_is_exact_zero(self):
         for first_only in (False, True):
             basis = build_spin_basis(4, first_only=first_only)
-            width = len(basis.labels)
+            width = len(basis)
             got = g_sum(*measurement_rows(basis), np.zeros((width, width), dtype=complex))
             assert np.array_equal(got, np.zeros((2, 2)))
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +11,9 @@ from pbtsim.resources import (AdChoi, Alternate, Bell, FromFile, FullResource,
                               load_resource, make_family, port_state,
                               reduce_full, reduced_port_state, save_resource,
                               to_spin_coefficients, trace_to_first_port)
-from pbtsim.spin import Kind, build_spin_basis
+from pbtsim.spin import build_spin_basis
 
-from conftest import random_density, random_symmetric_resource, symmetrize
+from conftest import column_index, random_density, random_symmetric_resource, symmetrize
 
 
 class TestPortStates:
@@ -99,9 +98,9 @@ class TestSpinCoefficients:
         # such multiplets, and every alpha repeats the alpha = 1 sub-table
         basis = build_spin_basis(red.n)
         coeffs = to_spin_coefficients(red, basis)
-        alpha = np.array([lab.alpha for lab in basis.labels])
-        parent = np.array([lab.jj + (1 if lab.kind == Kind.I else -1) for lab in basis.labels])
-        first = np.array([basis.index[replace(lab, alpha=1)] for lab in basis.labels])
+        alpha, parent = basis.alpha, basis.parent
+        index = column_index(basis)
+        first = np.array([index[label[:3] + (1,)] for label in index])
         same = (alpha[:, None] == alpha[None, :]) & (parent[:, None] == parent[None, :])
         for tag in TAGS:
             t = coeffs.tables[tag]
@@ -123,17 +122,17 @@ class TestSpinCoefficients:
         basis = build_spin_basis(n)
         table = to_spin_coefficients(make_family(Bell(), n), basis).tables["11"]
         scale = 1.0 / 2 ** n
-        for k, lab in enumerate(basis.labels):
-            if lab.kind == Kind.I:
-                want = ((lab.jj - lab.mm) / 2 + 1) / (lab.jj + 2) * scale
+        index = column_index(basis)
+        for (jj, mm, parent, alpha), k in index.items():
+            if parent == jj + 1:
+                want = ((jj - mm) / 2 + 1) / (jj + 2) * scale
                 assert abs(table[k, k] - want) <= 1e-13
-                cross = -math.sqrt(((lab.jj - lab.mm) / 2 + 1) * ((lab.jj + lab.mm) / 2 + 1)) \
-                    / (lab.jj + 2) * scale
-                partner = basis.index[replace(lab, jj=lab.jj + 2, kind=Kind.II)]
+                cross = -math.sqrt(((jj - mm) / 2 + 1) * ((jj + mm) / 2 + 1)) / (jj + 2) * scale
+                partner = index[jj + 2, mm, parent, alpha]
                 assert abs(table[k, partner] - cross) <= 1e-13
                 assert abs(table[partner, k] - cross) <= 1e-13
             else:
-                want = (lab.jj + lab.mm) / 2 / lab.jj * scale if lab.jj else 0.0
+                want = (jj + mm) / 2 / jj * scale if jj else 0.0
                 assert abs(table[k, k] - want) <= 1e-13
 
     def test_hermiticity_between_tables(self, rng):

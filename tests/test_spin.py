@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from pbtsim import spin
 from pbtsim.oracle import build_povm
-from pbtsim.spin import Kind, build_spin_basis, clebsch_gordan, degeneracy, rho_eigenvalue
+from pbtsim.spin import build_spin_basis, clebsch_gordan, degeneracy, rho_eigenvalue
 
-from conftest import rho_eigenbasis, total_spin_multiplets
+from conftest import rho_eigenbasis, total_spin, total_spin_multiplets
 
 
 class TestClebschGordan:
@@ -81,12 +82,13 @@ class TestSpinBasis:
     def test_single_qubit_is_identity(self):
         basis = build_spin_basis(1)
         np.testing.assert_allclose(basis.u, np.eye(2), atol=1e-15)
-        assert basis.labels[0].mm == -1  # |0> carries m = -1/2
+        assert basis.mm[0] == -1  # |0> carries m = -1/2
 
     def test_two_qubit_basis_explicit(self):
         basis = build_spin_basis(2)
-        keys = [(l.jj, l.mm, l.kind) for l in basis.labels]
-        assert keys == [(0, 0, Kind.I), (2, -2, Kind.II), (2, 0, Kind.II), (2, 2, Kind.II)]
+        keys = list(zip(basis.jj.tolist(), basis.mm.tolist(), basis.parent.tolist(),
+                        basis.alpha.tolist()))
+        assert keys == [(0, 0, 1, 1), (2, -2, 1, 1), (2, 0, 1, 1), (2, 2, 1, 1)]
         s = 1 / math.sqrt(2)
         expected = np.array([
             [0, 1, 0, 0],
@@ -104,15 +106,16 @@ class TestSpinBasis:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_label_counts(self, n):
         basis = build_spin_basis(n)
-        assert len(basis.labels) == 2 ** n
+        assert len(basis) == 2 ** n
         for jj in range(n % 2, n + 1, 2):
             for mm in range(-jj, jj + 1, 2):
-                count = sum(1 for l in basis.labels if l.jj == jj and l.mm == mm)
-                assert count == degeneracy(n, jj)
-                kind_i = sum(1 for l in basis.labels
-                             if l.jj == jj and l.mm == mm and l.kind == Kind.I)
-                if n > 1:
-                    assert kind_i == degeneracy(n - 1, jj + 1)
+                here = (basis.jj == jj) & (basis.mm == mm)
+                assert np.count_nonzero(here) == degeneracy(n, jj)
+                # coupled from spin jj + 1; one qubit couples from spin 0 only
+                from_above = np.count_nonzero(here & (basis.parent == jj + 1))
+                assert from_above == degeneracy(n - 1, jj + 1)
+                from_below = np.count_nonzero(here & (basis.parent == jj - 1))
+                assert from_below == degeneracy(n - 1, jj - 1)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_first_only_sizes(self, n):
@@ -126,8 +129,34 @@ class TestSpinBasis:
     def test_first_only_columns_are_alpha_one(self, n):
         full = build_spin_basis(n)
         first = build_spin_basis(n, first_only=True)
-        assert [lab for lab in full.labels if lab.alpha == 1] == list(first.labels)
-        assert np.array_equal(full.u[:, [full.index[lab] for lab in first.labels]], first.u)
+        keep = full.alpha == 1
+        for name in ("jj", "mm", "parent", "alpha"):
+            assert np.array_equal(getattr(full, name)[keep], getattr(first, name))
+        assert full.u[:, keep].tobytes() == first.u.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("first_only", [False, True])
+    def test_columns_are_total_spin_eigenvectors(self, n, first_only):
+        # against dense J^2 and J_z, which have |0> at S_z = +1/2 where the
+        # labels have mm = -1
+        basis = build_spin_basis(n, first_only=first_only)
+        j2, jz = total_spin(n)
+        j = basis.jj / 2
+        np.testing.assert_allclose(j2 @ basis.u, basis.u * (j * (j + 1)), atol=1e-12)
+        np.testing.assert_allclose(jz @ basis.u, basis.u * (-basis.mm / 2), atol=1e-12)
+
+    def test_vectors_keep_no_lower_level(self, monkeypatch):
+        # the recursion reads the lower levels' labels and builds none of
+        # their vectors
+        build, made = build_spin_basis.__wrapped__, []
+
+        def fresh(level, first_only=False):
+            made.append(build(level, first_only))
+            return made[-1]
+
+        monkeypatch.setattr(spin, "build_spin_basis", fresh)
+        assert fresh(8).u.shape == (256, 256)
+        assert not any("u" in vars(basis) for basis in made[1:])
 
     def test_port_count_bounds(self):
         with pytest.raises(ValueError):
@@ -155,18 +184,18 @@ class TestRhoEigenvectors:
         # rho = n/4 - S_C . S_ports: the spin Casimirs of C, the n ports (jp)
         # and all n + 1 qubits (j) fix each eigenvalue
         for n in (2, 3, 4):
-            labels, eig, _ = rho_eigenbasis(n)
-            for lab, value in zip(labels, eig):
-                j = lab.jj / 2
-                jp = j + 0.5 if lab.kind is Kind.I else j - 0.5
+            basis, eig, _ = rho_eigenbasis(n)
+            for jj, parent, value in zip(basis.jj, basis.parent, eig):
+                j = jj / 2
+                jp = parent / 2
                 assert value == pytest.approx(n / 4 - (j * (j + 1) - jp * (jp + 1) - 0.75) / 2,
                                               abs=1e-14)
 
     def test_kernel_family(self):
         n = 3
-        labels, eig, u = rho_eigenbasis(n)
+        basis, eig, u = rho_eigenbasis(n)
         kernel = [k for k, value in enumerate(eig) if value == 0.0]
-        assert all(labels[k].jj == n + 1 and labels[k].kind == Kind.II
-                   and labels[k].alpha == 1 for k in kernel)
+        assert all(basis.jj[k] == n + 1 and basis.parent[k] == n
+                   and basis.alpha[k] == 1 for k in kernel)
         assert len(kernel) == n + 2
         assert np.max(np.abs(build_povm(n).rho @ u[:, kernel])) <= 1e-12
