@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import herm_defect, partial_trace_qubits
+from .linalg import dag, herm_defect, partial_trace_qubits
 from .resources import (TAGS, ProductResource, ReducedResource, SpinCoefficients,
                         to_spin_coefficients)
 from .spin import (SpinBasis, build_spin_basis, cached_up_to_max_ports, degeneracy,
@@ -165,8 +165,9 @@ def assemble_choi(coeffs: SpinCoefficients) -> np.ndarray:
     """Choi matrix of the simulated channel from spin-basis coefficient tables.
 
     Entry (idler a, output i; idler b, output j) is entry (a, b) of the
-    measurement sum over the block table R^{i+1, j+1}; the lower triangle is
-    set to the conjugate of the upper.
+    measurement sum over the block table R^{i+1, j+1}, turned back on the
+    idler if the tables are of a turned resource (``SpinCoefficients.frame``);
+    the lower triangle is set to the conjugate of the upper.
     """
     if coeffs.n < 2:
         raise ValueError("at least two ports are required")
@@ -174,6 +175,9 @@ def assemble_choi(coeffs: SpinCoefficients) -> np.ndarray:
     sums = [g_sum(rows, weights, coeffs.tables[tag]) for tag in TAGS]
     # sums[2i + j][a, b] -> c[2a + i, 2b + j]
     c = np.array(sums).reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
+    if coeffs.frame is not None:
+        turn = np.kron(coeffs.frame.T, np.eye(2))
+        c = turn @ c @ dag(turn)
     c[_LOWER] = c.T[_LOWER].conj()
     return c
 

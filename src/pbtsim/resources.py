@@ -24,10 +24,10 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import xlogy
 
 from .linalg import dag, herm_defect, kron_power, max_abs, partial_trace_qubits, permute_qubits
-from .spin import MAX_PRODUCT_PORTS, SpinBasis, cached_up_to_max_ports, check_port_count
+from .spin import MAX_PRODUCT_PORTS, SpinBasis, check_port_count
 
 TAGS = ("11", "12", "21", "22")
 
@@ -311,27 +311,44 @@ class SpinCoefficients:
     """Resource blocks in the coupled spin basis: ``tables[tag]`` is
     u^T R^tag u over the columns of ``basis``, read as ``table[i, j]`` with
     integer index arrays.  It is a dense array after the congruence, or a
-    ``ProductTable`` for a product resource."""
+    ``ProductTable`` for a product resource.  ``frame`` is None, or the
+    unitary V that turned the sender qubit of every port: the tables are then
+    those of the turned resource, and ``assemble_choi`` turns its Choi matrix
+    back by (V^T (x) 1) . (V^T (x) 1)^dag."""
 
     n: int
     basis: SpinBasis
     tables: dict
+    frame: np.ndarray | None = None
 
 
 def to_spin_coefficients(reduced: ReducedResource | ProductResource,
                          basis: SpinBasis) -> SpinCoefficients:
     """Spin tables by Schur-Weyl duality from the port of a product resource,
-    else by the dense congruence u^T R u of the reduced blocks."""
+    turned into the eigenframe of its A marginal, else by the dense
+    congruence u^T R u of the reduced blocks."""
     if basis.n != reduced.n:
         raise ValueError(f"basis is for n={basis.n}, resource for n={reduced.n}")
     if isinstance(reduced, ProductResource):
         if reduced.n < 2:
             raise ValueError("at least two ports are required")
         t = _port_blocks(reduced.port)
-        entries = _ProductEntries(basis, _sym_band(t[(0, 0)] + t[(1, 1)], reduced.n))
+        marginal = t[(0, 0)] + t[(1, 1)]
+        if herm_defect(marginal) > FILE_ATOL:
+            raise ValueError("the port's sender marginal is not Hermitian")
+        frame = None
+        if marginal[0, 1] == 0 and marginal[1, 0] == 0:  # every built-in family
+            eig = marginal.diagonal().real
+        else:
+            eig, q = np.linalg.eigh(marginal)
+            frame = dag(q)
+            t = {key: frame @ blk @ q for key, blk in t.items()}
+        if eig.min() < -FILE_ATOL:
+            raise ValueError("the port's sender marginal is not positive semidefinite")
+        entries = _ProductEntries(basis, *np.maximum(eig, 0))
         tables = {f"{i + 1}{j + 1}": ProductTable(entries, t[(i, j)])
                   for i in (0, 1) for j in (0, 1)}
-        return SpinCoefficients(reduced.n, basis, tables)
+        return SpinCoefficients(reduced.n, basis, tables, frame)
     u = basis.u
     tables = {}
     for tag in TAGS:
@@ -343,15 +360,21 @@ def to_spin_coefficients(reduced: ReducedResource | ProductResource,
 
 @dataclass(frozen=True, eq=False)
 class ProductTable:
-    """The spin table u^T (M^(x)(n-1) (x) t) u of a product resource, read
-    entrywise as ``table[i, j]`` with integer index arrays.
+    """The spin table u^T (M^(x)(n-1) (x) t) u of a product resource whose
+    port has the diagonal A marginal M = diag(m0, m1), read entrywise as
+    ``table[i, j]`` with integer index arrays; t is one conditional port
+    block.
 
-    M is the port's A marginal and t one conditional port block.  Column c
-    couples A_1 to multiplet alpha of spin ss of A_n..A_2 (``SpinBasis.parents``).
-    There M^(x)(n-1) acts as det(M)^((n-1-ss)/2) Sym^ss(M) in the Dicke
-    basis (Schur-Weyl duality for GL(2)), and it links no two multiplets, so
-    an entry is a sum over the bits b, b' of A_1 of t[b, b'] times
-    ``entries`` (shared by the four tables of one resource).
+    Any port can be turned into that frame, the eigenframe of its marginal:
+    the square-root measurement commutes with U^(x)(n+1) on the sender
+    qubits and C (SU(2) covariance), so turning the sender qubit of every
+    port by one unitary V only composes the channel with V . V^dag on its
+    input, which ``SpinCoefficients.frame`` undoes exactly.  Column c
+    couples A_1 to multiplet alpha of spin ss of A_n..A_2
+    (``SpinBasis.parents``), and a diagonal M^(x)(n-1) keeps every
+    multiplet and every projection, so an entry is a sum over the bits b, b'
+    of A_1 of t[b, b'] times ``entries`` (shared by the four tables of one
+    resource).
     """
 
     entries: _ProductEntries
@@ -362,19 +385,25 @@ class ProductTable:
 
 
 class _ProductEntries:
-    """cg_i[b] cg_j[b'] <ss; pos_i[b]| det(M)^(..) Sym^ss(M) |ss; pos_j[b']>
-    for table entries (i, j) of one multiplet, 0 between multiplets.
-
-    ``band`` holds the five central diagonals of each det(M)^(..) Sym^ss(M)
-    (``_sym_band``): every entry the measurement rows read, which pair
-    projections at most 2 apart.  Other entries of one multiplet raise
-    ValueError.  The last index asked for is remembered, so the four tables
-    of a resource read one gather.
+    """cg_i[b] cg_j[b'] <ss; pos_i[b]| M^(x)(n-1) |ss; pos_j[b']> for table
+    entries (i, j), M = diag(m0, m1): 0 between multiplets and between
+    projections, else det(M)^((n-1-ss)/2) m1^pos m0^(ss-pos): M^(x)(n-1) is
+    diagonal, and a parent state at pos has (n-1-ss)/2 + pos of its n - 1
+    qubits in |1>.  The last index asked for is remembered, so the four
+    tables of a resource read one gather.
     """
 
-    def __init__(self, basis: SpinBasis, band: np.ndarray):
+    def __init__(self, basis: SpinBasis, m0: float, m1: float):
         self.basis = basis
-        self.band = band
+        n = basis.n
+        ss = np.arange((n - 1) % 2, n, 2)[:, None]
+        # column pos + 1 for pos = -1..n; pos outside 0..ss, where cg is 0,
+        # reads the finite weight at the nearest end
+        k = np.clip(np.arange(-1, n + 1), 0, ss)
+        log_weight = xlogy(k, m1) + xlogy(ss - k, m0) + xlogy((n - 1 - ss) / 2, m0 * m1)
+        # the complex exp rounds as libm does; numpy's vectorised real exp
+        # can differ in the last bit, and with it a printed Kraus digit
+        self.weight = np.exp(log_weight + 0j)
         self._last: tuple = (None, None)
 
     def at(self, index) -> np.ndarray:
@@ -385,80 +414,10 @@ class _ProductEntries:
     def _gather(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         b = self.basis
         pos, cg = b.parents
-        same = (b.parent[i] == b.parent[j]) & (b.alpha[i] == b.alpha[j])
         pos_i, pos_j = pos[i][..., :, None], pos[j][..., None, :]
-        if (same & (np.abs(pos_i[..., 0, 0] - pos_j[..., 0, 0]) > 1)).any():
-            raise ValueError("a product table holds only entries at projections at most 2 apart")
-        # the flattened band; where a parent state does not exist cg is 0, so
-        # any entry read there will do
-        row = (b.parent[i] // 2 * self.band.shape[1])[..., None, None] + pos_i
-        e = np.take(self.band, 5 * row + pos_j - pos_i + 2, mode="clip")
-        return np.where(same[..., None, None], cg[i][..., :, None] * cg[j][..., None, :] * e, 0)
-
-
-@cached_up_to_max_ports(lambda n: n)
-def _band_layout(n: int, zero: tuple) -> tuple:
-    """The terms of ``_sym_band`` for n ports and the zero pattern of M
-    (M11, M10, M01, M00 == 0).
-
-    Returns (target, entry, powers, lam, log_binom): the flat band index of
-    each band entry, and per term the entry it adds to, the powers of
-    M11, M10, M01, M00, the det power (n-1-ss)/2, and the log of its
-    binomial factors.  A zero entry of M carries power 0 in every term, so
-    for a diagonal M (every built-in family) only j = k = l remains, about
-    n^2/4 terms; a general M has O(n^3).
-    """
-    ss, k, d = (x.ravel() for x in np.meshgrid(np.arange((n - 1) % 2, n, 2), np.arange(n),
-                                                np.arange(-2, 3), indexing="ij"))
-    lo = np.maximum(0, 2 * k + d - ss)
-    hi = np.minimum(k, k + d)
-    z11, z10, z01, z00 = zero
-    if z10:
-        lo = np.maximum(lo, k)
-    if z01:
-        lo = np.maximum(lo, k + d)
-    if z11:
-        hi = np.minimum(hi, 0)
-    if z00:
-        hi = np.minimum(hi, 2 * k + d - ss)
-    keep = (k <= ss) & (k + d >= 0) & (k + d <= ss) & (hi >= lo)
-    ss, k, l, lo, count = ss[keep], k[keep], k[keep] + d[keep], lo[keep], (hi - lo + 1)[keep]
-    target = 5 * ((ss // 2) * (n + 1) + k) + (l - k) + 2
-    entry = np.repeat(np.arange(target.size), count)
-    j = lo[entry] + np.arange(entry.size) - (np.cumsum(count) - count)[entry]
-    ss, k, l = ss[entry], k[entry], l[entry]
-    powers = np.stack([j, k - j, l - j, ss - k - l + j], axis=1).astype(float)
-    log_fact = gammaln(np.arange(n + 1) + 1.0)
-
-    def log_comb(a, b):
-        return log_fact[a] - log_fact[b] - log_fact[a - b]
-
-    log_binom = log_comb(k, j) + log_comb(ss - k, l - j) + 0.5 * (log_comb(ss, k) - log_comb(ss, l))
-    return target, entry, powers, (n - 1 - ss) / 2, log_binom
-
-
-def _sym_band(m: np.ndarray, n: int) -> np.ndarray:
-    """det(M)^((n-1-ss)/2) Sym^ss(M) for each spin ss of n - 1 qubits, on its
-    five central diagonals: entry [ss // 2, k, d + 2] links the normalised
-    Dicke states with k and k + d ones, 0 where k + d leaves 0..ss.
-
-    Sym^ss(M)[k, l] = sqrt(C(ss, k) / C(ss, l)) sum_j C(k, j) C(ss - k, l - j)
-    M11^j M10^(k-j) M01^(l-j) M00^(ss-k-l+j).  Each term, with the det power,
-    is summed as exp(log magnitude + i phase), so no binomial or power
-    overflows at large n.
-    """
-    entries = m[[1, 1, 0, 0], [1, 0, 1, 0]]  # M11, M10, M01, M00
-    zero = entries == 0
-    log_abs = np.log(np.abs(entries), where=~zero, out=np.zeros(4))
-    arg = np.angle(entries)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    target, entry, powers, lam, log_binom = _band_layout(n, tuple(zero.tolist()))
-    terms = np.exp(log_binom + powers @ log_abs + xlogy(lam, abs(det))
-                   + 1j * (powers @ arg + lam * np.angle(det)))
-    band = np.zeros(((n - 1) // 2 + 1) * (n + 1) * 5, dtype=complex)
-    band[target] = (np.bincount(entry, terms.real, target.size)
-                    + 1j * np.bincount(entry, terms.imag, target.size))
-    return band.reshape((n - 1) // 2 + 1, n + 1, 5)
+        same = ((b.parent[i] == b.parent[j]) & (b.alpha[i] == b.alpha[j]))[..., None, None]
+        w = self.weight[(b.parent[i] // 2)[..., None, None], pos_i + 1]
+        return np.where(same & (pos_i == pos_j), cg[i][..., :, None] * cg[j][..., None, :] * w, 0)
 
 
 # ----------------------------------------------------------------------------

@@ -42,10 +42,9 @@ import numpy as np
 #: 4 GiB at 13
 MAX_PORTS = 12
 #: cap on product resources, which build no 2^n array: their label-only
-#: basis grows as n^2.  A diagonal port marginal (every built-in family) gives
-#: about n^2/4 terms of Sym^ss, and one Choi matrix at 500 ports takes about
-#: 1.2 s and 0.35 GB; a general marginal gives O(n^3) terms, all held at once:
-#: 0.7 s and 0.3 GB at 200 ports, about 3 GB at 500 (one BLAS thread)
+#: basis and measurement rows grow as n^2.  One Choi matrix, for any port,
+#: takes about 0.1 s and 0.1 GB at 200 ports and 0.5 s and 0.25 GB at 500
+#: (peak RSS, one BLAS thread)
 MAX_PRODUCT_PORTS = 500
 
 

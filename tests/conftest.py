@@ -1,5 +1,11 @@
 """Shared helpers: random resources, random channels, and independent oracles."""
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,6 +33,20 @@ def symmetrize(full: FullResource) -> FullResource:
             acc += permute_qubits(rho, perm + [n + q for q in perm])
         rho = acc / (m + 1)
     return FullResource(n=n, rho_ab=rho)
+
+
+def run_python(*argv, memory_bytes=None):
+    """Python on the package sources in a child process, one BLAS thread, with a
+    time limit and, if given, an address-space cap."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (memory_bytes, memory_bytes))
+
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=120, preexec_fn=None if memory_bytes is None else cap)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,9 +1,3 @@
-import os
-import resource
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -12,10 +6,7 @@ from pbtsim.analysis import depolarizing_choi, pbt_ad_choi, xi
 from pbtsim.resources import AdChoi, FullResource, ReducedResource, make_family, save_resource
 from pbtsim.spin import MAX_PRODUCT_PORTS
 
-from conftest import random_density
-
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+from conftest import random_density, run_python
 
 
 def run_cli(capsys, *argv):
@@ -26,15 +17,7 @@ def run_cli(capsys, *argv):
 
 def run_cli_process(*argv, memory_bytes=None):
     """The CLI in a child process with a time limit and, if given, an address-space cap."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (memory_bytes, memory_bytes))
-
-    return subprocess.run([sys.executable, "-m", "pbtsim.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120,
-                          preexec_fn=None if memory_bytes is None else cap)
+    return run_python("-m", "pbtsim.cli", *argv, memory_bytes=memory_bytes)
 
 
 class TestSimpleCommands:

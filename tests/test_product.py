@@ -3,24 +3,23 @@ duality, checked against the dense congruence, the dense oracle and the
 basis-free closed forms.
 
 The built-in families all have a diagonal port marginal, so random general
-two-qubit ports (complex, non-diagonal marginal, entangled) exercise the
-off-diagonal band of Sym^ss(M).
+two-qubit ports (complex, non-diagonal marginal, entangled) and turned
+built-in ports exercise the turn into the eigenframe of the marginal.
 """
 
 import numpy as np
 import pytest
 
-from pbtsim import resources
 from pbtsim.analysis import alternate_choi, depolarizing_choi, pbt_ad_choi, xi
 from pbtsim.choi import check_choi, choi_from_reduced, measurement_rows
-from pbtsim.linalg import max_abs
+from pbtsim.linalg import dag, max_abs
 from pbtsim.oracle import oracle_choi
 from pbtsim.resources import (TAGS, AdChoi, Alternate, Bell, FromFile, ProductResource,
-                              make_family, reduced_from_port, save_resource,
+                              make_family, port_state, reduced_from_port, save_resource,
                               to_spin_coefficients)
 from pbtsim.spin import MAX_PORTS, MAX_PRODUCT_PORTS, build_spin_basis
 
-from conftest import random_density
+from conftest import random_density, run_python
 
 
 def random_port(seed: int) -> np.ndarray:
@@ -61,29 +60,74 @@ def test_closed_forms_beyond_dense_cap(n, family, closed):
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("first_only", [True, False])
 def test_tables_match_congruence_where_rows_read(n, first_only):
-    # every entry a measurement row pair reads, on the alpha = 1 basis and
-    # on the full basis (one parent multiplet per alpha)
+    # every entry within one parent multiplet, a superset of those the
+    # measurement rows read, on the alpha = 1 basis and on the full basis:
+    # the tables are of the port turned into the eigenframe of its marginal
     port = random_port(7 * n)
     basis = build_spin_basis(n, first_only=first_only)
     fast = to_spin_coefficients(ProductResource(n, port), basis)
-    dense = to_spin_coefficients(reduced_from_port(port, n), basis)
-    rows, _ = measurement_rows(basis)
-    i, j = rows.cols[:, :, None], rows.cols[:, None, :]
+    turn = np.kron(fast.frame, np.eye(2))
+    dense = to_spin_coefficients(reduced_from_port(turn @ port @ dag(turn), n), basis)
+    same = (basis.parent[:, None] == basis.parent) & (basis.alpha[:, None] == basis.alpha)
+    i, j = np.nonzero(same)
     for tag in TAGS:
         assert max_abs(fast.tables[tag][i, j], dense.tables[tag][i, j]) <= 1e-14
 
 
-def test_tables_vanish_between_multiplets_and_refuse_entries_off_the_band():
+def test_tables_vanish_between_multiplets():
     n = 5
     basis = build_spin_basis(n)
     table = to_spin_coefficients(ProductResource(n, random_port(3)), basis).tables["12"]
     i, j = np.meshgrid(np.arange(len(basis)), np.arange(len(basis)), indexing="ij")
     other = (basis.parent[i] != basis.parent[j]) | (basis.alpha[i] != basis.alpha[j])
     assert (table[i[other], j[other]] == 0).all()
-    top = np.flatnonzero((basis.jj == 5) & (basis.mm == 5))[0]
-    bottom = np.flatnonzero((basis.jj == 5) & (basis.mm == -5))[0]
-    with pytest.raises(ValueError, match="at most 2 apart"):
-        table[top, bottom]
+
+
+# a fixed generic sender unitary
+TURN, _ = np.linalg.qr(np.random.default_rng(17).normal(size=(2, 2))
+                       + 1j * np.random.default_rng(18).normal(size=(2, 2)))
+
+
+@pytest.mark.parametrize("n", [13, 50, 200, 500])
+@pytest.mark.parametrize("family, closed", [
+    (Bell(), lambda n: depolarizing_choi(xi(n))),
+    (AdChoi(0.3), lambda n: pbt_ad_choi(n, 0.3)),
+    (Alternate(0.7), lambda n: alternate_choi(n, 0.7)),
+    (Alternate(0.0), lambda n: alternate_choi(n, 0.0)),
+    (Alternate(1.0), lambda n: alternate_choi(n, 1.0)),
+], ids=["bell", "ad:0.3", "alternate:0.7", "alternate:0", "alternate:1"])
+def test_turned_ports_match_turned_closed_forms(n, family, closed):
+    # (W (x) 1) port (W (x) 1)^dag simulates the port's channel after
+    # W^dag . W on its input, by the SU(2) covariance of the measurement: an
+    # independent route for non-diagonal marginals beyond the dense cap
+    w = np.kron(TURN, np.eye(2))
+    c = choi_from_reduced(ProductResource(n, w @ port_state(family) @ dag(w)))
+    back = np.kron(TURN.conj(), np.eye(2))
+    assert max_abs(c, back @ closed(n) @ dag(back)) <= 1e-12
+
+
+@pytest.mark.parametrize("port, problem", [
+    (random_port(5) + 0.1 * np.eye(4, k=2), "not Hermitian"),  # the A marginal's (0, 1) alone
+    (np.diag([1.2, 0, -0.2, 0]).astype(complex), "not positive semidefinite"),
+], ids=["non-hermitian", "negative"])
+def test_rejects_a_port_with_a_bad_marginal(port, problem):
+    with pytest.raises(ValueError, match=f"sender marginal is {problem}"):
+        choi_from_reduced(ProductResource(20, port))
+
+
+def test_general_port_at_the_cap_within_one_gigabyte():
+    script = (
+        "import numpy as np\n"
+        "from pbtsim.choi import check_choi, choi_from_reduced\n"
+        "from pbtsim.resources import ProductResource\n"
+        "from pbtsim.spin import MAX_PRODUCT_PORTS\n"
+        "rng = np.random.default_rng(500)\n"
+        "g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))\n"
+        "port = g @ g.conj().T / np.trace(g @ g.conj().T)\n"
+        "check_choi(choi_from_reduced(ProductResource(MAX_PRODUCT_PORTS, port)))\n"
+    )
+    proc = run_python("-c", script, memory_bytes=10 ** 9)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_blocks_built_on_first_use_only():
@@ -118,7 +162,7 @@ def test_port_caps(tmp_path):
 
 
 def test_caches_keep_nothing_above_the_dense_cap():
-    caches = (build_spin_basis, measurement_rows, resources._band_layout)
+    caches = (build_spin_basis, measurement_rows)
     choi_from_reduced(make_family(Bell(), MAX_PORTS))
     choi_from_reduced(ProductResource(MAX_PORTS, random_port(1)))
     sizes = [cache.cache_info().currsize for cache in caches]
