@@ -8,9 +8,10 @@ The square-root measurement acts on the coupled spin basis of the n sender
 qubits through one real row pair G_k per stratum (``measurement_rows``): a
 kernel-sector pair per projection mm, then a bulk pair per total spin
 ss = 2s of the measured (n+1)-qubit system, projection and multiplet of the
-n-1 unkept ports, built from the overlap coefficients ``qr_coeffs``.  Each
-of the four conditional-block tables T gives one 2x2 sum
-sum_k w_k G_k T G_k^T (``g_sum``), and the four sums tile the Choi matrix.
+n-1 unkept ports, built from the overlap coefficients ``qr_coeffs``.  One
+sum sum_k w_k G_k T G_k^T (``g_sum``) over the resource's spin table T gives
+a 2x2 matrix for each of the four conditional blocks, and those tile the
+Choi matrix.
 The protocol's Kraus operators (``kraus.protocol_kraus``) are the same rows
 on the full basis.  Labels outside the basis contribute exactly 0, which
 covers the s = 0 stratum of odd n without special-casing.
@@ -24,8 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import dag, herm_defect, partial_trace_qubits
-from .resources import (TAGS, ProductResource, ReducedResource, SpinCoefficients,
-                        to_spin_coefficients)
+from .resources import ProductResource, ReducedResource, SpinCoefficients, to_spin_coefficients
 from .spin import (SpinBasis, build_spin_basis, cached_up_to_max_ports, degeneracy,
                    held_multiplets)
 
@@ -152,29 +152,31 @@ def measurement_rows(basis: SpinBasis) -> tuple[MeasurementRows, np.ndarray]:
 
 
 def g_sum(rows: MeasurementRows, weights: np.ndarray, table) -> np.ndarray:
-    """sum_k w_k G_k T G_k^T over the measurement rows G_k, a 2x2 matrix.
+    """sum_k w_k G_k T G_k^T over the measurement rows G_k.
 
     T is read only at the columns each row pair holds, as ``table[i, j]``
-    with integer index arrays: a dense array, or a ``ProductTable``.
+    with integer index arrays: a dense array, or a ``ProductTable``.  Axes
+    of T after the two column axes (the block pair of a resource's table)
+    come first in the result, then the 2x2 of the sum.
     """
-    sub = table[rows.pairs]
-    return np.einsum("k,kai,kbi->ab", weights, rows.coefs @ sub, rows.coefs)
+    # contiguous, so each leading index runs the products of a 2-D table, bit for bit
+    sub = np.ascontiguousarray(np.moveaxis(table[rows.pairs], (0, 1, 2), (-3, -2, -1)))
+    return np.einsum("k,...kai,kbi->...ab", weights, rows.coefs @ sub, rows.coefs)
 
 
 def assemble_choi(coeffs: SpinCoefficients) -> np.ndarray:
-    """Choi matrix of the simulated channel from spin-basis coefficient tables.
+    """Choi matrix of the simulated channel from a spin-basis coefficient table.
 
     Entry (idler a, output i; idler b, output j) is entry (a, b) of the
-    measurement sum over the block table R^{i+1, j+1}, turned back on the
-    idler if the tables are of a turned resource (``SpinCoefficients.frame``);
+    measurement sum over block R^{i+1, j+1} of the table, turned back on the
+    idler if the table is of a turned resource (``SpinCoefficients.frame``);
     the lower triangle is set to the conjugate of the upper.
     """
-    if coeffs.n < 2:
+    if coeffs.basis.n < 2:
         raise ValueError("at least two ports are required")
     rows, weights = measurement_rows(coeffs.basis)
-    sums = [g_sum(rows, weights, coeffs.tables[tag]) for tag in TAGS]
-    # sums[2i + j][a, b] -> c[2a + i, 2b + j]
-    c = np.array(sums).reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
+    # sums[i, j, a, b] -> c[2a + i, 2b + j]
+    c = g_sum(rows, weights, coeffs.table).transpose(2, 0, 3, 1).reshape(4, 4)
     if coeffs.frame is not None:
         turn = np.kron(coeffs.frame.T, np.eye(2))
         c = turn @ c @ dag(turn)
@@ -183,9 +185,9 @@ def assemble_choi(coeffs: SpinCoefficients) -> np.ndarray:
 
 
 def choi_from_reduced(reduced: ReducedResource | ProductResource) -> np.ndarray:
-    """Full pipeline: resource -> alpha = 1 spin tables -> Choi matrix.
+    """Full pipeline: resource -> alpha = 1 spin table -> Choi matrix.
 
-    Exact for port-symmetric resources, whose tables are the same on every
+    Exact for port-symmetric resources, whose table is the same on every
     multiplet (see ``measurement_rows``); ``load_resource`` rejects any
     other input.  A product resource needs the basis labels only.
     """

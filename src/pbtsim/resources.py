@@ -9,7 +9,7 @@ qubit, split into the four conditional blocks
 so the reduced form is the primary representation here; full 2n-qubit states
 exist for the brute-force oracle and for FULL resource files.  A product of
 one two-qubit port state on every port is kept as that port
-(``ProductResource``): its spin tables come from the port alone, and its
+(``ProductResource``): its spin table comes from the port alone, and its
 2^n x 2^n blocks are built only when asked for.  Tensor slot
 order for full states is (A_n .. A_1, B_n .. B_1); reduced blocks live on
 (A_n .. A_1), i.e. the qubit paired with the kept receiver qubit sits in the
@@ -170,32 +170,25 @@ class ReducedResource:
                 raise ValueError("conditional block is not positive semidefinite")
 
 
-def _port_blocks(port: np.ndarray) -> dict:
-    """The port's conditional blocks <i|_B port |j>_B on A, keyed (i, j)."""
-    return {(i, j): np.array(port[i::2, j::2], dtype=complex) for i in (0, 1) for j in (0, 1)}
+def _port_blocks(port: np.ndarray) -> np.ndarray:
+    """The port's conditional blocks on A, t[i, j] = <i|_B port |j>_B."""
+    return np.array(port, dtype=complex).reshape(2, 2, 2, 2).transpose(1, 3, 0, 2)
 
 
 def reduced_from_port(port: np.ndarray, n: int) -> ReducedResource:
     """Reduced blocks of the n-fold product of one two-qubit port state."""
     check_port_count(n)  # before any 2^n x 2^n block is allocated
     t = _port_blocks(port)
-    marg = t[(0, 0)] + t[(1, 1)]
-    rest = kron_power(marg, n - 1)
-    return ReducedResource(
-        n=n,
-        r11=np.kron(rest, t[(0, 0)]),
-        r12=np.kron(rest, t[(0, 1)]),
-        r21=np.kron(rest, t[(1, 0)]),
-        r22=np.kron(rest, t[(1, 1)]),
-    )
+    rest = kron_power(t[0, 0] + t[1, 1], n - 1)
+    return ReducedResource(n, *(np.kron(rest, blk) for blk in t.reshape(4, 2, 2)))
 
 
 @dataclass(frozen=True, eq=False)
 class ProductResource:
     """The n-fold product of one two-qubit port state, kept as the port.
 
-    ``to_spin_coefficients`` reads only the port, at any n up to
-    MAX_PRODUCT_PORTS.  The reduced blocks (``reduced``, and the
+    ``to_spin_coefficients`` and ``validate`` read only the port, at any n
+    up to MAX_PRODUCT_PORTS.  The reduced blocks (``reduced``, and the
     ReducedResource interface below) are built on first use, and only up to
     MAX_PORTS ports.
     """
@@ -219,7 +212,7 @@ class ProductResource:
         return self.reduced.joint()
 
     def validate(self) -> None:
-        self.reduced.validate()
+        FullResource(1, self.port).validate()  # the port as a one-port state
 
 
 def make_family(family: ResourceFamily, n: int) -> ReducedResource | ProductResource:
@@ -308,32 +301,30 @@ def _port_asymmetry(obj: FullResource | ReducedResource) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SpinCoefficients:
-    """Resource blocks in the coupled spin basis: ``tables[tag]`` is
-    u^T R^tag u over the columns of ``basis``, read as ``table[i, j]`` with
-    integer index arrays.  It is a dense array after the congruence, or a
-    ``ProductTable`` for a product resource.  ``frame`` is None, or the
-    unitary V that turned the sender qubit of every port: the tables are then
-    those of the turned resource, and ``assemble_choi`` turns its Choi matrix
-    back by (V^T (x) 1) . (V^T (x) 1)^dag."""
+    """Resource blocks in the coupled spin basis, as one table: ``table[i, j]``
+    with integer index arrays gives the (..., 2, 2) entries u^T R^{k+1, l+1} u
+    at (i, j) of the four blocks, block pair (k, l) last.  It is a dense
+    array after the congruence, or a ``ProductTable`` for a product resource.
+    ``frame`` is None, or the unitary V that turned the sender qubit of every
+    port: the table is then that of the turned resource, and
+    ``assemble_choi`` turns its Choi matrix back by
+    (V^T (x) 1) . (V^T (x) 1)^dag."""
 
-    n: int
     basis: SpinBasis
-    tables: dict
+    table: np.ndarray | ProductTable
     frame: np.ndarray | None = None
 
 
 def to_spin_coefficients(reduced: ReducedResource | ProductResource,
                          basis: SpinBasis) -> SpinCoefficients:
-    """Spin tables by Schur-Weyl duality from the port of a product resource,
+    """Spin table by Schur-Weyl duality from the port of a product resource,
     turned into the eigenframe of its A marginal, else by the dense
-    congruence u^T R u of the reduced blocks."""
+    congruence u^T R u of each reduced block."""
     if basis.n != reduced.n:
         raise ValueError(f"basis is for n={basis.n}, resource for n={reduced.n}")
     if isinstance(reduced, ProductResource):
-        if reduced.n < 2:
-            raise ValueError("at least two ports are required")
         t = _port_blocks(reduced.port)
-        marginal = t[(0, 0)] + t[(1, 1)]
+        marginal = t[0, 0] + t[1, 1]
         if herm_defect(marginal) > FILE_ATOL:
             raise ValueError("the port's sender marginal is not Hermitian")
         frame = None
@@ -342,28 +333,23 @@ def to_spin_coefficients(reduced: ReducedResource | ProductResource,
         else:
             eig, q = np.linalg.eigh(marginal)
             frame = dag(q)
-            t = {key: frame @ blk @ q for key, blk in t.items()}
+            t = frame @ t @ q
         if eig.min() < -FILE_ATOL:
             raise ValueError("the port's sender marginal is not positive semidefinite")
-        entries = _ProductEntries(basis, *np.maximum(eig, 0))
-        tables = {f"{i + 1}{j + 1}": ProductTable(entries, t[(i, j)])
-                  for i in (0, 1) for j in (0, 1)}
-        return SpinCoefficients(reduced.n, basis, tables, frame)
+        return SpinCoefficients(basis, ProductTable(basis, *np.maximum(eig, 0), t), frame)
     u = basis.u
-    tables = {}
-    for tag in TAGS:
-        # u is real, so u^T R is one real product on R's interleaved (re, im) view
-        block = np.ascontiguousarray(reduced.block(tag), dtype=complex)
-        tables[tag] = (u.T @ block.view(float)).view(complex) @ u
-    return SpinCoefficients(reduced.n, basis, tables)
+    # u is real, so u^T R is one real product on R's interleaved (re, im) view;
+    # the four small tables are stacked, not the 2^n x 2^n blocks
+    table = np.stack([(u.T @ np.ascontiguousarray(reduced.block(tag), dtype=complex).view(float))
+                      .view(complex) @ u for tag in TAGS], axis=-1)
+    return SpinCoefficients(basis, table.reshape(*table.shape[:2], 2, 2))
 
 
-@dataclass(frozen=True, eq=False)
 class ProductTable:
-    """The spin table u^T (M^(x)(n-1) (x) t) u of a product resource whose
-    port has the diagonal A marginal M = diag(m0, m1), read entrywise as
-    ``table[i, j]`` with integer index arrays; t is one conditional port
-    block.
+    """The spin table u^T (M^(x)(n-1) (x) t[k, l]) u of a product resource
+    whose port has the diagonal A marginal M = diag(m0, m1), read as
+    ``table[i, j]`` with integer index arrays like ``SpinCoefficients.table``;
+    t[k, l] is the conditional port block <k|_B port |l>_B.
 
     Any port can be turned into that frame, the eigenframe of its marginal:
     the square-root measurement commutes with U^(x)(n+1) on the sender
@@ -373,28 +359,18 @@ class ProductTable:
     couples A_1 to multiplet alpha of spin ss of A_n..A_2
     (``SpinBasis.parents``), and a diagonal M^(x)(n-1) keeps every
     multiplet and every projection, so an entry is a sum over the bits b, b'
-    of A_1 of t[b, b'] times ``entries`` (shared by the four tables of one
-    resource).
+    of A_1 of t[k, l][b, b'] times
+
+        cg_i[b] cg_j[b'] <ss; pos_i[b]| M^(x)(n-1) |ss; pos_j[b']> :
+
+    0 between multiplets and between projections, else
+    det(M)^((n-1-ss)/2) m1^pos m0^(ss-pos), since M^(x)(n-1) is diagonal and
+    a parent state at pos has (n-1-ss)/2 + pos of its n - 1 qubits in |1>.
     """
 
-    entries: _ProductEntries
-    t: np.ndarray  # (2, 2): <b|t|b'>
-
-    def __getitem__(self, index) -> np.ndarray:
-        return np.einsum("...bc,bc->...", self.entries.at(index), self.t)
-
-
-class _ProductEntries:
-    """cg_i[b] cg_j[b'] <ss; pos_i[b]| M^(x)(n-1) |ss; pos_j[b']> for table
-    entries (i, j), M = diag(m0, m1): 0 between multiplets and between
-    projections, else det(M)^((n-1-ss)/2) m1^pos m0^(ss-pos): M^(x)(n-1) is
-    diagonal, and a parent state at pos has (n-1-ss)/2 + pos of its n - 1
-    qubits in |1>.  The last index asked for is remembered, so the four
-    tables of a resource read one gather.
-    """
-
-    def __init__(self, basis: SpinBasis, m0: float, m1: float):
+    def __init__(self, basis: SpinBasis, m0: float, m1: float, t: np.ndarray):
         self.basis = basis
+        self.t = t.reshape(4, 4).T  # row (b, b'), column (k, l)
         n = basis.n
         ss = np.arange((n - 1) % 2, n, 2)[:, None]
         # column pos + 1 for pos = -1..n; pos outside 0..ss, where cg is 0,
@@ -404,20 +380,17 @@ class _ProductEntries:
         # the complex exp rounds as libm does; numpy's vectorised real exp
         # can differ in the last bit, and with it a printed Kraus digit
         self.weight = np.exp(log_weight + 0j)
-        self._last: tuple = (None, None)
 
-    def at(self, index) -> np.ndarray:
-        if index is not self._last[0]:
-            self._last = (index, self._gather(*(np.asarray(x) for x in index)))
-        return self._last[1]
-
-    def _gather(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    def __getitem__(self, index) -> np.ndarray:
+        i, j = (np.asarray(x) for x in index)
         b = self.basis
         pos, cg = b.parents
         pos_i, pos_j = pos[i][..., :, None], pos[j][..., None, :]
         same = ((b.parent[i] == b.parent[j]) & (b.alpha[i] == b.alpha[j]))[..., None, None]
         w = self.weight[(b.parent[i] // 2)[..., None, None], pos_i + 1]
-        return np.where(same & (pos_i == pos_j), cg[i][..., :, None] * cg[j][..., None, :] * w, 0)
+        entries = np.where(same & (pos_i == pos_j), cg[i][..., :, None] * cg[j][..., None, :] * w, 0)
+        # one 2-D product; a batched one makes a BLAS call per entry group
+        return (entries.reshape(-1, 4) @ self.t).reshape(entries.shape)
 
 
 # ----------------------------------------------------------------------------

@@ -69,8 +69,8 @@ class TestMeasurementRows:
 class TestGSum:
     def test_bell_two_port_value(self):
         basis = build_spin_basis(2)
-        table = to_spin_coefficients(make_family(Bell(), 2), basis).tables["11"]
-        got = g_sum(*measurement_rows(basis), table)
+        table = to_spin_coefficients(make_family(Bell(), 2), basis).table
+        got = g_sum(*measurement_rows(basis), table)[0, 0]
         want = np.diag([6 + math.sqrt(3), 6 - math.sqrt(3)]) / 24
         assert max_abs(got, want) <= 1e-15
 
@@ -86,9 +86,22 @@ class TestGSum:
             basis = build_spin_basis(3, first_only=first_only)
             coeffs = to_spin_coefficients(symmetric_reduced(3), basis)
             rows, weights = measurement_rows(basis)
-            a = g_sum(rows, weights, coeffs.tables["21"])
-            b = g_sum(rows, weights, coeffs.tables["12"])
-            assert max_abs(a, b.conj().T) <= 1e-14
+            sums = g_sum(rows, weights, coeffs.table)
+            assert max_abs(sums[1, 0], sums[0, 1].conj().T) <= 1e-14
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("first_only", [True, False])
+    def test_one_sum_equals_four(self, n, first_only, symmetric_reduced):
+        # the sum over the whole table gives, bit for bit, the sum over each
+        # block's own 2-D table
+        basis = build_spin_basis(n, first_only=first_only)
+        table = to_spin_coefficients(symmetric_reduced(n), basis).table
+        rows, weights = measurement_rows(basis)
+        sums = g_sum(rows, weights, table)
+        assert sums.shape == (2, 2, 2, 2)
+        for i in (0, 1):
+            for j in (0, 1):
+                assert sums[i, j].tobytes() == g_sum(rows, weights, table[..., i, j]).tobytes()
 
 
 class TestTwoPort:

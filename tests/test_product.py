@@ -70,14 +70,13 @@ def test_tables_match_congruence_where_rows_read(n, first_only):
     dense = to_spin_coefficients(reduced_from_port(turn @ port @ dag(turn), n), basis)
     same = (basis.parent[:, None] == basis.parent) & (basis.alpha[:, None] == basis.alpha)
     i, j = np.nonzero(same)
-    for tag in TAGS:
-        assert max_abs(fast.tables[tag][i, j], dense.tables[tag][i, j]) <= 1e-14
+    assert max_abs(fast.table[i, j], dense.table[i, j]) <= 1e-14
 
 
 def test_tables_vanish_between_multiplets():
     n = 5
     basis = build_spin_basis(n)
-    table = to_spin_coefficients(ProductResource(n, random_port(3)), basis).tables["12"]
+    table = to_spin_coefficients(ProductResource(n, random_port(3)), basis).table
     i, j = np.meshgrid(np.arange(len(basis)), np.arange(len(basis)), indexing="ij")
     other = (basis.parent[i] != basis.parent[j]) | (basis.alpha[i] != basis.alpha[j])
     assert (table[i[other], j[other]] == 0).all()
@@ -141,6 +140,15 @@ def test_blocks_built_on_first_use_only():
     want = reduced_from_port(small.port, 3)
     assert all(np.array_equal(small.block(tag), want.block(tag)) for tag in TAGS)
     assert np.array_equal(small.joint(), want.joint())
+
+
+@pytest.mark.parametrize("n", [3, 13, 500])
+def test_validate_checks_the_port_at_any_port_count(n):
+    make_family(Bell(), n).validate()
+    bad = ProductResource(n, np.diag([0.6, 0.6, -0.2, 0]).astype(complex))
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        bad.validate()
+    assert "reduced" not in vars(bad)
 
 
 def test_port_caps(tmp_path):

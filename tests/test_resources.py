@@ -88,8 +88,8 @@ class TestSpinCoefficients:
         red = make_family(AdChoi(0.35), n).reduced  # the dense congruence
         coeffs = to_spin_coefficients(red, build_spin_basis(n))
         u = coeffs.basis.u
-        for tag in TAGS:
-            assert max_abs(u @ coeffs.tables[tag] @ u.T, red.block(tag)) <= 1e-12
+        for k, tag in enumerate(TAGS):
+            assert max_abs(u @ coeffs.table[..., k // 2, k % 2] @ u.T, red.block(tag)) <= 1e-12
 
     @staticmethod
     def _assert_schur_weyl(red):
@@ -102,10 +102,9 @@ class TestSpinCoefficients:
         index = column_index(basis)
         first = np.array([index[label[:3] + (1,)] for label in index])
         same = (alpha[:, None] == alpha[None, :]) & (parent[:, None] == parent[None, :])
-        for tag in TAGS:
-            t = coeffs.tables[tag]
-            assert np.abs(t[~same]).max() <= 1e-13
-            assert np.abs(t - t[np.ix_(first, first)])[same].max() <= 1e-13
+        t = coeffs.table  # the four blocks at once, on the trailing axes
+        assert np.abs(t[~same]).max() <= 1e-13
+        assert np.abs(t - t[np.ix_(first, first)])[same].max() <= 1e-13
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_schur_weyl_on_random_symmetric(self, n, symmetric_reduced):
@@ -118,33 +117,29 @@ class TestSpinCoefficients:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_bell_closed_forms(self, n):
-        # expansion of the all-Bell r11 block in the coupled basis
+        # expansion of the all-Bell r11 block in the coupled basis, read from
+        # the product table
         basis = build_spin_basis(n)
-        table = to_spin_coefficients(make_family(Bell(), n), basis).tables["11"]
+        table = to_spin_coefficients(make_family(Bell(), n), basis).table
         scale = 1.0 / 2 ** n
         index = column_index(basis)
         for (jj, mm, parent, alpha), k in index.items():
             if parent == jj + 1:
                 want = ((jj - mm) / 2 + 1) / (jj + 2) * scale
-                assert abs(table[k, k] - want) <= 1e-13
+                assert abs(table[k, k][0, 0] - want) <= 1e-13
                 cross = -math.sqrt(((jj - mm) / 2 + 1) * ((jj + mm) / 2 + 1)) / (jj + 2) * scale
                 partner = index[jj + 2, mm, parent, alpha]
-                assert abs(table[k, partner] - cross) <= 1e-13
-                assert abs(table[partner, k] - cross) <= 1e-13
+                assert abs(table[k, partner][0, 0] - cross) <= 1e-13
+                assert abs(table[partner, k][0, 0] - cross) <= 1e-13
             else:
                 want = (jj + mm) / 2 / jj * scale if jj else 0.0
-                assert abs(table[k, k] - want) <= 1e-13
+                assert abs(table[k, k][0, 0] - want) <= 1e-13
 
     def test_hermiticity_between_tables(self, rng):
         red = reduce_full(random_symmetric_resource(3, rng))
-        coeffs = to_spin_coefficients(red, build_spin_basis(3))
-        np.testing.assert_allclose(
-            coeffs.tables["21"], coeffs.tables["12"].conj().T, atol=1e-13
-        )
-        for tag in ("11", "22"):
-            np.testing.assert_allclose(
-                coeffs.tables[tag], coeffs.tables[tag].conj().T, atol=1e-13
-            )
+        t = to_spin_coefficients(red, build_spin_basis(3)).table
+        # table[i, j][k, l] = conj(table[j, i][l, k]): r21 = r12^dag, r11 and r22 Hermitian
+        np.testing.assert_allclose(t, t.conj().transpose(1, 0, 3, 2), atol=1e-13)
 
     def test_basis_mismatch_rejected(self):
         with pytest.raises(ValueError):
