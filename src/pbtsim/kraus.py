@@ -90,20 +90,25 @@ class ProtocolKraus:
     """Kraus operators of the map from Tr_{B2..Bn}[resource] to the Choi matrix.
 
     Operators act on (A, B_1) (dimension 2^(n+1)) and output (C_0, B_1)
-    (dimension 4).  ``k2`` covers the kernel sector of the measurement
-    (ascending mm), ``k1`` the bulk (ss outer, mm middle, alpha inner).
-    The family with the traced receiver qubits kept explicit is identical up
-    to the choice of a basis bra on those n-1 qubits: 2^(n-1) copies of each
-    operator here.
+    (dimension 4); ``ops`` holds them as one real (count, 4, 2^(n+1)) array,
+    as the coupled basis and the measurement rows are real.
+    ``k2``, views of its first n + 2 operators, covers the kernel sector of
+    the measurement (ascending mm), ``k1`` the bulk (ss outer, mm middle,
+    alpha inner).  The family with the traced receiver qubits kept explicit
+    is identical up to the choice of a basis bra on those n-1 qubits:
+    2^(n-1) copies of each operator here.
     """
 
     n: int
-    k2: tuple[np.ndarray, ...]
-    k1: tuple[np.ndarray, ...]
+    ops: np.ndarray
 
     @property
-    def ops(self) -> tuple[np.ndarray, ...]:
-        return self.k2 + self.k1
+    def k2(self) -> np.ndarray:
+        return self.ops[:self.n + 2]
+
+    @property
+    def k1(self) -> np.ndarray:
+        return self.ops[self.n + 2:]
 
 
 def protocol_kraus(n: int) -> ProtocolKraus:
@@ -113,11 +118,11 @@ def protocol_kraus(n: int) -> ProtocolKraus:
         raise ValueError("at least two ports are required")
     basis = build_spin_basis(n)
     rows, weights = measurement_rows(basis)
-    eye2 = np.eye(2, dtype=complex)
     # G_k u^T: each row pair's coefficients times the basis vectors of its columns
-    bras = rows.coefs @ basis.u.T[rows.cols]
-    ops = [np.kron(math.sqrt(w) * g, eye2) for g, w in zip(bras, weights)]
-    return ProtocolKraus(n=n, k2=tuple(ops[:n + 2]), k1=tuple(ops[n + 2:]))
+    bras = np.sqrt(weights)[:, None, None] * (rows.coefs @ basis.u.T[rows.cols])
+    # the Kronecker product with the identity on B_1, for all k at once
+    ops = bras[:, :, None, :, None] * np.eye(2)[:, None, :]
+    return ProtocolKraus(n=n, ops=ops.reshape(len(bras), 4, 2 ** (n + 1)))
 
 
 def apply_protocol(pk: ProtocolKraus, reduced_state: np.ndarray) -> np.ndarray:
@@ -125,17 +130,15 @@ def apply_protocol(pk: ProtocolKraus, reduced_state: np.ndarray) -> np.ndarray:
     d = 2 ** (pk.n + 1)
     if reduced_state.shape != (d, d):
         raise ValueError(f"expected {(d, d)} operator on (A, B_1)")
-    out = np.zeros((4, 4), dtype=complex)
-    for k in pk.ops:
-        out += k @ reduced_state @ k.conj().T
-    return out
+    # every K_k R as one real product on R's (re, im) view, then the small
+    # closures K_k R K_k^T one operator at a time, so no copy of the set is made
+    view = np.ascontiguousarray(reduced_state, dtype=complex).view(float)
+    left = (pk.ops.reshape(-1, d) @ view).view(complex).reshape(pk.ops.shape)
+    return sum(kr @ k.T for kr, k in zip(left, pk.ops))
 
 
 def protocol_gram(pk: ProtocolKraus) -> np.ndarray:
     """sum_k K_k^dag K_k, kept available for inspection; the protocol is only
     guaranteed trace preserving on port-symmetric inputs."""
-    d = 2 ** (pk.n + 1)
-    out = np.zeros((d, d), dtype=complex)
-    for k in pk.ops:
-        out += k.conj().T @ k
-    return out
+    flat = pk.ops.reshape(-1, 2 ** (pk.n + 1))
+    return flat.T @ flat

@@ -4,6 +4,12 @@ Everything here is built by explicit linear algebra on the full
 2^(n+1)-dimensional space so it can validate the closed-form results at small
 port counts.  Slot order matches the rest of the package: sender qubits
 (A_n .. A_1) then the measured input qubit C last.
+
+The measurement is built in real arithmetic (rho is a sum of real singlet
+projectors) by a dense ``eigh``.  A Choi entry
+Tr[pi_1 (R^{ij} (x) |m><m'|)] needs no 2^(n+1) matrix product: it is
+sum_{a, a'} pi_1[(a, m'), (a', m)] R^{ij}[a', a], so the whole 4 x 4 matrix
+is one (4, 4^n) x (4^n, 4) product, O(4^n) work per resource.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import permute_qubits
-from .resources import ReducedResource, bell_port
+from .resources import TAGS, ReducedResource, bell_port
 
 MAX_ORACLE_PORTS = 8
 
@@ -35,7 +41,7 @@ def sigma_op(i: int, n: int) -> np.ndarray:
     # the normalised singlet projector makes the spectrum of rho = sum_i sigma_i
     # land on the quarter-integer stencil below, which build_povm asserts on
     # every call
-    sigma1 = np.kron(np.eye(2 ** (n - 1), dtype=complex), bell_port())
+    sigma1 = np.kron(np.eye(2 ** (n - 1)), bell_port().real)
     if i == 1:
         return sigma1
     src = list(range(n + 1))
@@ -64,9 +70,9 @@ def build_povm(n: int) -> DensePovm:
     if max(min(abs(x - s) for s in stencil) for x in w) > 1e-8:
         raise AssertionError("rho spectrum off the expected quarter-integer stencil")
     kept = v[:, w > _SUPPORT_CUTOFF]
-    inv_sqrt = (kept / np.sqrt(w[w > _SUPPORT_CUTOFF])) @ kept.conj().T
-    pi_1 = inv_sqrt @ sigma1 @ inv_sqrt + (np.eye(dim) - kept @ kept.conj().T) / n
-    pi_1 = 0.5 * (pi_1 + pi_1.conj().T)
+    inv_sqrt = (kept / np.sqrt(w[w > _SUPPORT_CUTOFF])) @ kept.T
+    pi_1 = inv_sqrt @ sigma1 @ inv_sqrt + (np.eye(dim) - kept @ kept.T) / n
+    pi_1 = 0.5 * (pi_1 + pi_1.T)
     return DensePovm(n=n, pi_1=pi_1, rho=rho)
 
 
@@ -82,16 +88,10 @@ def povm_element(i: int, n: int) -> np.ndarray:
 
 def oracle_choi(reduced: ReducedResource) -> np.ndarray:
     """Choi matrix of the simulated channel, by direct dense traces."""
-    n = reduced.n
-    pi_1 = build_povm(n).pi_1
-    c = np.zeros((4, 4), dtype=complex)
-    for m in (0, 1):
-        for nn in (0, 1):
-            e = np.zeros((2, 2), dtype=complex)
-            e[m, nn] = 1.0
-            for i in (0, 1):
-                for j in (0, 1):
-                    tag = f"{i + 1}{j + 1}"
-                    val = np.trace(pi_1 @ np.kron(reduced.block(tag), e))
-                    c[2 * m + i, 2 * nn + j] = (n / 2) * val
-    return c
+    n, d = reduced.n, 2 ** reduced.n
+    # pi_1 as (m, m', a', a) against the blocks as (a', a, (i, j)); the real
+    # pi_1 meets the complex blocks as one product on their (re, im) view
+    pi = build_povm(n).pi_1.reshape(d, 2, d, 2).transpose(3, 1, 2, 0).reshape(4, d * d)
+    blocks = np.stack([reduced.block(tag) for tag in TAGS], axis=-1).astype(complex, copy=False)
+    c = (pi @ blocks.reshape(d * d, 4).view(float)).view(complex)
+    return (n / 2) * c.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)

@@ -24,6 +24,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import cholesky
 from scipy.special import xlogy
 
 from .linalg import dag, herm_defect, kron_power, max_abs, partial_trace_qubits, permute_qubits
@@ -115,6 +116,21 @@ def port_state(family: ResourceFamily) -> np.ndarray:
 # full and reduced resources
 # ----------------------------------------------------------------------------
 
+def _require_psd(blocks: list[list[np.ndarray]], name: str) -> None:
+    """Reject the Hermitian operator ``np.block(blocks)`` if it has an eigenvalue
+    below -FILE_ATOL (up to rounding): the operator plus FILE_ATOL has a
+    Cholesky factor only if it is positive definite, and the factorisation
+    costs a fraction of the eigenvalues."""
+    op = np.block(blocks)  # the one copy, shifted and factored in place
+    op.flat[::len(op) + 1] += FILE_ATOL
+    try:
+        # read in Fortran order the copy is op^T = conj(op), positive definite
+        # exactly when op is, so LAPACK needs no copy of its own
+        cholesky(op.T, lower=True, overwrite_a=True)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{name} is not positive semidefinite") from None
+
+
 @dataclass(frozen=True, eq=False)
 class FullResource:
     """Density matrix of all 2n qubits, slots (A_n..A_1, B_n..B_1)."""
@@ -130,8 +146,7 @@ class FullResource:
             raise ValueError("resource state is not Hermitian")
         if abs(np.trace(self.rho_ab) - 1) > FILE_ATOL:
             raise ValueError("resource state trace differs from 1")
-        if np.linalg.eigvalsh(self.rho_ab).min() < -FILE_ATOL:
-            raise ValueError("resource state is not positive semidefinite")
+        _require_psd([[self.rho_ab]], "resource state")
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,9 +180,10 @@ class ReducedResource:
             raise ValueError("r21 is not the adjoint of r12")
         if abs(np.trace(self.r11) + np.trace(self.r22) - 1) > FILE_ATOL:
             raise ValueError("trace(r11) + trace(r22) differs from 1")
-        for blk in (self.r11, self.r22):
-            if np.linalg.eigvalsh(blk).min() < -FILE_ATOL:
-                raise ValueError("conditional block is not positive semidefinite")
+        # the operator on (A, B_1), not r11 and r22 alone: large r12, r21 break
+        # it.  B_1 is the outer index here, which permutes ``joint`` and keeps
+        # its spectrum
+        _require_psd([[self.r11, self.r12], [self.r21, self.r22]], "resource reduced to (A, B_1)")
 
 
 def _port_blocks(port: np.ndarray) -> np.ndarray:

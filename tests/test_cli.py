@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from pbtsim import cli
 from pbtsim.analysis import depolarizing_choi, pbt_ad_choi, xi
+from pbtsim.choi import measurement_rows
 from pbtsim.resources import AdChoi, FullResource, ReducedResource, make_family, save_resource
-from pbtsim.spin import MAX_PRODUCT_PORTS
+from pbtsim.spin import MAX_PRODUCT_PORTS, build_spin_basis
 
 from conftest import random_density, run_python
 
@@ -52,6 +55,22 @@ class TestSimpleCommands:
         code, out, _ = run_cli(capsys, "protocol-kraus", "--ports", "2")
         assert code == 0
         assert "# 6 reduced protocol Kraus operators, 4 x 8" in out
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_protocol_kraus_bytes_match_per_operator_kron(self, capsys, n):
+        # each operator built on its own, sqrt(w_k) G_k u^T (x) 1 by np.kron
+        basis = build_spin_basis(n)
+        rows, weights = measurement_rows(basis)
+        bras = rows.coefs @ basis.u.T[rows.cols]
+        ops = [np.kron(math.sqrt(w) * g, np.eye(2, dtype=complex)) for g, w in zip(bras, weights)]
+        lines = [f"# {len(ops)} reduced protocol Kraus operators, 4 x {2 ** (n + 1)}",
+                 f"# kernel sector: {n + 2}, bulk: {len(ops) - n - 2}"]
+        for i, op in enumerate(ops, start=1):
+            lines.append(f"K{i}:")
+            lines += ["  ".join(f"{z.real:+.12g}{z.imag:+.12g}j" for z in row) for row in op]
+        code, out, _ = run_cli(capsys, "protocol-kraus", "--ports", str(n))
+        assert code == 0
+        assert out == "\n".join(lines) + "\n"
 
     def test_resource_file(self, capsys, tmp_path):
         path = tmp_path / "res.pbtres"
@@ -152,6 +171,19 @@ class TestErrors:
         code, out, err = run_cli(capsys, command, "--ports", "3", "--resource", str(path))
         assert code == 1
         assert "not port symmetric" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["choi", "kraus"])
+    def test_rejects_file_with_non_psd_joint_operator(self, capsys, tmp_path, command):
+        # r11 and r22 are positive, the joint (A, B_1) operator is not: the file
+        # is refused, not turned into an invalid output Choi matrix
+        bell = make_family(cli.parse_resource("bell"), 3)
+        path = tmp_path / "coherent.pbtres"
+        save_resource(path, ReducedResource(3, bell.r11, 3 * bell.r12, 3 * bell.r21, bell.r22))
+        code, out, err = run_cli(capsys, command, "--ports", "3", "--resource", str(path))
+        assert code == 1
+        assert "resource reduced to (A, B_1) is not positive semidefinite" in err
+        assert "invalid output Choi matrix" not in err
         assert out == ""
 
     @pytest.mark.parametrize("grid", ["0:1:1e-300", "0:1:1e-12"])

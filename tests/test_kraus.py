@@ -165,3 +165,39 @@ class TestProtocolKraus:
     def test_input_dimension_check(self):
         with pytest.raises(ValueError):
             apply_protocol(protocol_kraus(2), np.eye(4))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sectors_are_views_in_order(self, n):
+        pk = protocol_kraus(n)
+        assert pk.ops.shape == (len(pk.k2) + len(pk.k1), 4, 2 ** (n + 1))
+        assert np.shares_memory(pk.k2, pk.ops) and np.shares_memory(pk.k1, pk.ops)
+        assert np.array_equal(np.concatenate([pk.k2, pk.k1]), pk.ops)
+
+
+def _random_operator(n: int, seed: int) -> np.ndarray:
+    """A random non-Hermitian operator on (A, B_1), entries of order 2^-(n+1)."""
+    gen = np.random.default_rng(seed)
+    d = 2 ** (n + 1)
+    return (gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))) / d
+
+
+class TestProtocolContractions:
+    """The stacked products against the per-operator sums they replace."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_apply_protocol_matches_operator_loop(self, n):
+        pk = protocol_kraus(n)
+        r = _random_operator(n, 30 + n)
+        want = sum(k @ r @ k.conj().T for k in pk.ops)
+        assert max_abs(apply_protocol(pk, r), want) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_gram_matches_operator_loop(self, n):
+        pk = protocol_kraus(n)
+        want = sum(k.conj().T @ k for k in pk.ops)
+        assert max_abs(protocol_gram(pk), want) <= 1e-13
+
+    def test_apply_protocol_takes_real_input(self):
+        pk = protocol_kraus(3)
+        r = _random_operator(3, 1).real
+        assert max_abs(apply_protocol(pk, r), apply_protocol(pk, r.astype(complex))) == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +6,31 @@ import pytest
 
 from pbtsim.linalg import max_abs, permute_qubits
 from pbtsim.oracle import build_povm, oracle_choi, povm_element, sigma_op
-from pbtsim.resources import AdChoi, Bell, ReducedResource, make_family
+from pbtsim.resources import (TAGS, AdChoi, Bell, ReducedResource, make_family,
+                              reduced_from_port)
 
-from conftest import rho_eigenbasis
+from conftest import random_density, rho_eigenbasis
+
+
+def per_entry_oracle(reduced: ReducedResource) -> np.ndarray:
+    """Each Choi entry as its own dense trace (n/2) Tr[pi_1 (R^{ij} (x) |m><m'|)],
+    one 2^(n+1) matrix product per entry."""
+    n = reduced.n
+    pi_1 = build_povm(n).pi_1
+    c = np.zeros((4, 4), dtype=complex)
+    for m, mp, i, j in itertools.product((0, 1), repeat=4):
+        e = np.zeros((2, 2))
+        e[m, mp] = 1.0
+        c[2 * m + i, 2 * mp + j] = (n / 2) * np.trace(pi_1 @ np.kron(reduced.block(f"{i + 1}{j + 1}"), e))
+    return c
+
+
+def mixed_products(n: int, rng: np.random.Generator, count: int = 3) -> ReducedResource:
+    """A random mixture of products of random ports: port symmetric, not a product."""
+    weights = rng.dirichlet(np.ones(count))
+    parts = [reduced_from_port(random_density(4, rng), n) for _ in range(count)]
+    return ReducedResource(n, *(sum(w * part.block(tag) for w, part in zip(weights, parts))
+                                for tag in TAGS))
 
 
 class TestBuildPovm:
@@ -93,3 +116,23 @@ class TestOracleChoi:
                         blk = permute_qubits(red.block(f"{i + 1}{j + 1}"), src)
                         c[2 * m + i, 2 * nn + j] = (n / 2) * np.trace(pi_2 @ np.kron(blk, e))
         assert max_abs(c, oracle_choi(red)) <= 1e-10
+
+
+class TestOracleContraction:
+    """The one-product Choi matrix against the per-entry traces it replaces."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_per_entry_traces_on_mixtures(self, n):
+        red = mixed_products(n, np.random.default_rng(100 + n))
+        assert max_abs(oracle_choi(red), per_entry_oracle(red)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_per_entry_traces_on_random_symmetric(self, n, symmetric_reduced):
+        red = symmetric_reduced(n)
+        assert max_abs(oracle_choi(red), per_entry_oracle(red)) <= 1e-13
+
+    def test_matches_per_entry_traces_without_symmetry(self):
+        n = 4
+        joint = random_density(2 ** (n + 1), np.random.default_rng(7)).reshape(2 ** n, 2, 2 ** n, 2)
+        red = ReducedResource(n, *(joint[:, i, :, j] for i in (0, 1) for j in (0, 1)))
+        assert max_abs(oracle_choi(red), per_entry_oracle(red)) <= 1e-13

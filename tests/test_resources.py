@@ -189,6 +189,14 @@ def _port_product(*ports: np.ndarray) -> FullResource:
     return FullResource(n=n, rho_ab=permute_qubits(rho, src))
 
 
+def bell_coherences_scaled(n: int, scale: float) -> ReducedResource:
+    """Bell-port blocks with r12 and r21 multiplied by scale: r11 and r22 keep
+    their spectra, and the joint (A, B_1) operator has the eigenvalue
+    (1 - scale) / 2^(n-1) on the singlet of (A_1, B_1)."""
+    bell = make_family(Bell(), n)
+    return ReducedResource(n, bell.r11, scale * bell.r12, scale * bell.r21, bell.r22)
+
+
 def _saved(tmp_path, obj):
     path = tmp_path / "res.pbtres"
     save_resource(path, obj)
@@ -281,6 +289,20 @@ class TestResourceFiles:
         save_resource(path, broken)
         with pytest.raises(ValueError):
             load_resource(path)
+
+    @pytest.mark.parametrize("scale", [3.0, 1 + 1e-6])
+    def test_rejects_joint_operator_not_psd(self, tmp_path, scale):
+        # r11 and r22 stay positive; the joint operator has eigenvalue (1 - scale) / 8
+        red = bell_coherences_scaled(3, scale)
+        assert min(np.linalg.eigvalsh(red.r11).min(), np.linalg.eigvalsh(red.r22).min()) >= -1e-15
+        with pytest.raises(ValueError,
+                           match=r"resource reduced to \(A, B_1\) is not positive semidefinite"):
+            load_resource(_saved(tmp_path, red))
+
+    def test_accepts_joint_defect_within_tolerance(self, tmp_path):
+        red = bell_coherences_scaled(3, 1 + 4e-8)  # joint eigenvalue -5e-9
+        back = load_resource(_saved(tmp_path, red))
+        assert max_abs(back.r12, red.r12) <= 1e-15
 
     def _full_file(self, tmp_path, rho):
         path = tmp_path / "full.pbtres"
