@@ -8,6 +8,7 @@ import numpy as np
 
 from pbtsim import (Bell, build_spin_basis, choi_from_reduced,
                     depolarizing_choi, make_family, oracle_choi, xi)
+from pbtsim.cli import format_deviation
 
 print("Depolarising probability of the n-port protocol with Bell ports:")
 for n in range(2, 11):
@@ -18,7 +19,7 @@ print("\nThe two-port value is (6 - sqrt(3))/6 =", (6 - np.sqrt(3)) / 6)
 n = 4
 basis = build_spin_basis(n)
 print(f"\nCoupled basis of {n} qubits: {len(basis)} vectors, "
-      f"unitarity defect {np.abs(basis.u.conj().T @ basis.u - np.eye(2 ** n)).max():.2e}")
+      f"unitarity defect {format_deviation(np.abs(basis.u.conj().T @ basis.u - np.eye(2 ** n)).max())}")
 first = build_spin_basis(n, first_only=True)
 print(f"The channel reads only the first multiplet of each (j, kind): "
       f"{first.u.shape[1]} of those columns")
@@ -30,5 +31,5 @@ model = depolarizing_choi(xi(n))
 
 print(f"\nOutput Choi matrix for n={n} Bell ports (closed form):")
 print(np.round(closed.real, 6))
-print("closed form vs dense oracle:   ", np.abs(closed - dense).max())
-print("closed form vs depolarising fit:", np.abs(closed - model).max())
+print("closed form vs dense oracle:   ", format_deviation(np.abs(closed - dense).max()))
+print("closed form vs depolarising fit:", format_deviation(np.abs(closed - model).max()))

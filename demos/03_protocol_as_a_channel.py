@@ -12,6 +12,7 @@ import numpy as np
 from pbtsim import (Alternate, apply_protocol, choi_from_reduced, make_family,
                     oracle_choi, protocol_gram, protocol_kraus,
                     reduced_port_state)
+from pbtsim.cli import format_deviation
 
 n = 3
 pk = protocol_kraus(n)
@@ -23,12 +24,13 @@ family = Alternate(0.8)
 rho_red = reduced_port_state(family, n)
 via_kraus = apply_protocol(pk, rho_red)
 reduced = make_family(family, n)
-print("\nprotocol Kraus vs Choi assembly:", np.abs(via_kraus - choi_from_reduced(reduced)).max())
-print("protocol Kraus vs dense oracle: ", np.abs(via_kraus - oracle_choi(reduced)).max())
-print("output trace:", np.trace(via_kraus).real)
+print("\nprotocol Kraus vs Choi assembly:",
+      format_deviation(np.abs(via_kraus - choi_from_reduced(reduced)).max()))
+print("protocol Kraus vs dense oracle: ", format_deviation(np.abs(via_kraus - oracle_choi(reduced)).max()))
+print("output trace defect:", format_deviation(abs(np.trace(via_kraus) - 1)))
 
 # sum_k K_k^dag K_k is not the identity: trace preservation is guaranteed
 # only on port-symmetric inputs
 gram = protocol_gram(pk)
-print("\nGram operator sum_k K^dag K: trace", np.trace(gram).real,
-      " vs identity defect", np.abs(gram - np.eye(2 ** (n + 1))).max())
+print(f"\nGram operator sum_k K^dag K: trace {np.trace(gram).real:.12f}"
+      f"  vs identity defect {np.abs(gram - np.eye(2 ** (n + 1))).max():.12f}")

@@ -273,7 +273,7 @@ def run_verification(max_ports: int) -> tuple[float, list[tuple[str, float]]]:
             reduced = make_family(family, n)
             closed = choi_from_reduced(reduced)
             dev = float(np.max(np.abs(closed - oracle_choi(reduced))))
-            dev = max(dev, float(np.max(np.abs(closed - apply_protocol(pk, reduced.joint())))))
+            dev = max(dev, float(np.max(np.abs(closed - apply_protocol(pk, reduced.joint)))))
             results.append((f"n={n} {name}", dev))
             worst = max(worst, dev)
     return worst, results
@@ -282,7 +282,7 @@ def run_verification(max_ports: int) -> tuple[float, list[tuple[str, float]]]:
 VERIFY_TOL = 1e-10
 
 
-def _deviation(dev: float) -> str:
+def format_deviation(dev: float) -> str:
     # rounding-level deviations print as the threshold they are below, so the
     # output does not depend on summation order
     return f"{dev:.3e}" if dev > VERIFY_TOL else f"below {VERIFY_TOL:.0e}"
@@ -294,8 +294,8 @@ def cmd_verify(args) -> int:
         return USAGE_EXIT
     worst, results = run_verification(args.max_ports)
     for label, dev in results:
-        print(f"{label}: max deviation {_deviation(dev)}")
-    print(f"worst: {_deviation(worst)}")
+        print(f"{label}: max deviation {format_deviation(dev)}")
+    print(f"worst: {format_deviation(worst)}")
     if worst > VERIFY_TOL:
         print(f"verification FAILED (deviation above {VERIFY_TOL:.0e})", file=sys.stderr)
         return VALIDATION_EXIT

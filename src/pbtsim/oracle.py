@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import permute_qubits
-from .resources import TAGS, ReducedResource, bell_port
+from .resources import ReducedResource, bell_port
 
 MAX_ORACLE_PORTS = 8
 
@@ -89,9 +89,9 @@ def povm_element(i: int, n: int) -> np.ndarray:
 def oracle_choi(reduced: ReducedResource) -> np.ndarray:
     """Choi matrix of the simulated channel, by direct dense traces."""
     n, d = reduced.n, 2 ** reduced.n
-    # pi_1 as (m, m', a', a) against the blocks as (a', a, (i, j)); the real
-    # pi_1 meets the complex blocks as one product on their (re, im) view
+    # pi_1 as (m, m', a', a) against R^{i+1, j+1}[a', a], the joint operator
+    # transposed to (a', a, (i, j)), as one product on its (re, im) view
     pi = build_povm(n).pi_1.reshape(d, 2, d, 2).transpose(3, 1, 2, 0).reshape(4, d * d)
-    blocks = np.stack([reduced.block(tag) for tag in TAGS], axis=-1).astype(complex, copy=False)
-    c = (pi @ blocks.reshape(d * d, 4).view(float)).view(complex)
+    blocks = reduced.joint.reshape(d, 2, d, 2).transpose(0, 2, 1, 3).reshape(d * d, 4)
+    c = (pi @ blocks.view(float)).view(complex)
     return (n / 2) * c.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)

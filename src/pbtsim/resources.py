@@ -2,7 +2,7 @@
 
 A resource on n ports lives on 2n qubits (sender block A, receiver block B).
 All channel formulas only need the state reduced to A plus the first receiver
-qubit, split into the four conditional blocks
+qubit, one operator on (A_n .. A_1, B_1) whose four conditional blocks are
 
     R^{i+1, j+1} = <i|_B1 Tr_{B2..Bn}[pi] |j>_B1 ,
 
@@ -10,15 +10,15 @@ so the reduced form is the primary representation here; full 2n-qubit states
 exist for the brute-force oracle and for FULL resource files.  A product of
 one two-qubit port state on every port is kept as that port
 (``ProductResource``): its spin table comes from the port alone, and its
-2^n x 2^n blocks are built only when asked for.  Tensor slot
-order for full states is (A_n .. A_1, B_n .. B_1); reduced blocks live on
-(A_n .. A_1), i.e. the qubit paired with the kept receiver qubit sits in the
-last slot, matching the spin-basis recursion.
+reduced operator is built only when asked for.  Tensor slot order for full
+states is (A_n .. A_1, B_n .. B_1); the qubit paired with the kept receiver
+qubit sits in slot A_1, matching the spin-basis recursion.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -29,8 +29,6 @@ from scipy.special import xlogy
 
 from .linalg import dag, herm_defect, kron_power, max_abs, partial_trace_qubits, permute_qubits
 from .spin import MAX_PRODUCT_PORTS, SpinBasis, check_port_count
-
-TAGS = ("11", "12", "21", "22")
 
 FILE_ATOL = 1e-8  # Hermiticity, trace, positivity and port-symmetry defects
 
@@ -116,17 +114,21 @@ def port_state(family: ResourceFamily) -> np.ndarray:
 # full and reduced resources
 # ----------------------------------------------------------------------------
 
-def _require_psd(blocks: list[list[np.ndarray]], name: str) -> None:
-    """Reject the Hermitian operator ``np.block(blocks)`` if it has an eigenvalue
-    below -FILE_ATOL (up to rounding): the operator plus FILE_ATOL has a
-    Cholesky factor only if it is positive definite, and the factorisation
-    costs a fraction of the eigenvalues."""
-    op = np.block(blocks)  # the one copy, shifted and factored in place
-    op.flat[::len(op) + 1] += FILE_ATOL
+def _check_state(op: np.ndarray, name: str) -> None:
+    """Reject ``op`` unless it is a density matrix up to FILE_ATOL: Hermitian,
+    of unit trace, and with no eigenvalue below -FILE_ATOL (up to rounding).
+    The operator plus FILE_ATOL has a Cholesky factor only if it is positive
+    definite, and the factorisation costs a fraction of the eigenvalues."""
+    if herm_defect(op) > FILE_ATOL:
+        raise ValueError(f"{name} is not Hermitian")
+    if abs(np.trace(op) - 1) > FILE_ATOL:
+        raise ValueError(f"{name} trace differs from 1")
+    shifted = np.array(op)  # the one copy, shifted and factored in place
+    shifted.flat[::len(shifted) + 1] += FILE_ATOL
     try:
         # read in Fortran order the copy is op^T = conj(op), positive definite
         # exactly when op is, so LAPACK needs no copy of its own
-        cholesky(op.T, lower=True, overwrite_a=True)
+        cholesky(shifted.T, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError:
         raise ValueError(f"{name} is not positive semidefinite") from None
 
@@ -142,48 +144,43 @@ class FullResource:
         d = 2 ** (2 * self.n)
         if self.rho_ab.shape != (d, d):
             raise ValueError(f"expected shape {(d, d)}, got {self.rho_ab.shape}")
-        if herm_defect(self.rho_ab) > FILE_ATOL:
-            raise ValueError("resource state is not Hermitian")
-        if abs(np.trace(self.rho_ab) - 1) > FILE_ATOL:
-            raise ValueError("resource state trace differs from 1")
-        _require_psd([[self.rho_ab]], "resource state")
+        _check_state(self.rho_ab, "resource state")
 
 
-@dataclass(frozen=True, eq=False)
 class ReducedResource:
-    """The four conditional blocks of a resource after keeping one B qubit."""
+    """Tr_{B2..Bn}[pi] as one complex operator ``joint`` on (A_n..A_1, B_1),
+    B_1 last: R^{i+1, j+1} sits at the B_1 bits (i, j), and ``r11``..``r22``
+    are writable views of those blocks.  The constructor copies four blocks
+    into a new operator; ``from_joint`` keeps the one it is given."""
 
-    n: int
-    r11: np.ndarray
-    r12: np.ndarray
-    r21: np.ndarray
-    r22: np.ndarray
+    def __init__(self, n: int, r11, r12, r21, r22):
+        d = 2 ** n
+        joint = np.empty((d, 2, d, 2), dtype=complex)
+        for (i, j), blk in zip(np.ndindex(2, 2), (r11, r12, r21, r22)):
+            if np.shape(blk) != (d, d):
+                raise ValueError(f"block r{i + 1}{j + 1}: expected shape {(d, d)}, got {np.shape(blk)}")
+            joint[:, i, :, j] = blk
+        self.n = n
+        self.joint = joint.reshape(2 * d, 2 * d)
 
-    def block(self, tag: str) -> np.ndarray:
-        return {"11": self.r11, "12": self.r12, "21": self.r21, "22": self.r22}[tag]
+    @classmethod
+    def from_joint(cls, n: int, joint: np.ndarray) -> ReducedResource:
+        obj = cls.__new__(cls)
+        obj.n, obj.joint = n, np.ascontiguousarray(joint, dtype=complex)
+        return obj
 
-    def joint(self) -> np.ndarray:
-        """The blocks as one operator on (A, B_1), B_1 last: ``reduce_full``'s
-        split undone, R^{i+1,j+1} at the B_1 bits (i, j)."""
-        d = 2 ** (self.n + 1)
-        blocks = np.array([[self.r11, self.r12], [self.r21, self.r22]])
-        return blocks.transpose(2, 0, 3, 1).reshape(d, d)
+    def _block(self, i: int, j: int) -> np.ndarray:
+        d = 2 ** self.n
+        return self.joint.reshape(d, 2, d, 2)[:, i, :, j]
+
+    r11 = property(lambda self: self._block(0, 0))
+    r12 = property(lambda self: self._block(0, 1))
+    r21 = property(lambda self: self._block(1, 0))
+    r22 = property(lambda self: self._block(1, 1))
 
     def validate(self) -> None:
-        d = 2 ** self.n
-        for tag in TAGS:
-            if self.block(tag).shape != (d, d):
-                raise ValueError(f"block {tag}: expected shape {(d, d)}")
-        if herm_defect(self.r11) > FILE_ATOL or herm_defect(self.r22) > FILE_ATOL:
-            raise ValueError("conditional blocks r11/r22 are not Hermitian")
-        if max_abs(self.r21, dag(self.r12)) > FILE_ATOL:
-            raise ValueError("r21 is not the adjoint of r12")
-        if abs(np.trace(self.r11) + np.trace(self.r22) - 1) > FILE_ATOL:
-            raise ValueError("trace(r11) + trace(r22) differs from 1")
-        # the operator on (A, B_1), not r11 and r22 alone: large r12, r21 break
-        # it.  B_1 is the outer index here, which permutes ``joint`` and keeps
-        # its spectrum
-        _require_psd([[self.r11, self.r12], [self.r21, self.r22]], "resource reduced to (A, B_1)")
+        # the operator on (A, B_1), not r11 and r22 alone: large r12, r21 break it
+        _check_state(self.joint, "resource reduced to (A, B_1)")
 
 
 def _port_blocks(port: np.ndarray) -> np.ndarray:
@@ -192,11 +189,12 @@ def _port_blocks(port: np.ndarray) -> np.ndarray:
 
 
 def reduced_from_port(port: np.ndarray, n: int) -> ReducedResource:
-    """Reduced blocks of the n-fold product of one two-qubit port state."""
-    check_port_count(n)  # before any 2^n x 2^n block is allocated
+    """The n-fold product of one two-qubit port state reduced to (A, B_1):
+    M^(x)(n-1) (x) port, with M the port's sender marginal."""
+    check_port_count(n)  # before any 2^(n+1) x 2^(n+1) operator is allocated
+    port = np.asarray(port, dtype=complex)
     t = _port_blocks(port)
-    rest = kron_power(t[0, 0] + t[1, 1], n - 1)
-    return ReducedResource(n, *(np.kron(rest, blk) for blk in t.reshape(4, 2, 2)))
+    return ReducedResource.from_joint(n, np.kron(kron_power(t[0, 0] + t[1, 1], n - 1), port))
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,9 +202,8 @@ class ProductResource:
     """The n-fold product of one two-qubit port state, kept as the port.
 
     ``to_spin_coefficients`` and ``validate`` read only the port, at any n
-    up to MAX_PRODUCT_PORTS.  The reduced blocks (``reduced``, and the
-    ReducedResource interface below) are built on first use, and only up to
-    MAX_PORTS ports.
+    up to MAX_PRODUCT_PORTS.  The reduced operator (``reduced``, and its
+    ``joint``) is built on first use, and only up to MAX_PORTS ports.
     """
 
     n: int
@@ -216,16 +213,7 @@ class ProductResource:
     def reduced(self) -> ReducedResource:
         return reduced_from_port(self.port, self.n)
 
-    r11 = property(lambda self: self.reduced.r11)
-    r12 = property(lambda self: self.reduced.r12)
-    r21 = property(lambda self: self.reduced.r21)
-    r22 = property(lambda self: self.reduced.r22)
-
-    def block(self, tag: str) -> np.ndarray:
-        return self.reduced.block(tag)
-
-    def joint(self) -> np.ndarray:
-        return self.reduced.joint()
+    joint = property(lambda self: self.reduced.joint)
 
     def validate(self) -> None:
         FullResource(1, self.port).validate()  # the port as a one-port state
@@ -234,9 +222,9 @@ class ProductResource:
 def make_family(family: ResourceFamily, n: int) -> ReducedResource | ProductResource:
     """The resource of a named family on n ports.
 
-    A file gives its reduced blocks (n up to MAX_PORTS); a product family
+    A file gives its reduced operator (n up to MAX_PORTS); a product family
     gives a ProductResource (n up to MAX_PRODUCT_PORTS), which allocates
-    nothing of size 2^n unless its blocks are asked for.
+    nothing of size 2^n unless its reduced operator is asked for.
     """
     if isinstance(family, FromFile):
         check_port_count(n)  # before the file is read
@@ -264,22 +252,14 @@ def trace_to_first_port(full: FullResource) -> np.ndarray:
 
 
 def reduce_full(full: FullResource) -> ReducedResource:
-    """Trace out all receiver qubits but the first and split into blocks."""
-    n = full.n
+    """Trace out all receiver qubits but the first."""
     full.validate()
-    arr = trace_to_first_port(full).reshape(2 ** n, 2, 2 ** n, 2)
-    return ReducedResource(
-        n=n,
-        r11=np.ascontiguousarray(arr[:, 0, :, 0]),
-        r12=np.ascontiguousarray(arr[:, 0, :, 1]),
-        r21=np.ascontiguousarray(arr[:, 1, :, 0]),
-        r22=np.ascontiguousarray(arr[:, 1, :, 1]),
-    )
+    return ReducedResource.from_joint(full.n, trace_to_first_port(full))
 
 
 def reduced_port_state(family: ResourceFamily, n: int) -> np.ndarray:
     """Tr_{B2..Bn} of a product family, on (A, B_1) with B_1 last."""
-    return reduced_from_port(port_state(family), n).joint()
+    return reduced_from_port(port_state(family), n).joint
 
 
 def _swapped(op: np.ndarray, qubits: int, *pairs: tuple[int, int]) -> np.ndarray:
@@ -293,18 +273,18 @@ def _swapped(op: np.ndarray, qubits: int, *pairs: tuple[int, int]) -> np.ndarray
 def _port_asymmetry(obj: FullResource | ReducedResource) -> float:
     """Largest change of a resource under an exchange of two adjacent ports.
 
-    A full state exchanges (A_k, B_k) with (A_k+1, B_k+1).  Reduced blocks
-    keep B_1, so they show only the exchanges that leave it alone: those
-    within A_n..A_2 in every block, and A_2 <-> A_1 in r11 + r22, where B_1
-    is traced out.
+    A full state exchanges (A_k, B_k) with (A_k+1, B_k+1).  The reduced
+    operator keeps B_1, so it shows only the exchanges that leave it alone:
+    those within A_n..A_2, and A_2 <-> A_1 in r11 + r22, where B_1 is traced
+    out.
     """
     n = obj.n
     if isinstance(obj, FullResource):
         rho = obj.rho_ab
         return max((max_abs(_swapped(rho, 2 * n, (k, k + 1), (n + k, n + k + 1)), rho)
                     for k in range(n - 1)), default=0.0)
-    defects = [max_abs(_swapped(obj.block(tag), n, (k, k + 1)), obj.block(tag))
-               for tag in TAGS for k in range(n - 2)]
+    joint = obj.joint
+    defects = [max_abs(_swapped(joint, n + 1, (k, k + 1)), joint) for k in range(n - 2)]
     if n >= 2:
         marg = obj.r11 + obj.r22
         defects.append(max_abs(_swapped(marg, n, (n - 2, n - 1)), marg))
@@ -335,7 +315,7 @@ def to_spin_coefficients(reduced: ReducedResource | ProductResource,
                          basis: SpinBasis) -> SpinCoefficients:
     """Spin table by Schur-Weyl duality from the port of a product resource,
     turned into the eigenframe of its A marginal, else by the dense
-    congruence u^T R u of each reduced block."""
+    congruence u^T R u of the reduced operator's four blocks."""
     if basis.n != reduced.n:
         raise ValueError(f"basis is for n={basis.n}, resource for n={reduced.n}")
     if isinstance(reduced, ProductResource):
@@ -354,11 +334,13 @@ def to_spin_coefficients(reduced: ReducedResource | ProductResource,
             raise ValueError("the port's sender marginal is not positive semidefinite")
         return SpinCoefficients(basis, ProductTable(basis, *np.maximum(eig, 0), t), frame)
     u = basis.u
-    # u is real, so u^T R is one real product on R's interleaved (re, im) view;
-    # the four small tables are stacked, not the 2^n x 2^n blocks
-    table = np.stack([(u.T @ np.ascontiguousarray(reduced.block(tag), dtype=complex).view(float))
-                      .view(complex) @ u for tag in TAGS], axis=-1)
-    return SpinCoefficients(basis, table.reshape(*table.shape[:2], 2, 2))
+    d, m = u.shape
+    # u is real, so u^T R is one real product on the joint operator's
+    # interleaved (re, im) view, its A rows against (B_1 row, A column, B_1
+    # column); the small (m, 2, 2, d) result then meets u on the right
+    half = (u.T @ reduced.joint.view(float).reshape(d, -1)).view(complex)
+    table = half.reshape(m, 2, d, 2).transpose(0, 1, 3, 2).reshape(4 * m, d) @ u
+    return SpinCoefficients(basis, table.reshape(m, 2, 2, m).transpose(0, 3, 1, 2))
 
 
 class ProductTable:
@@ -416,19 +398,19 @@ class ProductTable:
 _MAGIC = "PBTRES 1"
 
 
-def save_resource(path: str | Path, obj: FullResource | ReducedResource) -> None:
-    """Write a resource in the PBTRES text format (FULL or REDUCED)."""
-    lines = [_MAGIC, f"N={obj.n}"]
+def save_resource(path: str | Path, obj: FullResource | ReducedResource | ProductResource) -> None:
+    """Write a resource in the PBTRES text format (FULL or REDUCED), row by row."""
     if isinstance(obj, FullResource):
-        lines.append("FORM=FULL")
-        mats = [obj.rho_ab]
+        form, mats = "FULL", [obj.rho_ab]
     else:
-        lines.append("FORM=REDUCED")
-        mats = [obj.r11, obj.r12, obj.r21, obj.r22]
-    for m in mats:
-        for row in np.asarray(m, dtype=complex):
-            lines.append(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        d = 2 ** obj.n
+        blocks = obj.joint.reshape(d, 2, d, 2)
+        form, mats = "REDUCED", [blocks[:, i, :, j] for i, j in np.ndindex(2, 2)]
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"{_MAGIC}\nN={obj.n}\nFORM={form}\n")
+        for m in mats:
+            for row in np.asarray(m, dtype=complex):
+                f.write(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) + "\n")
 
 
 def load_resource(path: str | Path) -> ReducedResource:
@@ -438,26 +420,35 @@ def load_resource(path: str | Path) -> ReducedResource:
     1e-8 are rejected: the channel's closed form holds only for
     port-symmetric resources.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 4 or lines[0].strip() != _MAGIC:
+    head = []
+    with open(path, encoding="utf-8") as f:
+        while len(head) < 3 and (line := f.readline()):
+            if line.strip():
+                head.append(line.strip())
+        body = f.read()  # the only copy of the entries' text
+    if len(head) < 3 or not body or body.isspace() or head[0] != _MAGIC:
         raise ValueError("not a PBTRES resource file")
-    if not lines[1].strip().startswith("N="):
+    if not head[1].startswith("N="):
         raise ValueError("missing N= header line")
-    n = int(lines[1].strip()[2:])
+    n = int(head[1][2:])
     check_port_count(n)  # before the body is parsed or a block is shaped
-    form = lines[2].strip()
+    form = head[2]
     if form not in ("FORM=FULL", "FORM=REDUCED"):
         raise ValueError(f"unknown FORM header: {form!r}")
     try:
-        values = np.fromstring(" ".join(lines[3:]), sep=" ")
-    except ValueError:
+        # numpy 1.x only warns at a token it cannot read, and returns the
+        # numbers before it; numpy 2 raises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(body, sep=" ")
+    except (ValueError, DeprecationWarning):
         raise ValueError("resource entries must be whitespace-separated numbers") from None
+    del body
     if not np.isfinite(values).all():
         raise ValueError("resource entries must be finite; the file holds nan or inf")
     if values.size % 2:
         raise ValueError("odd number of real values; entries must be re/im pairs")
-    entries = values[0::2] + 1j * values[1::2]
+    entries = values.view(complex)  # keeps signed zeros, unlike re + 1j * im
     if form == "FORM=FULL":
         d = 2 ** (2 * n)
         if entries.size != d * d:
@@ -469,8 +460,8 @@ def load_resource(path: str | Path) -> ReducedResource:
         d = 2 ** n
         if entries.size != 4 * d * d:
             raise ValueError(f"expected {4 * d * d} complex entries, got {entries.size}")
-        blocks = entries.reshape(4, d, d)
-        reduced = ReducedResource(n=n, r11=blocks[0], r12=blocks[1], r21=blocks[2], r22=blocks[3])
+        reduced = ReducedResource(n, *entries.reshape(4, d, d))
+        del values, entries  # the resource holds its own copy
         reduced.validate()
         asymmetry = _port_asymmetry(reduced)
     if asymmetry > FILE_ATOL:

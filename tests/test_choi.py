@@ -114,7 +114,7 @@ class TestTwoPort:
         assert c[2, 2] == pytest.approx(xi(2) / 4, abs=1e-14)
 
     def test_zero_coherence_blocks(self):
-        red = make_family(Bell(), 2)
+        red = make_family(Bell(), 2).reduced
         zero = np.zeros_like(red.r12)
         diagonal_only = ReducedResource(n=2, r11=red.r11, r12=zero, r21=zero, r22=red.r22)
         c = choi_from_reduced(diagonal_only)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,21 @@ class TestSimpleCommands:
                   for ls in lines]
         np.testing.assert_allclose(values[0], values[1], rtol=0, atol=1e-11)
 
+    @pytest.mark.parametrize("spec", ["bell", "ad:0.3", "alternate:0.7"])
+    @pytest.mark.parametrize("command", ["choi", "kraus"])
+    def test_file_output_ignores_signed_zeros(self, capsys, tmp_path, spec, command):
+        # the file keeps its -0 entries now; the printed channel is the same
+        signed = tmp_path / "signed.pbtres"
+        save_resource(signed, make_family(cli.parse_resource(spec), 5))
+        text = signed.read_text()
+        assert " -0 " in text
+        unsigned = tmp_path / "unsigned.pbtres"
+        unsigned.write_text(re.sub(r"(?<!\S)-0(?!\S)", "0", text))
+        outputs = [run_cli(capsys, command, "--ports", "5", "--resource", str(path))
+                   for path in (signed, unsigned)]
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("n", range(2, 10))
     def test_kraus_bytes_same_from_product_and_dense_routes(self, capsys, monkeypatch, n):
         # the dense route: the family's blocks, materialised, through the congruence
@@ -177,7 +193,7 @@ class TestErrors:
     def test_rejects_file_with_non_psd_joint_operator(self, capsys, tmp_path, command):
         # r11 and r22 are positive, the joint (A, B_1) operator is not: the file
         # is refused, not turned into an invalid output Choi matrix
-        bell = make_family(cli.parse_resource("bell"), 3)
+        bell = make_family(cli.parse_resource("bell"), 3).reduced
         path = tmp_path / "coherent.pbtres"
         save_resource(path, ReducedResource(3, bell.r11, 3 * bell.r12, 3 * bell.r21, bell.r22))
         code, out, err = run_cli(capsys, command, "--ports", "3", "--resource", str(path))

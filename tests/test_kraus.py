@@ -151,7 +151,7 @@ class TestProtocolKraus:
     def test_matches_oracle_on_random_symmetric(self, n, symmetric_reduced):
         # the Choi assembly shares the measurement rows; the dense oracle does not
         red = symmetric_reduced(n)
-        assert max_abs(apply_protocol(protocol_kraus(n), red.joint()), oracle_choi(red)) <= 1e-10
+        assert max_abs(apply_protocol(protocol_kraus(n), red.joint), oracle_choi(red)) <= 1e-10
 
     def test_bell_resource_gives_depolarizing(self):
         n = 4

@@ -6,8 +6,7 @@ import pytest
 
 from pbtsim.linalg import max_abs, permute_qubits
 from pbtsim.oracle import build_povm, oracle_choi, povm_element, sigma_op
-from pbtsim.resources import (TAGS, AdChoi, Bell, ReducedResource, make_family,
-                              reduced_from_port)
+from pbtsim.resources import AdChoi, Bell, ReducedResource, make_family, reduced_from_port
 
 from conftest import random_density, rho_eigenbasis
 
@@ -21,7 +20,7 @@ def per_entry_oracle(reduced: ReducedResource) -> np.ndarray:
     for m, mp, i, j in itertools.product((0, 1), repeat=4):
         e = np.zeros((2, 2))
         e[m, mp] = 1.0
-        c[2 * m + i, 2 * mp + j] = (n / 2) * np.trace(pi_1 @ np.kron(reduced.block(f"{i + 1}{j + 1}"), e))
+        c[2 * m + i, 2 * mp + j] = (n / 2) * np.trace(pi_1 @ np.kron(_block(reduced, i, j), e))
     return c
 
 
@@ -29,8 +28,13 @@ def mixed_products(n: int, rng: np.random.Generator, count: int = 3) -> ReducedR
     """A random mixture of products of random ports: port symmetric, not a product."""
     weights = rng.dirichlet(np.ones(count))
     parts = [reduced_from_port(random_density(4, rng), n) for _ in range(count)]
-    return ReducedResource(n, *(sum(w * part.block(tag) for w, part in zip(weights, parts))
-                                for tag in TAGS))
+    return ReducedResource.from_joint(n, sum(w * part.joint for w, part in zip(weights, parts)))
+
+
+def _block(reduced: ReducedResource, i: int, j: int) -> np.ndarray:
+    """R^{i+1, j+1}, read from the joint operator by its B_1 bits."""
+    d = 2 ** reduced.n
+    return reduced.joint.reshape(d, 2, d, 2)[:, i, :, j]
 
 
 class TestBuildPovm:
@@ -113,7 +117,7 @@ class TestOracleChoi:
                 e[m, nn] = 1.0
                 for i in (0, 1):
                     for j in (0, 1):
-                        blk = permute_qubits(red.block(f"{i + 1}{j + 1}"), src)
+                        blk = permute_qubits(_block(red, i, j), src)
                         c[2 * m + i, 2 * nn + j] = (n / 2) * np.trace(pi_2 @ np.kron(blk, e))
         assert max_abs(c, oracle_choi(red)) <= 1e-10
 

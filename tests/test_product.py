@@ -14,7 +14,7 @@ from pbtsim.analysis import alternate_choi, depolarizing_choi, pbt_ad_choi, xi
 from pbtsim.choi import check_choi, choi_from_reduced, measurement_rows
 from pbtsim.linalg import dag, max_abs
 from pbtsim.oracle import oracle_choi
-from pbtsim.resources import (TAGS, AdChoi, Alternate, Bell, FromFile, ProductResource,
+from pbtsim.resources import (AdChoi, Alternate, Bell, FromFile, ProductResource,
                               make_family, port_state, reduced_from_port, save_resource,
                               to_spin_coefficients)
 from pbtsim.spin import MAX_PORTS, MAX_PRODUCT_PORTS, build_spin_basis
@@ -135,11 +135,11 @@ def test_blocks_built_on_first_use_only():
     choi_from_reduced(big)
     assert "reduced" not in vars(big)
     with pytest.raises(ValueError, match=f"port count must be in 1..{MAX_PORTS}, got 13"):
-        big.block("11")
+        big.joint
     small = make_family(AdChoi(0.4), 3)
     want = reduced_from_port(small.port, 3)
-    assert all(np.array_equal(small.block(tag), want.block(tag)) for tag in TAGS)
-    assert np.array_equal(small.joint(), want.joint())
+    assert np.array_equal(small.joint, want.joint)
+    assert small.joint is small.reduced.joint
 
 
 @pytest.mark.parametrize("n", [3, 13, 500])

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from pbtsim import resources
 from pbtsim.linalg import kron_power, max_abs, permute_qubits
 from pbtsim.oracle import oracle_choi
 from pbtsim.resources import (AdChoi, Alternate, Bell, FromFile, FullResource,
-                              ReducedResource, TAGS, ad_choi_port,
+                              ReducedResource, _port_asymmetry, ad_choi_port,
                               alternate_port, bell_port, full_from_port,
                               load_resource, make_family, port_state,
                               reduce_full, reduced_port_state, save_resource,
@@ -37,7 +40,7 @@ class TestPortStates:
 
 class TestReduce:
     def test_bell_pair_blocks(self):
-        red = make_family(Bell(), 2)
+        red = make_family(Bell(), 2).reduced
         np.testing.assert_allclose(
             red.r11, 0.25 * np.kron(np.eye(2), np.diag([0, 1])), atol=1e-15
         )
@@ -47,8 +50,7 @@ class TestReduce:
     def test_product_families_match_dense_reduction(self, n, family):
         direct = make_family(family, n)
         dense = reduce_full(full_from_port(port_state(family), n))
-        for tag in TAGS:
-            assert max_abs(direct.block(tag), dense.block(tag)) <= 1e-13
+        assert max_abs(direct.joint, dense.joint) <= 1e-13
 
     def test_maximally_mixed(self):
         n = 3
@@ -59,14 +61,97 @@ class TestReduce:
 
     @pytest.mark.parametrize("family", [Bell(), AdChoi(0.6), Alternate(0.2)])
     def test_block_trace_sums_to_one(self, family):
-        red = make_family(family, 4)
+        red = make_family(family, 4).reduced
         red.validate()
         assert abs(np.trace(red.r11) + np.trace(red.r22) - 1) < 1e-13
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_joint_undoes_split(self, n):
         full = random_symmetric_resource(n, np.random.default_rng(n))
-        assert np.array_equal(reduce_full(full).joint(), trace_to_first_port(full))
+        assert np.array_equal(reduce_full(full).joint, trace_to_first_port(full))
+
+
+def random_blocks(n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Four unrelated complex 2^n x 2^n blocks, with a signed zero in each part."""
+    d = 2 ** n
+    blocks = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(4)]
+    for blk in blocks:
+        blk[0, 0] = complex(-0.0, -0.0)
+    return blocks
+
+
+def interleaved(r11, r12, r21, r22) -> np.ndarray:
+    """The four blocks as one operator on (A, B_1), B_1 last, written out
+    independently of ``ReducedResource``."""
+    d = len(r11)
+    return np.array([[r11, r12], [r21, r22]]).transpose(2, 0, 3, 1).reshape(2 * d, 2 * d)
+
+
+def per_block_asymmetry(red: ReducedResource) -> float:
+    """Port asymmetry block by block: every exchange within A_n..A_2 in each of
+    r11, r12, r21, r22, and A_2 <-> A_1 in r11 + r22."""
+    n = red.n
+
+    def swap(k):
+        src = list(range(n))
+        src[k], src[k + 1] = src[k + 1], src[k]
+        return src
+
+    blocks = [red.r11.copy(), red.r12.copy(), red.r21.copy(), red.r22.copy()]
+    defects = [max_abs(permute_qubits(blk, swap(k)), blk) for blk in blocks for k in range(n - 2)]
+    marg = blocks[0] + blocks[3]
+    defects.append(max_abs(permute_qubits(marg, swap(n - 2)), marg))
+    return max(defects)
+
+
+class TestJointLayout:
+    """``ReducedResource`` holds one operator on (A, B_1); the blocks are views."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_constructor_round_trips_blocks_bitwise(self, n):
+        blocks = random_blocks(n, np.random.default_rng(n))
+        red = ReducedResource(n, *blocks)
+        for got, want in zip((red.r11, red.r12, red.r21, red.r22), blocks):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_joint_is_the_block_interleave(self, n):
+        blocks = random_blocks(n, np.random.default_rng(10 + n))
+        red = ReducedResource(n, *blocks)
+        assert red.joint.shape == (2 ** (n + 1), 2 ** (n + 1))
+        assert red.joint.tobytes() == interleaved(*blocks).tobytes()
+
+    def test_block_writes_reach_joint(self):
+        red = ReducedResource(2, *random_blocks(2, np.random.default_rng(0)))
+        before = red.joint.copy()
+        red.r11[1, 1] += 1e-12
+        red.r21[0, 3] = 5.0
+        assert red.joint[2, 2] == before[2, 2] + 1e-12
+        assert red.joint[1, 6] == 5.0
+        assert np.count_nonzero(red.joint != before) == 2
+
+    def test_from_joint_keeps_the_operator(self):
+        joint = random_density(8, np.random.default_rng(1))
+        red = ReducedResource.from_joint(2, joint)
+        assert red.joint is joint
+        assert red.r12.tobytes() == joint.reshape(4, 2, 4, 2)[:, 0, :, 1].copy().tobytes()
+
+    def test_rejects_block_of_wrong_shape(self):
+        blocks = random_blocks(2, np.random.default_rng(2))
+        blocks[1] = blocks[1][:3]
+        with pytest.raises(ValueError, match=r"block r12: expected shape \(4, 4\)"):
+            ReducedResource(2, *blocks)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_port_asymmetry_is_the_per_block_maximum(self, n):
+        rng = np.random.default_rng(30 + n)
+        for _ in range(3):
+            red = ReducedResource.from_joint(n, random_density(2 ** (n + 1), rng))
+            assert _port_asymmetry(red) == per_block_asymmetry(red)
+        # only A_2 <-> A_1 in the B_1 marginal shows the defect
+        sigma, tau = random_density(4, rng), random_density(4, rng)
+        red = reduce_full(_port_product(*[sigma] * (n - 1), tau))
+        assert _port_asymmetry(red) == per_block_asymmetry(red) > 1e-3
 
 
 class TestReducedPortState:
@@ -88,8 +173,9 @@ class TestSpinCoefficients:
         red = make_family(AdChoi(0.35), n).reduced  # the dense congruence
         coeffs = to_spin_coefficients(red, build_spin_basis(n))
         u = coeffs.basis.u
-        for k, tag in enumerate(TAGS):
-            assert max_abs(u @ coeffs.table[..., k // 2, k % 2] @ u.T, red.block(tag)) <= 1e-12
+        for i, j in np.ndindex(2, 2):
+            block = red.joint.reshape(2 ** n, 2, 2 ** n, 2)[:, i, :, j]
+            assert max_abs(u @ coeffs.table[..., i, j] @ u.T, block) <= 1e-12
 
     @staticmethod
     def _assert_schur_weyl(red):
@@ -193,7 +279,7 @@ def bell_coherences_scaled(n: int, scale: float) -> ReducedResource:
     """Bell-port blocks with r12 and r21 multiplied by scale: r11 and r22 keep
     their spectra, and the joint (A, B_1) operator has the eigenvalue
     (1 - scale) / 2^(n-1) on the singlet of (A_1, B_1)."""
-    bell = make_family(Bell(), n)
+    bell = make_family(Bell(), n).reduced
     return ReducedResource(n, bell.r11, scale * bell.r12, scale * bell.r21, bell.r22)
 
 
@@ -209,8 +295,7 @@ class TestResourceFiles:
         path = tmp_path / "res.pbtres"
         save_resource(path, red)
         back = load_resource(path)
-        for tag in TAGS:
-            assert max_abs(back.block(tag), red.block(tag)) <= 1e-14
+        assert max_abs(back.joint, red.joint) <= 1e-14
 
     def test_full_round_trip_reduces(self, tmp_path):
         full = full_from_port(ad_choi_port(0.25), 2)
@@ -218,15 +303,14 @@ class TestResourceFiles:
         save_resource(path, full)
         back = load_resource(path)
         direct = reduce_full(full)
-        for tag in TAGS:
-            assert max_abs(back.block(tag), direct.block(tag)) <= 1e-14
+        assert max_abs(back.joint, direct.joint) <= 1e-14
 
     def test_from_file_family(self, tmp_path):
         red = make_family(AdChoi(0.4), 3)
         path = tmp_path / "ad.pbtres"
         save_resource(path, red)
         again = make_family(FromFile(str(path)), 3)
-        assert max_abs(again.r11, red.r11) <= 1e-14
+        assert max_abs(again.joint, red.joint) <= 1e-14
         with pytest.raises(ValueError):
             make_family(FromFile(str(path)), 4)
 
@@ -241,6 +325,72 @@ class TestResourceFiles:
         path.write_text("PBTRES 1\nN=1\nFORM=REDUCED\n1 0 x 0\n")
         with pytest.raises(ValueError, match="whitespace-separated numbers"):
             load_resource(path)
+
+    @pytest.mark.parametrize("body", ["0.5 0 0 0 0 0 0 0\n0 0 0 0 0 0 0.5 0 junk",
+                                      "0.5 0 0 0 0 0 0 0 0 0 0 0 0 0 0.5 0x"])
+    def test_rejects_trailing_garbage(self, tmp_path, body):
+        path = tmp_path / "token.pbtres"
+        path.write_text(f"PBTRES 1\nN=1\nFORM=REDUCED\n{body}\n")
+        with pytest.raises(ValueError, match="whitespace-separated numbers"):
+            load_resource(path)
+
+    def test_rejects_malformed_token_where_numpy_only_warns(self, tmp_path, monkeypatch):
+        # numpy 1.x warns at an unreadable token and returns the numbers before it
+        def fromstring_1x(text, sep):
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            return np.array([0.5, 0, 0, 0, 0, 0, 0.5, 0])
+
+        monkeypatch.setattr(resources.np, "fromstring", fromstring_1x)
+        path = tmp_path / "token.pbtres"
+        path.write_text("PBTRES 1\nN=1\nFORM=REDUCED\n0.5 0 0 0 0 0 0.5 0 junk\n")
+        with pytest.raises(ValueError, match="whitespace-separated numbers"):
+            load_resource(path)
+
+    def test_header_may_follow_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.pbtres"
+        path.write_text("\n\nPBTRES 1\n  \nN=1\nFORM=REDUCED\n\n0.25 0 0 0 0 0 0.25 0\n"
+                        "0 0 0 0 0 0 0 0\n 0 0 0 0 0 0 0 0\n0.25 0 0 0 0 0 0.25 0\n")
+        red = load_resource(path)
+        assert np.array_equal(red.joint, np.diag([0.25, 0.25, 0.25, 0.25]))
+
+    @pytest.mark.parametrize("text", ["", "PBTRES 1\nN=1\n", "PBTRES 1\nN=1\nFORM=REDUCED\n",
+                                      "PBTRES 1\nN=1\nFORM=REDUCED\n \n\n"])
+    def test_rejects_file_without_body(self, tmp_path, text):
+        path = tmp_path / "short.pbtres"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a PBTRES resource file"):
+            load_resource(path)
+
+    @pytest.mark.parametrize("form", ["FULL", "REDUCED"])
+    def test_round_trip_keeps_signed_zeros(self, tmp_path, form):
+        full = full_from_port(ad_choi_port(0.3), 2)
+        op = (full.rho_ab if form == "FULL" else reduce_full(full).joint).copy()
+        op.flat[np.flatnonzero(op == 0)[::3]] = complex(-0.0, -0.0)
+        assert np.signbit(op.real).any() and np.signbit(op.imag).any()
+        obj = FullResource(2, op) if form == "FULL" else ReducedResource.from_joint(2, op)
+        want = reduce_full(obj).joint if form == "FULL" else op
+        back = load_resource(_saved(tmp_path, obj))
+        assert back.joint.tobytes() == want.tobytes()
+
+    def test_save_and_load_memory(self, tmp_path):
+        # the text of a FULL n = 4 file (3 MB) is held once while loading,
+        # and never whole while saving
+        rng = np.random.default_rng(44)
+        full = full_from_port(random_density(4, rng), 4)
+        path = tmp_path / "full4.pbtres"
+        tracemalloc.start()
+        try:
+            save_resource(path, full)
+            saved_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            load_resource(path)
+            loaded_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 3e6
+        assert saved_peak < 0.1 * size
+        assert loaded_peak < 2.5 * size
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("form", ["FULL", "REDUCED"])
@@ -271,23 +421,36 @@ class TestResourceFiles:
             load_resource(path)
 
     def test_rejects_non_hermitian(self, tmp_path):
-        red = make_family(Bell(), 2)
+        red = make_family(Bell(), 2).reduced
         broken = ReducedResource(n=2, r11=red.r11 + 1e-6 * np.triu(np.ones((4, 4)), 1),
                                  r12=red.r12, r21=red.r21, r22=red.r22)
         path = tmp_path / "nonherm.pbtres"
         save_resource(path, broken)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"resource reduced to \(A, B_1\) is not Hermitian"):
             load_resource(path)
 
+    def test_rejects_coherence_blocks_not_adjoint(self, tmp_path):
+        red = make_family(Bell(), 2).reduced
+        broken = ReducedResource(2, red.r11, red.r12 + 1e-6, red.r21, red.r22)
+        with pytest.raises(ValueError, match=r"resource reduced to \(A, B_1\) is not Hermitian"):
+            load_resource(_saved(tmp_path, broken))
+
+    def test_rejects_trace_deficit(self, tmp_path):
+        red = make_family(Bell(), 2).reduced
+        broken = ReducedResource(2, 0.99 * red.r11, red.r12, red.r21, red.r22)
+        with pytest.raises(ValueError, match=r"resource reduced to \(A, B_1\) trace differs from 1"):
+            load_resource(_saved(tmp_path, broken))
+
     def test_rejects_non_psd(self, tmp_path):
-        red = make_family(Bell(), 2)
+        red = make_family(Bell(), 2).reduced
         bad = red.r11.copy()
         bad[0, 0] -= 1e-4
         bad[3, 3] += 1e-4
         broken = ReducedResource(n=2, r11=bad, r12=red.r12, r21=red.r21, r22=red.r22)
         path = tmp_path / "nonpsd.pbtres"
         save_resource(path, broken)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"resource reduced to \(A, B_1\) is not positive semidefinite"):
             load_resource(path)
 
     @pytest.mark.parametrize("scale", [3.0, 1 + 1e-6])
