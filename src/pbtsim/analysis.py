@@ -3,8 +3,12 @@
 Closed forms for the depolarising probability of the protocol with maximally
 entangled ports, the output Choi matrices for the damping-Choi and alternate
 port families, the two parameter points where the diamond norm collapses onto
-the trace norm, and numerical diamond norms by a concave search over the
-input marginal, certified against analytic bounds.
+the trace norm, and numerical diamond norms by maximising a concave function
+of the input marginal.  Where the analytic bounds meet, the trace norm is
+returned; for X-shaped Choi differences, which every damping-study pair is
+and for which a diagonal marginal is optimal, the maximum is a golden-section
+search over one closed-form variable; any other pair is searched over the
+Bloch ball by Nelder-Mead.
 """
 
 from __future__ import annotations
@@ -147,32 +151,98 @@ def _sqrt_marginal(r: np.ndarray) -> np.ndarray:
 # Nelder-Mead runs per diamond norm at most; sweep points need 2-3
 MAX_SEARCH_RUNS = 10
 _NELDER_MEAD = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000}
-# bounds closer than this certify the trace norm as the diamond norm
+# bounds closer than this certify the trace norm as the diamond norm; an
+# off-X part whose entries sum to at most half of it moves the norm by no more
 CERTIFIED_GAP = 1e-12
+# the entries of a 4 x 4 Choi matrix off its X, the diagonal and antidiagonal
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+_GOLDEN = (math.sqrt(5) - 1) / 2
+# width of the final bracket of the golden-section search over p
+_GOLDEN_XTOL = 1e-13
 
 
 def diamond_numeric(x: np.ndarray, y: np.ndarray, seed: int = 0, restarts: int = 64) -> float:
     """Diamond norm by maximising over the input marginal rho.
 
     The value 2 ||(sqrt(rho) (x) 1) J (sqrt(rho) (x) 1)||_1 of the Choi
-    difference J is concave in rho (Watrous' SDP), so a local search over
-    the Bloch ball finds the global maximum.  At rho = 1/2 it is the
-    trace-norm lower bound of ``diamond_bounds``, and the upper bound is
-    the dual value of the same point, so when the two meet within
-    CERTIFIED_GAP the lower bound is returned with no search.  Otherwise
-    Nelder-Mead starts at the maximally mixed marginal, so the result never
-    falls below the lower bound, over Bloch vectors folded into the ball
-    (``_fold``); it then restarts from the folded incumbent with a fresh
-    simplex until a run gains no more than 1e-15.  ``seed`` and
-    ``restarts`` are accepted for the benchmark's workloads, written
-    against the former multi-start search, and ignored: the search is
-    deterministic.
+    difference J is concave in rho (Watrous' SDP, arXiv:1207.5726), so a
+    local search finds the global maximum.  Three routes, in this order:
+
+    1. At rho = 1/2 the objective is the trace-norm lower bound of
+       ``diamond_bounds``, and the upper bound is the dual value of the same
+       point, so when the two meet within CERTIFIED_GAP the lower bound is
+       returned with no search.
+    2. When J is X-shaped (nonzero only on the diagonal and at (0, 3),
+       (1, 2) and their conjugates, as every damping-study pair is), J is
+       invariant under conjugation by Z (x) Z, so the objective takes the
+       same value at rho and Z rho Z, and by concavity their average
+       diag(rho) does at least as well.  So a diagonal marginal
+       diag(p, 1 - p) is optimal, where the objective is closed form
+       (``_diamond_x_shaped``), maximised over p by golden section.  The
+       X shape is decided by a bound: the off-X part E of J changes the
+       objective by at most 2 ||E||_1 <= 2 sum |E_kl|, and the route is taken
+       when that is at most CERTIFIED_GAP.
+    3. Otherwise Nelder-Mead searches the Bloch ball (``_diamond_search``).
+
+    ``seed`` and ``restarts`` are accepted for the benchmark's workloads,
+    written against the former multi-start search, and ignored: every route
+    is deterministic.
     """
     lower, upper = diamond_bounds(x, y)
     if upper - lower <= CERTIFIED_GAP:
         return lower
+    j = np.asarray(x) - np.asarray(y)
+    if 2.0 * float(np.abs(j[_OFF_X]).sum()) <= CERTIFIED_GAP:
+        return _diamond_x_shaped(j)
+    return _diamond_search(j)
+
+
+def _diamond_x_shaped(j: np.ndarray) -> float:
+    """Maximum of the objective over diagonal marginals, from the X entries of j.
+
+    At rho = diag(p, 1 - p) the weighted difference splits into the 2 x 2
+    blocks {0, 3} and {1, 2}, each [[a, c], [c*, b]] with a = p j_kk,
+    b = (1 - p) j_ll and |c|^2 = p (1 - p) |j_kl|^2, whose trace norm is
+    max(|a + b|, 2 sqrt(((a - b)/2)^2 + |c|^2)).  The objective is concave in
+    p; golden section in scalar arithmetic brackets its maximum, and the
+    endpoints and p = 1/2 (the trace norm) are compared as well, so the
+    value never falls below the trace-norm lower bound.
+    """
+    blocks = [(float(j[k, k].real), float(j[l, l].real), abs(complex(j[k, l])) ** 2)
+              for k, l in ((0, 3), (1, 2))]
+
+    def objective(p: float) -> float:
+        q = 1.0 - p
+        total = 0.0
+        for jkk, jll, c2 in blocks:
+            a, b = p * jkk, q * jll
+            total += max(abs(a + b), 2.0 * math.sqrt(((a - b) / 2) ** 2 + p * q * c2))
+        return 2.0 * total
+
+    lo, hi, p1, p2 = 0.0, 1.0, 1.0 - _GOLDEN, _GOLDEN
+    f1, f2 = objective(p1), objective(p2)
+    while hi - lo > _GOLDEN_XTOL:
+        if f1 < f2:
+            lo, p1, f1 = p1, p2, f2
+            p2 = lo + _GOLDEN * (hi - lo)
+            f2 = objective(p2)
+        else:
+            hi, p2, f2 = p2, p1, f1
+            p1 = hi - _GOLDEN * (hi - lo)
+            f1 = objective(p1)
+    return max(f1, f2, objective(0.0), objective(0.5), objective(1.0))
+
+
+def _diamond_search(j: np.ndarray) -> float:
+    """Maximum of the objective over all marginals, for any 4 x 4 difference j.
+
+    Nelder-Mead starts at the maximally mixed marginal, so the result never
+    falls below the trace norm, over Bloch vectors folded into the ball
+    (``_fold``); it then restarts from the folded incumbent with a fresh
+    simplex until a run gains no more than 1e-15.
+    """
     # rows: idler; columns: (output, idler', output')
-    j = (np.asarray(x) - np.asarray(y)).reshape(2, 8)
+    j = np.asarray(j).reshape(2, 8)
 
     def neg(r: np.ndarray) -> float:
         s = _sqrt_marginal(_fold(r))

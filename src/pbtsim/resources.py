@@ -409,8 +409,11 @@ def save_resource(path: str | Path, obj: FullResource | ReducedResource | Produc
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{_MAGIC}\nN={obj.n}\nFORM={form}\n")
         for m in mats:
-            for row in np.asarray(m, dtype=complex):
-                f.write(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) + "\n")
+            m = np.asarray(m, dtype=complex)
+            # one %-format per row, over its real and imaginary parts interleaved
+            row_format = " ".join(["%.17g"] * (2 * m.shape[1])) + "\n"
+            for row in m:
+                f.write(row_format % tuple(np.ascontiguousarray(row).view(float).tolist()))
 
 
 def load_resource(path: str | Path) -> ReducedResource:

@@ -177,6 +177,115 @@ def _random_marginal_sqrt(rng: np.random.Generator) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
 
 
+def _figure_grid(n: int):
+    """(out, noisy, target) over both families' figure ranges for three targets.
+
+    noisy is out moved by Hermitian noise of size 1e-15 whose trace over the
+    output vanishes, so it stays a trace-preserving channel's Choi matrix to
+    rounding, and X-shaped to within 1.6e-14 in the sum of its off-X entries.
+    """
+    rng = np.random.default_rng(n)
+    for p0 in (0.36, 0.7, 0.95):
+        target = analysis.ad_choi(p0, "plus")
+        outs = ([analysis.pbt_ad_choi(n, float(p1)) for p1 in np.linspace(0, 1, 11)]
+                + [analysis.alternate_choi(n, float(a)) for a in np.linspace(0.5, 1, 11)])
+        for out in outs:
+            h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            h = h + h.conj().T
+            h -= np.kron(partial_trace_qubits(h, 2, [0]), np.eye(2) / 2)
+            yield out, out + 1e-15 * h / np.abs(h).max(), target
+
+
+def _random_x_choi(rng: np.random.Generator) -> np.ndarray:
+    """Choi matrix of a random trace-preserving qubit channel that is X-shaped:
+    nonzero only on the diagonal and at (0, 3), (1, 2) and their conjugates,
+    with complex coherences anywhere in the disc positivity allows."""
+    u, v = rng.uniform(size=2)
+    diag = np.array([u, 1 - u, v, 1 - v]) / 2
+    c = np.diag(diag).astype(complex)
+    for k, l in ((0, 3), (1, 2)):
+        c[k, l] = (math.sqrt(rng.uniform() * diag[k] * diag[l])
+                   * np.exp(2j * math.pi * rng.uniform()))
+        c[l, k] = np.conj(c[k, l])
+    return c
+
+
+def _study_rows(n: int):
+    """(out, target) for both families at five parameters and three targets."""
+    for p0 in (0.36, 0.7, 0.95):
+        target = analysis.ad_choi(p0, "plus")
+        for p1, a in zip(np.linspace(0, 1, 5), np.linspace(0.5, 1, 5)):
+            yield analysis.pbt_ad_choi(n, float(p1)), target
+            yield analysis.alternate_choi(n, float(a)), target
+
+
+def _assert_x_route_matches_search(pairs) -> None:
+    worst = worst_below = 0.0
+    for x, y in pairs:
+        fast, search = analysis._diamond_x_shaped(x - y), analysis._diamond_search(x - y)
+        worst = max(worst, abs(fast - search))
+        worst_below = max(worst_below, search - fast)
+    assert worst <= 1e-9
+    # the search value is the objective at a feasible marginal, so the
+    # maximum over diagonal marginals may only fall short of it by rounding
+    assert worst_below <= 1e-12
+
+
+class TestDiamondRoutes:
+    """The closed-form X route against the 3-D search it replaces, and which
+    route diamond_numeric takes."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_x_route_matches_search_on_figure_grid(self, n):
+        _assert_x_route_matches_search((out, target) for out, _, target in _figure_grid(n))
+
+    def test_x_route_matches_search_on_random_x_shaped_channels(self):
+        rng = np.random.default_rng(21)
+        pairs = [(_random_x_choi(rng), _random_x_choi(rng)) for _ in range(30)]
+        pairs += [(_random_x_choi(rng), analysis.ad_choi(float(rng.uniform()), "plus"))
+                  for _ in range(15)]
+        # the identity channel against a full flip of populations
+        flip = np.zeros((4, 4), dtype=complex)
+        flip[1, 1] = flip[2, 2] = 0.5
+        pairs.append((analysis.ad_choi(0.0, "plus"), flip))
+        _assert_x_route_matches_search(pairs)
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 10, 50])
+    def test_x_route_matches_search_on_study_rows(self, n):
+        _assert_x_route_matches_search(_study_rows(n))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_x_shaped_pairs_run_no_search(self, monkeypatch, n):
+        def no_search(*args, **kwargs):
+            raise AssertionError("search ran on an X-shaped pair")
+
+        monkeypatch.setattr(analysis, "minimize", no_search)
+        for out, noisy, target in _figure_grid(n):
+            analysis.diamond_numeric(out, target)
+            analysis.diamond_numeric(noisy, target)
+
+    def test_pairs_off_the_x_reach_the_search(self, monkeypatch, rng):
+        from conftest import random_choi
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return minimize(*args, **kwargs)
+
+        minimize = analysis.minimize
+        monkeypatch.setattr(analysis, "minimize", counted)
+        # entries of 1e-6 at (0, 1) and (2, 3) keep the output trace
+        out = analysis.pbt_ad_choi(4, 0.2).copy()
+        out[0, 1] = out[1, 0] = out[2, 3] = out[3, 2] = 1e-6
+        pairs = [(out, analysis.ad_choi(0.5, "plus"))]
+        pairs += [(random_choi(rng), random_choi(rng)) for _ in range(3)]
+        for x, y in pairs:
+            before = len(calls)
+            analysis.diamond_numeric(x, y)
+            assert len(calls) > before
+
+
 class TestDiamondNumeric:
     def test_identical_channels(self):
         c = analysis.pbt_ad_choi(3, 0.4)
@@ -246,24 +355,11 @@ class TestDiamondNumeric:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_figure_grid_exact_and_stable_under_rounding_noise(self, n):
-        # both families over their figure ranges for three targets; each
-        # point is also searched again with x moved by Hermitian noise of
-        # size 1e-15 whose trace over the output vanishes, so x stays a
-        # trace-preserving channel's Choi matrix to rounding
-        rng = np.random.default_rng(n)
         worst_exact = worst_noise = 0.0
-        for p0 in (0.36, 0.7, 0.95):
-            target = analysis.ad_choi(p0, "plus")
-            outs = ([analysis.pbt_ad_choi(n, float(p1)) for p1 in np.linspace(0, 1, 11)]
-                    + [analysis.alternate_choi(n, float(a)) for a in np.linspace(0.5, 1, 11)])
-            for out in outs:
-                got = analysis.diamond_numeric(out, target)
-                worst_exact = max(worst_exact, abs(got - _golden_diagonal_max(out - target)))
-                h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-                h = h + h.conj().T
-                h -= np.kron(partial_trace_qubits(h, 2, [0]), np.eye(2) / 2)
-                noisy = out + 1e-15 * h / np.abs(h).max()
-                worst_noise = max(worst_noise, abs(analysis.diamond_numeric(noisy, target) - got))
+        for out, noisy, target in _figure_grid(n):
+            got = analysis.diamond_numeric(out, target)
+            worst_exact = max(worst_exact, abs(got - _golden_diagonal_max(out - target)))
+            worst_noise = max(worst_noise, abs(analysis.diamond_numeric(noisy, target) - got))
         assert worst_exact <= 1e-9
         assert worst_noise <= 1e-9
 

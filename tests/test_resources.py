@@ -372,6 +372,28 @@ class TestResourceFiles:
         back = load_resource(_saved(tmp_path, obj))
         assert back.joint.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("form", ["FULL", "REDUCED"])
+    def test_saved_bytes_match_per_entry_formatting(self, tmp_path, form):
+        # the file is what formatting each entry with an f-string writes,
+        # including signed zeros, extreme exponents and 17-digit values
+        rng = np.random.default_rng(8)
+        d = 16 if form == "FULL" else 8
+        op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        op.flat[:5] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(1e-300, -1e300),
+                       complex(-1e300, 5e-324), complex(0.1, 1 / 3)]
+        op.flat[-1] = complex(0.12345678901234567, -9.8765432109876543e-200)
+        if form == "FULL":
+            obj, mats = FullResource(2, op), [op]
+        else:
+            obj = ReducedResource.from_joint(2, op)
+            mats = [obj.r11, obj.r12, obj.r21, obj.r22]
+        want = f"PBTRES 1\nN=2\nFORM={form}\n" + "".join(
+            " ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) + "\n"
+            for m in mats for row in m)
+        assert {"-0", "1e-300", "-1.0000000000000001e+300", "4.9406564584124654e-324",
+                "0.33333333333333331"} <= set(want.split())
+        assert _saved(tmp_path, obj).read_bytes() == want.encode()
+
     def test_save_and_load_memory(self, tmp_path):
         # the text of a FULL n = 4 file (3 MB) is held once while loading,
         # and never whole while saving
