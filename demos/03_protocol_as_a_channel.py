@@ -4,13 +4,15 @@ The map taking Tr_{B2..Bn}[resource] to the simulated channel's Choi matrix
 has an explicit Kraus family: a kernel-sector block and one operator per
 (total spin, projection, multiplet) stratum of the measurement.  Its
 operators are the measurement rows the closed-form Choi assembly sums over,
-so the dense oracle is the independent check.
+so the dense oracle is the independent check.  Both apply as one real
+(4, 4^n) transfer matrix: the Gram of the operators' rows here, (n/2) pi_1
+from a dense eigh in the oracle.
 """
 
 import numpy as np
 
-from pbtsim import (Alternate, apply_protocol, choi_from_reduced, make_family,
-                    oracle_choi, protocol_gram, protocol_kraus,
+from pbtsim import (Alternate, apply_protocol, build_povm, choi_from_reduced,
+                    make_family, oracle_choi, protocol_gram, protocol_kraus,
                     reduced_port_state)
 from pbtsim.cli import format_deviation
 
@@ -34,3 +36,7 @@ print("output trace defect:", format_deviation(abs(np.trace(via_kraus) - 1)))
 gram = protocol_gram(pk)
 print(f"\nGram operator sum_k K^dag K: trace {np.trace(gram).real:.12f}"
       f"  vs identity defect {np.abs(gram - np.eye(2 ** (n + 1))).max():.12f}")
+
+# the whole map, not only its value on one resource
+print("transfer matrix vs dense (n/2) pi_1:",
+      format_deviation(np.abs(pk.transfer - build_povm(n).transfer).max()))

@@ -188,13 +188,19 @@ def diamond_numeric(x: np.ndarray, y: np.ndarray, seed: int = 0, restarts: int =
     written against the former multi-start search, and ignored: every route
     is deterministic.
     """
+    return _diamond_with_bounds(x, y)[2]
+
+
+def _diamond_with_bounds(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """(lower, upper, value): ``diamond_bounds`` and ``diamond_numeric`` from
+    one computation of the bounds."""
     lower, upper = diamond_bounds(x, y)
     if upper - lower <= CERTIFIED_GAP:
-        return lower
+        return lower, upper, lower
     j = np.asarray(x) - np.asarray(y)
     if 2.0 * float(np.abs(j[_OFF_X]).sum()) <= CERTIFIED_GAP:
-        return _diamond_x_shaped(j)
-    return _diamond_search(j)
+        return lower, upper, _diamond_x_shaped(j)
+    return lower, upper, _diamond_search(j)
 
 
 def _diamond_x_shaped(j: np.ndarray) -> float:

@@ -107,8 +107,7 @@ def sweep_rows(n: int, p0: float, family: str, grid: np.ndarray,
             out = analysis.alternate_choi(n, float(param))
         else:
             raise ValueError(f"unknown sweep family {family!r}")
-        lower, upper = analysis.diamond_bounds(out, target)
-        numeric = analysis.diamond_numeric(out, target)
+        lower, upper, numeric = analysis._diamond_with_bounds(out, target)
         rows.append([float(param), lower, lower, upper, numeric])
     return rows
 
@@ -227,12 +226,9 @@ def _figure_comparison(out: Path, n: int, step: float) -> list[Path]:
                     target = analysis.ad_choi(p0, "plus")
                     c_choi = analysis.pbt_ad_choi(n, p1)
                     c_alt = analysis.alternate_choi(n, a)
-                    lo_c, up_c = analysis.diamond_bounds(c_choi, target)
-                    lo_a, up_a = analysis.diamond_bounds(c_alt, target)
-                    rows.append([
-                        p0, p1, lo_c, lo_c, up_c, analysis.diamond_numeric(c_choi, target),
-                        a, lo_a, lo_a, up_a, analysis.diamond_numeric(c_alt, target),
-                    ])
+                    lo_c, up_c, num_c = analysis._diamond_with_bounds(c_choi, target)
+                    lo_a, up_a, num_a = analysis._diamond_with_bounds(c_alt, target)
+                    rows.append([p0, p1, lo_c, lo_c, up_c, num_c, a, lo_a, lo_a, up_a, num_a])
         path = out / f"fig4_{stem}.csv"
         _write_csv(path, header, rows)
         paths.append(path)

@@ -6,10 +6,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .choi import CHOI_PSD_ATOL, measurement_rows
+from .linalg import transfer_choi
 from .spin import build_spin_basis
 
 EIG_FLOOR = 1e-12  # rank decision for Kraus extraction
@@ -97,6 +99,12 @@ class ProtocolKraus:
     alpha inner).  The family with the traced receiver qubits kept explicit
     is identical up to the choice of a basis bra on those n-1 qubits:
     2^(n-1) copies of each operator here.
+
+    Each operator is bra_k (x) 1_{B_1} for a real (2, 2^n) bra_k on A, so the
+    whole map is its real (4, 4^n) ``transfer`` matrix
+    T[(m, m'), (a, a')] = sum_k bra_k[m, a] bra_k[m', a'].  It equals the
+    dense oracle's (n/2) pi_1 in the same layout (``DensePovm.transfer``),
+    reached from the spin-basis rows instead of a dense ``eigh``.
     """
 
     n: int
@@ -109,6 +117,14 @@ class ProtocolKraus:
     @property
     def k1(self) -> np.ndarray:
         return self.ops[self.n + 2:]
+
+    @cached_property
+    def transfer(self) -> np.ndarray:
+        """The map's transfer matrix, built on first use (32 * 4^n bytes)."""
+        d = 2 ** self.n
+        # the bras by (m, a, k); one (2^n, count) x (count, 2^n) product per (m, m')
+        rows = np.ascontiguousarray(self.ops[:, 0::2, 0::2].transpose(1, 2, 0))
+        return (rows[:, None] @ rows[None].transpose(0, 1, 3, 2)).reshape(4, d * d)
 
 
 def protocol_kraus(n: int) -> ProtocolKraus:
@@ -126,15 +142,13 @@ def protocol_kraus(n: int) -> ProtocolKraus:
 
 
 def apply_protocol(pk: ProtocolKraus, reduced_state: np.ndarray) -> np.ndarray:
-    """Choi matrix from the resource reduced to (A, B_1)."""
+    """Choi matrix from the resource reduced to (A, B_1): sum_k K_k R K_k^T,
+    applied as the transfer matrix contracted with R's 2 x 2 blocks, the
+    contraction ``oracle_choi`` makes with (n/2) pi_1."""
     d = 2 ** (pk.n + 1)
     if reduced_state.shape != (d, d):
         raise ValueError(f"expected {(d, d)} operator on (A, B_1)")
-    # every K_k R as one real product on R's (re, im) view, then the small
-    # closures K_k R K_k^T one operator at a time, so no copy of the set is made
-    view = np.ascontiguousarray(reduced_state, dtype=complex).view(float)
-    left = (pk.ops.reshape(-1, d) @ view).view(complex).reshape(pk.ops.shape)
-    return sum(kr @ k.T for kr, k in zip(left, pk.ops))
+    return transfer_choi(pk.transfer, reduced_state)
 
 
 def protocol_gram(pk: ProtocolKraus) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import string
 from typing import Sequence
 
@@ -62,3 +63,17 @@ def herm_defect(m: np.ndarray) -> float:
 def max_abs(a: np.ndarray, b: np.ndarray | None = None) -> float:
     d = a if b is None else a - b
     return float(np.max(np.abs(d)))
+
+
+def transfer_choi(transfer: np.ndarray, joint: np.ndarray) -> np.ndarray:
+    """4 x 4 Choi matrix of a map given by its real (4, 4^n) transfer matrix.
+
+    C[(m, i), (m', j)] = sum_{a, a'} T[(m, m'), (a, a')] R[(a, i), (a', j)]
+    for an operator R on (A, B_1), the n qubits of A first: the 2 x 2 blocks
+    of R, laid out (a a' | i j), go through one real product on their
+    (re, im) view.
+    """
+    d = math.isqrt(transfer.shape[1])
+    blocks = np.asarray(joint, dtype=complex).reshape(d, 2, d, 2).transpose(0, 2, 1, 3)
+    c = (transfer @ blocks.reshape(d * d, 4).view(float)).view(complex)
+    return c.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)

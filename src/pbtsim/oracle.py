@@ -7,9 +7,12 @@ port counts.  Slot order matches the rest of the package: sender qubits
 
 The measurement is built in real arithmetic (rho is a sum of real singlet
 projectors) by a dense ``eigh``.  A Choi entry
-Tr[pi_1 (R^{ij} (x) |m><m'|)] needs no 2^(n+1) matrix product: it is
-sum_{a, a'} pi_1[(a, m'), (a', m)] R^{ij}[a', a], so the whole 4 x 4 matrix
-is one (4, 4^n) x (4^n, 4) product, O(4^n) work per resource.
+(n/2) Tr[pi_1 (R^{ij} (x) |m><m'|)] needs no 2^(n+1) matrix product: it is
+(n/2) sum_{a, a'} pi_1[(a, m), (a', m')] R^{ij}[a, a'], so the whole 4 x 4
+matrix is one (4, 4^n) x (4^n, 4) product, O(4^n) work per resource.  That
+contraction is ``linalg.transfer_choi``, which the protocol Kraus map
+(``kraus.apply_protocol``) shares: the two checks differ only in how their
+transfer matrix is built.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import permute_qubits
+from .linalg import permute_qubits, transfer_choi
 from .resources import ReducedResource, bell_port
 
 MAX_ORACLE_PORTS = 8
@@ -32,6 +35,16 @@ class DensePovm:
     n: int
     pi_1: np.ndarray
     rho: np.ndarray
+
+    @property
+    def transfer(self) -> np.ndarray:
+        """(n/2) pi_1 as T[(m, m'), (a, a')] = (n/2) pi_1[(a, m), (a', m')],
+        the real (4, 4^n) transfer matrix of the simulated channel; a new
+        array on each read, so the cached measurement holds no second copy."""
+        d = 2 ** self.n
+        t = np.multiply(self.n / 2, self.pi_1.reshape(d, 2, d, 2).transpose(1, 3, 0, 2),
+                        out=np.empty((2, 2, d, d)))
+        return t.reshape(4, d * d)
 
 
 def sigma_op(i: int, n: int) -> np.ndarray:
@@ -88,10 +101,4 @@ def povm_element(i: int, n: int) -> np.ndarray:
 
 def oracle_choi(reduced: ReducedResource) -> np.ndarray:
     """Choi matrix of the simulated channel, by direct dense traces."""
-    n, d = reduced.n, 2 ** reduced.n
-    # pi_1 as (m, m', a', a) against R^{i+1, j+1}[a', a], the joint operator
-    # transposed to (a', a, (i, j)), as one product on its (re, im) view
-    pi = build_povm(n).pi_1.reshape(d, 2, d, 2).transpose(3, 1, 2, 0).reshape(4, d * d)
-    blocks = reduced.joint.reshape(d, 2, d, 2).transpose(0, 2, 1, 3).reshape(d * d, 4)
-    c = (pi @ blocks.view(float)).view(complex)
-    return (n / 2) * c.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    return transfer_choi(build_povm(reduced.n).transfer, reduced.joint)

@@ -18,6 +18,7 @@ qubit sits in slot A_1, matching the spin-basis recursion.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -416,6 +417,30 @@ def save_resource(path: str | Path, obj: FullResource | ReducedResource | Produc
                 f.write(row_format % tuple(np.ascontiguousarray(row).view(float).tolist()))
 
 
+_NEWLINE = re.compile(rb"\r\n|\r|\n")
+
+
+def _read_head(f) -> list[str]:
+    """The first three non-blank lines of a file opened in binary mode, and
+    f left just past them.  Lines end at LF, CR or CRLF, as in text mode;
+    fewer than three are returned when the file has no more."""
+    size = 4096
+    while True:
+        f.seek(0)
+        chunk = f.read(size)
+        head, pos = [], 0
+        for end in _NEWLINE.finditer(chunk):
+            if line := chunk[pos:end.start()].strip():
+                head.append(line.decode("utf-8"))
+            pos = end.end()
+            if len(head) == 3:
+                f.seek(pos)
+                return head
+        if len(chunk) < size:
+            return head
+        size *= 2
+
+
 def load_resource(path: str | Path) -> ReducedResource:
     """Read a PBTRES file; FULL resources are reduced on the fly.
 
@@ -423,12 +448,11 @@ def load_resource(path: str | Path) -> ReducedResource:
     1e-8 are rejected: the channel's closed form holds only for
     port-symmetric resources.
     """
-    head = []
-    with open(path, encoding="utf-8") as f:
-        while len(head) < 3 and (line := f.readline()):
-            if line.strip():
-                head.append(line.strip())
-        body = f.read()  # the only copy of the entries' text
+    with open(path, "rb") as f:
+        head = _read_head(f)
+        # the only copy of the entries' text, as bytes: numpy parses them as it
+        # parses text, and takes \r, \r\n and \t as separators too
+        body = f.read() if len(head) == 3 else b""
     if len(head) < 3 or not body or body.isspace() or head[0] != _MAGIC:
         raise ValueError("not a PBTRES resource file")
     if not head[1].startswith("N="):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from pbtsim import cli
+from pbtsim import analysis, cli
 from pbtsim.analysis import depolarizing_choi, pbt_ad_choi, xi
 from pbtsim.choi import measurement_rows
 from pbtsim.resources import AdChoi, FullResource, ReducedResource, make_family, save_resource
@@ -283,6 +283,26 @@ class TestSweeps:
             _, tn, lo, up, num = (float(v) for v in line.split(","))
             assert tn == lo
             assert lo - 1e-6 <= num <= up + 1e-6
+
+    @pytest.mark.parametrize("family", ["choi", "alternate"])
+    def test_sweep_rows_compute_bounds_once(self, monkeypatch, family):
+        grid = np.linspace(0.1, 0.9, 9)
+        target = analysis.ad_choi(0.5, "plus")
+        channel = pbt_ad_choi if family == "choi" else analysis.alternate_choi
+        want = []
+        for param in grid:
+            lower, upper = analysis.diamond_bounds(channel(3, param), target)
+            want.append([param, lower, lower, upper,
+                         analysis.diamond_numeric(channel(3, param), target)])
+        bounds, calls = analysis.diamond_bounds, []
+
+        def counted(x, y):
+            calls.append(1)
+            return bounds(x, y)
+
+        monkeypatch.setattr(analysis, "diamond_bounds", counted)
+        assert cli.sweep_rows(3, 0.5, family, grid) == want
+        assert len(calls) == len(grid)
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["ad-sweep", "--ports", "3", "--p0", "0.4", "--family", "alternate",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ import pytest
 from pbtsim import cli
 from pbtsim.analysis import depolarizing_choi, xi
 from pbtsim.choi import choi_from_reduced
-from pbtsim.kraus import (KrausSet, apply_kraus, apply_protocol, choi_from_kraus,
-                          choi_to_kraus, protocol_gram, protocol_kraus)
+from pbtsim.kraus import (KrausSet, ProtocolKraus, apply_kraus, apply_protocol,
+                          choi_from_kraus, choi_to_kraus, protocol_gram, protocol_kraus)
 from pbtsim.linalg import max_abs
-from pbtsim.oracle import oracle_choi
+from pbtsim.oracle import build_povm, oracle_choi
 from pbtsim.resources import (AdChoi, Alternate, Bell, make_family, port_state,
                               reduce_full, reduced_from_port, reduced_port_state,
                               trace_to_first_port)
@@ -184,7 +185,7 @@ def _random_operator(n: int, seed: int) -> np.ndarray:
 class TestProtocolContractions:
     """The stacked products against the per-operator sums they replace."""
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_apply_protocol_matches_operator_loop(self, n):
         pk = protocol_kraus(n)
         r = _random_operator(n, 30 + n)
@@ -201,3 +202,45 @@ class TestProtocolContractions:
         pk = protocol_kraus(3)
         r = _random_operator(3, 1).real
         assert max_abs(apply_protocol(pk, r), apply_protocol(pk, r.astype(complex))) == 0
+
+
+class TestProtocolTransfer:
+    """The whole protocol map as its (4, 4^n) transfer matrix."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_transfer_equals_oracle_measurement(self, n):
+        # (n/2) pi_1 from the dense eigh, laid out T[(m, m'), (a, a')] = pi_1[(a, m), (a', m')]
+        d = 2 ** n
+        pi_1 = build_povm(n).pi_1
+        want = (n / 2) * pi_1.reshape(d, 2, d, 2).transpose(1, 3, 0, 2).reshape(4, d * d)
+        assert np.array_equal(build_povm(n).transfer, want)
+        assert max_abs(protocol_kraus(n).transfer, want) <= 1e-13
+
+    def test_transfer_built_once(self):
+        pk = protocol_kraus(3)
+        transfer = pk.transfer
+        assert pk.transfer is transfer
+        apply_protocol(pk, reduced_port_state(Bell(), 3))
+        assert pk.transfer is transfer
+
+    def test_transfer_built_on_first_apply_only(self):
+        # at n = 9 the operators take 8.7 MB and the transfer 8.4 MB; building
+        # the set must not hold both
+        n = 9
+        tracemalloc.start()
+        try:
+            pk = protocol_kraus(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "transfer" not in vars(pk)
+        assert peak < pk.ops.nbytes + 32 * 4 ** n
+        apply_protocol(pk, np.eye(2 ** (n + 1)) / 2 ** (n + 1))
+        assert vars(pk)["transfer"].shape == (4, 4 ** n)
+
+    def test_protocol_kraus_command_builds_no_transfer(self, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError("transfer built")
+        monkeypatch.setattr(ProtocolKraus, "transfer", property(refuse))
+        assert cli.main(["protocol-kraus", "--ports", "3"]) == 0
+        assert "# 9 reduced protocol Kraus operators, 4 x 16" in capsys.readouterr().out

@@ -353,6 +353,28 @@ class TestResourceFiles:
         red = load_resource(path)
         assert np.array_equal(red.joint, np.diag([0.25, 0.25, 0.25, 0.25]))
 
+    @pytest.mark.parametrize("newline", [b"\r", b"\r\n"])
+    @pytest.mark.parametrize("form", ["FULL", "REDUCED"])
+    def test_cr_and_crlf_files_load_as_lf(self, tmp_path, form, newline):
+        obj = (full_from_port(ad_choi_port(0.3), 2) if form == "FULL"
+               else make_family(Alternate(0.6), 3))
+        path = _saved(tmp_path, obj)
+        want = load_resource(path).joint
+        # tabs between the numbers, and a blank line before the third header
+        # line and every tenth row after it
+        lines = path.read_bytes().split(b"\n")
+        lines[3:] = [line.replace(b" ", b"\t") for line in lines[3:]]
+        path.write_bytes(newline.join(newline + line if k % 10 == 2 else line
+                                      for k, line in enumerate(lines)))
+        assert np.array_equal(load_resource(path).joint, want)
+
+    def test_header_after_many_blank_lines(self, tmp_path):
+        # more blank lines than the first read of the header holds
+        path = _saved(tmp_path, make_family(AdChoi(0.3), 2))
+        want = load_resource(path).joint
+        path.write_bytes(b"\r\n" * 5000 + path.read_bytes().replace(b"\n", b"\r"))
+        assert np.array_equal(load_resource(path).joint, want)
+
     @pytest.mark.parametrize("text", ["", "PBTRES 1\nN=1\n", "PBTRES 1\nN=1\nFORM=REDUCED\n",
                                       "PBTRES 1\nN=1\nFORM=REDUCED\n \n\n"])
     def test_rejects_file_without_body(self, tmp_path, text):
