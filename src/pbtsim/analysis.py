@@ -24,8 +24,7 @@ from scipy.special import xlogy
 # no longer called here; kept as a module attribute, which the benchmark's
 # tracer patches (bench/tracing.py)
 from .kraus import choi_to_kraus  # noqa: F401
-from .linalg import mat_abs, partial_trace_qubits
-from .resources import ad_choi_port
+from .linalg import X_PAIRS, mat_abs, partial_trace_qubits, x_matrix
 
 
 # ----------------------------------------------------------------------------
@@ -53,36 +52,23 @@ def depolarizing_choi(xi_val: float) -> np.ndarray:
     """Choi matrix of the depolarising channel with probability xi_val."""
     if not 0 <= xi_val <= 4 / 3:
         raise ValueError(f"depolarising probability out of range: {xi_val}")
-    return np.array(
-        [
-            [0.5 - xi_val / 4, 0, 0, 0.5 - xi_val / 2],
-            [0, xi_val / 4, 0, 0],
-            [0, 0, xi_val / 4, 0],
-            [0.5 - xi_val / 2, 0, 0, 0.5 - xi_val / 4],
-        ],
-        dtype=complex,
-    )
+    return x_matrix((0.5 - xi_val / 4, xi_val / 4, xi_val / 4, 0.5 - xi_val / 4),
+                    c03=0.5 - xi_val / 2)
 
 
 def ad_choi(p: float, convention: str = "plus") -> np.ndarray:
-    """Choi matrix of amplitude damping with probability p.
+    """Choi matrix of amplitude damping with probability p, relative to
+    (|00> + |11>)/sqrt(2), the protocol's output convention.
 
-    ``convention`` selects the maximally entangled reference state:
-    'plus' uses (|00> + |11>)/sqrt(2) (the protocol's output convention),
-    'singlet' uses (|01> - |10>)/sqrt(2) (the per-port resource convention).
-    The two differ by a Pauli unitary on one mode.
+    ``convention`` accepts only 'plus'.  The singlet-referenced matrix, the
+    per-port resource convention, is ``resources.ad_choi_port``; the two
+    differ by Y on the idler.
     """
     if not 0 <= p <= 1:
         raise ValueError(f"damping probability out of [0,1]: {p}")
-    if convention == "plus":
-        r = math.sqrt(1 - p)
-        return np.array(
-            [[0.5, 0, 0, r / 2], [0, 0, 0, 0], [0, 0, p / 2, 0], [r / 2, 0, 0, (1 - p) / 2]],
-            dtype=complex,
-        )
-    if convention == "singlet":
-        return ad_choi_port(p)
-    raise ValueError(f"unknown convention {convention!r}")
+    if convention != "plus":
+        raise ValueError(f"unknown convention {convention!r}")
+    return x_matrix((0.5, 0, p / 2, (1 - p) / 2), c03=math.sqrt(1 - p) / 2)
 
 
 def pbt_ad_choi(n: int, p1: float) -> np.ndarray:
@@ -90,16 +76,9 @@ def pbt_ad_choi(n: int, p1: float) -> np.ndarray:
     if not 0 <= p1 <= 1:
         raise ValueError(f"damping probability out of [0,1]: {p1}")
     x = xi(n)
-    r = math.sqrt(1 - p1)
-    return np.array(
-        [
-            [0.5 - x / 4 * (1 - p1), 0, 0, (0.5 - x / 2) * r],
-            [0, x / 4 * (1 - p1), 0, 0],
-            [0, 0, p1 * (0.5 - x / 4) + x / 4, 0],
-            [(0.5 - x / 2) * r, 0, 0, (1 - p1) * (0.5 - x / 4)],
-        ],
-        dtype=complex,
-    )
+    return x_matrix((0.5 - x / 4 * (1 - p1), x / 4 * (1 - p1), p1 * (0.5 - x / 4) + x / 4,
+                     (1 - p1) * (0.5 - x / 4)),
+                    c03=(0.5 - x / 2) * math.sqrt(1 - p1))
 
 
 # ----------------------------------------------------------------------------
@@ -155,7 +134,7 @@ _NELDER_MEAD = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000}
 # off-X part whose entries sum to at most half of it moves the norm by no more
 CERTIFIED_GAP = 1e-12
 # the entries of a 4 x 4 Choi matrix off its X, the diagonal and antidiagonal
-_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+_OFF_X = x_matrix((1, 1, 1, 1), 1, 1) == 0
 _GOLDEN = (math.sqrt(5) - 1) / 2
 # width of the final bracket of the golden-section search over p
 _GOLDEN_XTOL = 1e-13
@@ -184,9 +163,9 @@ def diamond_numeric(x: np.ndarray, y: np.ndarray, seed: int = 0, restarts: int =
        when that is at most CERTIFIED_GAP.
     3. Otherwise Nelder-Mead searches the Bloch ball (``_diamond_search``).
 
-    ``seed`` and ``restarts`` are accepted for the benchmark's workloads,
-    written against the former multi-start search, and ignored: every route
-    is deterministic.
+    ``seed`` and ``restarts`` are ignored: every route is deterministic.
+    They exist because the benchmark's workloads pass them; ROADMAP item 1
+    removes them.
     """
     return _diamond_with_bounds(x, y)[2]
 
@@ -215,7 +194,7 @@ def _diamond_x_shaped(j: np.ndarray) -> float:
     value never falls below the trace-norm lower bound.
     """
     blocks = [(float(j[k, k].real), float(j[l, l].real), abs(complex(j[k, l])) ** 2)
-              for k, l in ((0, 3), (1, 2))]
+              for k, l in X_PAIRS]
 
     def objective(p: float) -> float:
         q = 1.0 - p
@@ -473,15 +452,7 @@ def alternate_xyz(n: int, a) -> AlternateXYZ:
 def alternate_choi(n: int, a: float) -> np.ndarray:
     """Output Choi matrix for n alternate ports, assembled from x, y, z."""
     v = alternate_xyz(n, a)
-    return np.array(
-        [
-            [v.x, 0, 0, v.z],
-            [0, 0.5 - v.x, 0, 0],
-            [0, 0, v.y, 0],
-            [v.z, 0, 0, 0.5 - v.y],
-        ],
-        dtype=complex,
-    )
+    return x_matrix((v.x, 0.5 - v.x, v.y, 0.5 - v.y), c03=v.z)
 
 
 def _bracketed_root(fn, lo: float, hi: float, samples: int = 256,

@@ -95,8 +95,8 @@ def sweep_rows(n: int, p0: float, family: str, grid: np.ndarray,
                seed: int = 0, restarts: int = 64) -> list[list[float]]:
     """param, trace_norm, diamond_lower, diamond_upper, diamond_numeric rows.
 
-    ``seed`` and ``restarts`` are accepted for the benchmark's workloads,
-    written against the former multi-start diamond search, and ignored.
+    ``seed`` and ``restarts`` are ignored.  They exist because the
+    benchmark's workloads pass them; ROADMAP item 1 removes them.
     """
     target = analysis.ad_choi(p0, "plus")
     rows = []

@@ -50,6 +50,32 @@ def permute_qubits(op: np.ndarray, src_order: Sequence[int]) -> np.ndarray:
     return np.asarray(op).reshape((2,) * (2 * n)).transpose(axes).reshape(d, d)
 
 
+def swap_qubits(op: np.ndarray, qubits: int, *pairs: tuple[int, int]) -> np.ndarray:
+    """op on ``qubits`` qubits with the tensor slots of each pair exchanged."""
+    src = list(range(qubits))
+    for i, j in pairs:
+        src[i], src[j] = src[j], src[i]
+    return permute_qubits(op, src)
+
+
+# the off-diagonal positions of the X shape of a 4 x 4 matrix, upper triangle
+X_PAIRS = ((0, 3), (1, 2))
+
+
+def x_matrix(diagonal: Sequence, c03=0, c12=0) -> np.ndarray:
+    """Hermitian 4 x 4 matrix nonzero only on its diagonal and at X_PAIRS.
+
+    The X shape of every phase-covariant qubit channel's Choi matrix: the
+    diagonal, c03 at (0, 3), c12 at (1, 2), and their conjugates at the
+    transposed positions.  A literal, so each entry keeps the bits it is given.
+    """
+    d0, d1, d2, d3 = diagonal
+    return np.array([[d0, 0, 0, c03],
+                     [0, d1, c12, 0],
+                     [0, c12.conjugate(), d2, 0],
+                     [c03.conjugate(), 0, 0, d3]], dtype=complex)
+
+
 def mat_abs(h: np.ndarray) -> np.ndarray:
     """|H| for Hermitian H, via eigendecomposition."""
     w, v = np.linalg.eigh(h)

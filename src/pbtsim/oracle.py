@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import permute_qubits, transfer_choi
+from .linalg import swap_qubits, transfer_choi
 from .resources import ReducedResource, bell_port
 
 MAX_ORACLE_PORTS = 8
@@ -55,11 +55,7 @@ def sigma_op(i: int, n: int) -> np.ndarray:
     # land on the quarter-integer stencil below, which build_povm asserts on
     # every call
     sigma1 = np.kron(np.eye(2 ** (n - 1)), bell_port().real)
-    if i == 1:
-        return sigma1
-    src = list(range(n + 1))
-    src[n - 1], src[n - i] = src[n - i], src[n - 1]
-    return permute_qubits(sigma1, src)
+    return swap_qubits(sigma1, n + 1, (n - 1, n - i))
 
 
 def _spectrum_stencil(n: int) -> list[float]:
@@ -91,12 +87,7 @@ def build_povm(n: int) -> DensePovm:
 
 def povm_element(i: int, n: int) -> np.ndarray:
     """Outcome-i measurement element, by port permutation of outcome 1."""
-    pi_1 = build_povm(n).pi_1
-    if i == 1:
-        return pi_1
-    src = list(range(n + 1))
-    src[n - 1], src[n - i] = src[n - i], src[n - 1]
-    return permute_qubits(pi_1, src)
+    return swap_qubits(build_povm(n).pi_1, n + 1, (n - 1, n - i))
 
 
 def oracle_choi(reduced: ReducedResource) -> np.ndarray:

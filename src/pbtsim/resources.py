@@ -28,7 +28,8 @@ import numpy as np
 from scipy.linalg import cholesky
 from scipy.special import xlogy
 
-from .linalg import dag, herm_defect, kron_power, max_abs, partial_trace_qubits, permute_qubits
+from .linalg import (dag, herm_defect, kron_power, max_abs, partial_trace_qubits, permute_qubits,
+                     swap_qubits, x_matrix)
 from .spin import MAX_PRODUCT_PORTS, SpinBasis, check_port_count
 
 FILE_ATOL = 1e-8  # Hermiticity, trace, positivity and port-symmetry defects
@@ -76,16 +77,7 @@ def ad_choi_port(p: float) -> np.ndarray:
     """Choi state of amplitude damping (probability p), sender qubit first."""
     if not 0 <= p <= 1:
         raise ValueError(f"damping probability out of [0,1]: {p}")
-    r = math.sqrt(1 - p)
-    return np.array(
-        [
-            [p / 2, 0, 0, 0],
-            [0, (1 - p) / 2, -r / 2, 0],
-            [0, -r / 2, 0.5, 0],
-            [0, 0, 0, 0],
-        ],
-        dtype=complex,
-    )
+    return x_matrix((p / 2, (1 - p) / 2, 0.5, 0), c12=-math.sqrt(1 - p) / 2)
 
 
 def alternate_port(a: float) -> np.ndarray:
@@ -263,14 +255,6 @@ def reduced_port_state(family: ResourceFamily, n: int) -> np.ndarray:
     return reduced_from_port(port_state(family), n).joint
 
 
-def _swapped(op: np.ndarray, qubits: int, *pairs: tuple[int, int]) -> np.ndarray:
-    """op with the tensor slots of each pair exchanged."""
-    src = list(range(qubits))
-    for i, j in pairs:
-        src[i], src[j] = src[j], src[i]
-    return permute_qubits(op, src)
-
-
 def _port_asymmetry(obj: FullResource | ReducedResource) -> float:
     """Largest change of a resource under an exchange of two adjacent ports.
 
@@ -282,13 +266,13 @@ def _port_asymmetry(obj: FullResource | ReducedResource) -> float:
     n = obj.n
     if isinstance(obj, FullResource):
         rho = obj.rho_ab
-        return max((max_abs(_swapped(rho, 2 * n, (k, k + 1), (n + k, n + k + 1)), rho)
+        return max((max_abs(swap_qubits(rho, 2 * n, (k, k + 1), (n + k, n + k + 1)), rho)
                     for k in range(n - 1)), default=0.0)
     joint = obj.joint
-    defects = [max_abs(_swapped(joint, n + 1, (k, k + 1)), joint) for k in range(n - 2)]
+    defects = [max_abs(swap_qubits(joint, n + 1, (k, k + 1)), joint) for k in range(n - 2)]
     if n >= 2:
         marg = obj.r11 + obj.r22
-        defects.append(max_abs(_swapped(marg, n, (n - 2, n - 1)), marg))
+        defects.append(max_abs(swap_qubits(marg, n, (n - 2, n - 1)), marg))
     return max(defects, default=0.0)
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from pbtsim import analysis
 from pbtsim.choi import choi_from_reduced
-from pbtsim.linalg import max_abs, partial_trace_qubits
-from pbtsim.resources import AdChoi, Alternate, make_family
+from pbtsim.linalg import X_PAIRS, max_abs, partial_trace_qubits, x_matrix
+from pbtsim.resources import AdChoi, Alternate, ad_choi_port, make_family
 
 XI2 = (6 - math.sqrt(3)) / 6
 
@@ -53,26 +53,22 @@ class TestModelChois:
             analysis.ad_choi(1.0, "plus"), np.diag([0.5, 0, 0.5, 0]), atol=1e-15
         )
 
-    def test_singlet_convention_matches_port_state(self):
-        from pbtsim.resources import ad_choi_port
-
-        np.testing.assert_allclose(
-            analysis.ad_choi(0.3, "singlet"), ad_choi_port(0.3), atol=1e-15
-        )
-
     def test_conventions_pauli_related(self):
-        # Y on the idler maps the singlet-referenced Choi to the plus-referenced one
+        # Y on the idler maps the singlet-referenced port state to the
+        # plus-referenced Choi matrix
         y = np.array([[0, -1j], [1j, 0]])
         u = np.kron(y, np.eye(2))
         for p in (0.0, 0.4, 0.9):
-            a = u @ analysis.ad_choi(p, "singlet") @ u.conj().T
-            np.testing.assert_allclose(a, analysis.ad_choi(p, "plus"), atol=1e-14)
+            a = u @ ad_choi_port(p) @ u.conj().T
+            np.testing.assert_allclose(a, analysis.ad_choi(p), atol=1e-14)
 
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):
             analysis.ad_choi(1.5)
         with pytest.raises(ValueError):
             analysis.ad_choi(0.5, "other")
+        with pytest.raises(ValueError):
+            analysis.ad_choi(0.5, "singlet")
         with pytest.raises(ValueError):
             analysis.depolarizing_choi(2.0)
 
@@ -202,12 +198,9 @@ def _random_x_choi(rng: np.random.Generator) -> np.ndarray:
     with complex coherences anywhere in the disc positivity allows."""
     u, v = rng.uniform(size=2)
     diag = np.array([u, 1 - u, v, 1 - v]) / 2
-    c = np.diag(diag).astype(complex)
-    for k, l in ((0, 3), (1, 2)):
-        c[k, l] = (math.sqrt(rng.uniform() * diag[k] * diag[l])
-                   * np.exp(2j * math.pi * rng.uniform()))
-        c[l, k] = np.conj(c[k, l])
-    return c
+    coherences = [math.sqrt(rng.uniform() * diag[k] * diag[l])
+                  * np.exp(2j * math.pi * rng.uniform()) for k, l in X_PAIRS]
+    return x_matrix(diag, *coherences)
 
 
 def _study_rows(n: int):
@@ -234,6 +227,12 @@ def _assert_x_route_matches_search(pairs) -> None:
 class TestDiamondRoutes:
     """The closed-form X route against the 3-D search it replaces, and which
     route diamond_numeric takes."""
+
+    def test_off_x_mask(self):
+        # everything off the diagonal and the antidiagonal
+        eye = np.eye(4, dtype=bool)
+        np.testing.assert_array_equal(analysis._OFF_X, ~(eye | eye[::-1]))
+        assert analysis._OFF_X.sum() == 8
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_x_route_matches_search_on_figure_grid(self, n):
