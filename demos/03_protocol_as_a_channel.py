@@ -5,8 +5,9 @@ has an explicit Kraus family: a kernel-sector block and one operator per
 (total spin, projection, multiplet) stratum of the measurement.  Its
 operators are the measurement rows the closed-form Choi assembly sums over,
 so the dense oracle is the independent check.  Both apply as one real
-(4, 4^n) transfer matrix: the Gram of the operators' rows here, (n/2) pi_1
-from a dense eigh in the oracle.
+(2^n, 4, 2^n) transfer matrix, laid out in the index order of the resource's
+operator on (A, B_1): the Gram of the operators' rows here, (n/2) pi_1 from
+a dense eigh in the oracle.
 """
 
 import numpy as np

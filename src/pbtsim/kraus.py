@@ -101,8 +101,8 @@ class ProtocolKraus:
     2^(n-1) copies of each operator here.
 
     Each operator is bra_k (x) 1_{B_1} for a real (2, 2^n) bra_k on A, so the
-    whole map is its real (4, 4^n) ``transfer`` matrix
-    T[(m, m'), (a, a')] = sum_k bra_k[m, a] bra_k[m', a'].  It equals the
+    whole map is its real (2^n, 4, 2^n) ``transfer`` matrix
+    T[a, (m, m'), a'] = sum_k bra_k[m, a] bra_k[m', a'].  It equals the
     dense oracle's (n/2) pi_1 in the same layout (``DensePovm.transfer``),
     reached from the spin-basis rows instead of a dense ``eigh``.
     """
@@ -122,9 +122,11 @@ class ProtocolKraus:
     def transfer(self) -> np.ndarray:
         """The map's transfer matrix, built on first use (32 * 4^n bytes)."""
         d = 2 ** self.n
-        # the bras by (m, a, k); one (2^n, count) x (count, 2^n) product per (m, m')
-        rows = np.ascontiguousarray(self.ops[:, 0::2, 0::2].transpose(1, 2, 0))
-        return (rows[:, None] @ rows[None].transpose(0, 1, 3, 2)).reshape(4, d * d)
+        bras = self.ops[:, 0::2, 0::2]  # (k, m, a)
+        # one (2^(n+1), count) x (count, 2^(n+1)) product: rows (a, m), columns
+        # (m', a'), already the target layout
+        rows = bras.transpose(0, 2, 1).reshape(len(bras), 2 * d)
+        return (rows.T @ bras.reshape(len(bras), 2 * d)).reshape(d, 4, d)
 
 
 def protocol_kraus(n: int) -> ProtocolKraus:
@@ -143,7 +145,7 @@ def protocol_kraus(n: int) -> ProtocolKraus:
 
 def apply_protocol(pk: ProtocolKraus, reduced_state: np.ndarray) -> np.ndarray:
     """Choi matrix from the resource reduced to (A, B_1): sum_k K_k R K_k^T,
-    applied as the transfer matrix contracted with R's 2 x 2 blocks, the
+    applied as the transfer matrix contracted with R where it lies, the
     contraction ``oracle_choi`` makes with (n/2) pi_1."""
     d = 2 ** (pk.n + 1)
     if reduced_state.shape != (d, d):

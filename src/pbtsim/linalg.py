@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import string
 from typing import Sequence
 
@@ -13,10 +12,15 @@ def dag(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
-def kron_power(m: np.ndarray, k: int) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
+def kron_power(m: np.ndarray, k: int, right: np.ndarray | None = None) -> np.ndarray:
+    """m^(x)k (x) right, a new complex array (``right`` defaults to 1).
+
+    Built from the right, m (x) (m (x) (... (x) right)), so that each
+    Kronecker product runs its inner loop over the long axis.
+    """
+    out = np.eye(1, dtype=complex) if right is None else np.array(right, dtype=complex)
     for _ in range(k):
-        out = np.kron(out, m)
+        out = np.kron(m, out)
     return out
 
 
@@ -92,14 +96,15 @@ def max_abs(a: np.ndarray, b: np.ndarray | None = None) -> float:
 
 
 def transfer_choi(transfer: np.ndarray, joint: np.ndarray) -> np.ndarray:
-    """4 x 4 Choi matrix of a map given by its real (4, 4^n) transfer matrix.
+    """4 x 4 Choi matrix of a map given by its real (2^n, 4, 2^n) transfer matrix.
 
-    C[(m, i), (m', j)] = sum_{a, a'} T[(m, m'), (a, a')] R[(a, i), (a', j)]
-    for an operator R on (A, B_1), the n qubits of A first: the 2 x 2 blocks
-    of R, laid out (a a' | i j), go through one real product on their
-    (re, im) view.
+    C[(m, i), (m', j)] = sum_{a, a'} T[a, (m, m'), a'] R[(a, i), (a', j)]
+    for an operator R on (A, B_1), the n qubits of A first.  T is laid out in
+    R's own index order, so R is read in place through its float view
+    (a, i, a', (j, re/im)): one (4, 2^n) x (2^n, 4) product per (a, i),
+    summed over a.
     """
-    d = math.isqrt(transfer.shape[1])
-    blocks = np.asarray(joint, dtype=complex).reshape(d, 2, d, 2).transpose(0, 2, 1, 3)
-    c = (transfer @ blocks.reshape(d * d, 4).view(float)).view(complex)
-    return c.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    d = transfer.shape[0]
+    r = np.ascontiguousarray(joint, dtype=complex).view(float).reshape(d, 2, d, 4)
+    c = (transfer[:, None] @ r).sum(axis=0)  # (i, (m, m'), (j, re/im))
+    return c.view(complex).reshape(2, 2, 2, 2).transpose(1, 0, 2, 3).reshape(4, 4)

@@ -8,9 +8,11 @@ port counts.  Slot order matches the rest of the package: sender qubits
 The measurement is built in real arithmetic (rho is a sum of real singlet
 projectors) by a dense ``eigh``.  A Choi entry
 (n/2) Tr[pi_1 (R^{ij} (x) |m><m'|)] needs no 2^(n+1) matrix product: it is
-(n/2) sum_{a, a'} pi_1[(a, m), (a', m')] R^{ij}[a, a'], so the whole 4 x 4
-matrix is one (4, 4^n) x (4^n, 4) product, O(4^n) work per resource.  That
-contraction is ``linalg.transfer_choi``, which the protocol Kraus map
+(n/2) sum_{a, a'} pi_1[(a, m), (a', m')] R[(a, i), (a', j)], so the whole
+4 x 4 matrix is a contraction with the transfer matrix
+T[a, (m, m'), a'] = (n/2) pi_1[(a, m), (a', m')], O(4^n) work per resource.
+``build_povm`` lays T out once and keeps it; the contraction is
+``linalg.transfer_choi``, which the protocol Kraus map
 (``kraus.apply_protocol``) shares: the two checks differ only in how their
 transfer matrix is built.
 """
@@ -32,19 +34,20 @@ _SUPPORT_CUTOFF = 1e-10  # spectral gap of rho is >= 1/4, so orders of margin
 
 @dataclass(frozen=True, eq=False)
 class DensePovm:
+    """The outcome-1 element, held once as the real (2^n, 4, 2^n) transfer
+    matrix T[a, (m, m'), a'] = (n/2) pi_1[(a, m), (a', m')] of the simulated
+    channel, in the index order of the operator on (A, B_1) it contracts."""
+
     n: int
-    pi_1: np.ndarray
-    rho: np.ndarray
+    transfer: np.ndarray
 
     @property
-    def transfer(self) -> np.ndarray:
-        """(n/2) pi_1 as T[(m, m'), (a, a')] = (n/2) pi_1[(a, m), (a', m')],
-        the real (4, 4^n) transfer matrix of the simulated channel; a new
-        array on each read, so the cached measurement holds no second copy."""
+    def pi_1(self) -> np.ndarray:
+        """pi_1 on (A, C), re-laid from the transfer matrix on each read."""
         d = 2 ** self.n
-        t = np.multiply(self.n / 2, self.pi_1.reshape(d, 2, d, 2).transpose(1, 3, 0, 2),
-                        out=np.empty((2, 2, d, d)))
-        return t.reshape(4, d * d)
+        p = np.divide(self.transfer.reshape(d, 2, 2, d).transpose(0, 1, 3, 2), self.n / 2,
+                      out=np.empty((d, 2, d, 2)))
+        return p.reshape(2 * d, 2 * d)
 
 
 def sigma_op(i: int, n: int) -> np.ndarray:
@@ -82,7 +85,10 @@ def build_povm(n: int) -> DensePovm:
     inv_sqrt = (kept / np.sqrt(w[w > _SUPPORT_CUTOFF])) @ kept.T
     pi_1 = inv_sqrt @ sigma1 @ inv_sqrt + (np.eye(dim) - kept @ kept.T) / n
     pi_1 = 0.5 * (pi_1 + pi_1.T)
-    return DensePovm(n=n, pi_1=pi_1, rho=rho)
+    d = 2 ** n
+    transfer = np.multiply(n / 2, pi_1.reshape(d, 2, d, 2).transpose(0, 1, 3, 2),
+                           out=np.empty((d, 2, 2, d)))
+    return DensePovm(n=n, transfer=transfer.reshape(d, 4, d))
 
 
 def povm_element(i: int, n: int) -> np.ndarray:

@@ -183,11 +183,11 @@ def _port_blocks(port: np.ndarray) -> np.ndarray:
 
 def reduced_from_port(port: np.ndarray, n: int) -> ReducedResource:
     """The n-fold product of one two-qubit port state reduced to (A, B_1):
-    M^(x)(n-1) (x) port, with M the port's sender marginal."""
+    M^(x)(n-1) (x) port, with M the port's sender marginal; a new array even
+    at n = 1, as ``from_joint`` keeps the array it is given."""
     check_port_count(n)  # before any 2^(n+1) x 2^(n+1) operator is allocated
-    port = np.asarray(port, dtype=complex)
     t = _port_blocks(port)
-    return ReducedResource.from_joint(n, np.kron(kron_power(t[0, 0] + t[1, 1], n - 1), port))
+    return ReducedResource.from_joint(n, kron_power(t[0, 0] + t[1, 1], n - 1, port))
 
 
 @dataclass(frozen=True, eq=False)

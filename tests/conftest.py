@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from pbtsim.linalg import permute_qubits
+from pbtsim.oracle import sigma_op
 from pbtsim.resources import FullResource, reduce_full
 from pbtsim.spin import build_spin_basis, rho_eigenvalue
 
@@ -72,6 +73,20 @@ def symmetric_reduced():
         return made[n]
 
     return get
+
+
+def left_grown_kron_power(m: np.ndarray, k: int) -> np.ndarray:
+    """m^(x)k grown from the left, ((1 (x) m) (x) m) (x) ...: the reference
+    association for kron_power and reduced_from_port, which grow from the right."""
+    out = np.eye(1, dtype=complex)
+    for _ in range(k):
+        out = np.kron(out, m)
+    return out
+
+
+def dense_rho(n: int) -> np.ndarray:
+    """rho = sum_i sigma_i on n ports plus C, summed densely."""
+    return sum(sigma_op(i, n) for i in range(1, n + 1))
 
 
 def rho_eigenbasis(n: int):

@@ -205,16 +205,20 @@ class TestProtocolContractions:
 
 
 class TestProtocolTransfer:
-    """The whole protocol map as its (4, 4^n) transfer matrix."""
+    """The whole protocol map as its (2^n, 4, 2^n) transfer matrix."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_transfer_equals_oracle_measurement(self, n):
-        # (n/2) pi_1 from the dense eigh, laid out T[(m, m'), (a, a')] = pi_1[(a, m), (a', m')]
+        # (n/2) pi_1 from the dense eigh, laid out T[a, (m, m'), a'] = pi_1[(a, m), (a', m')]
         d = 2 ** n
         pi_1 = build_povm(n).pi_1
-        want = (n / 2) * pi_1.reshape(d, 2, d, 2).transpose(1, 3, 0, 2).reshape(4, d * d)
+        want = (n / 2) * pi_1.reshape(d, 2, d, 2).transpose(0, 1, 3, 2).reshape(d, 4, d)
         assert np.array_equal(build_povm(n).transfer, want)
         assert max_abs(protocol_kraus(n).transfer, want) <= 1e-13
+
+    def test_oracle_transfer_is_the_cached_array(self):
+        # the measurement is laid out once per n, not re-laid on each read
+        assert build_povm(4).transfer is build_povm(4).transfer
 
     def test_transfer_built_once(self):
         pk = protocol_kraus(3)
@@ -236,7 +240,7 @@ class TestProtocolTransfer:
         assert "transfer" not in vars(pk)
         assert peak < pk.ops.nbytes + 32 * 4 ** n
         apply_protocol(pk, np.eye(2 ** (n + 1)) / 2 ** (n + 1))
-        assert vars(pk)["transfer"].shape == (4, 4 ** n)
+        assert vars(pk)["transfer"].shape == (2 ** n, 4, 2 ** n)
 
     def test_protocol_kraus_command_builds_no_transfer(self, monkeypatch, capsys):
         def refuse(self):

@@ -1,8 +1,11 @@
 from functools import reduce
 
 import numpy as np
+import pytest
 
-from pbtsim.linalg import X_PAIRS, swap_qubits, x_matrix
+from pbtsim.linalg import X_PAIRS, kron_power, swap_qubits, transfer_choi, x_matrix
+
+from conftest import left_grown_kron_power
 
 
 class TestXMatrix:
@@ -49,3 +52,60 @@ class TestSwapQubits:
     def test_a_slot_swapped_with_itself_is_unchanged(self, rng):
         op = rng.normal(size=(8, 8))
         np.testing.assert_array_equal(swap_qubits(op, 3, (1, 1)), op)
+
+
+class TestKronPower:
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 9])
+    def test_matches_left_grown_product(self, k):
+        rng = np.random.default_rng(40 + k)
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        want = left_grown_kron_power(m, k)
+        got = kron_power(m, k)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def _blocks_contraction(transfer, joint):
+    """The contraction transfer_choi replaces: the transfer laid out
+    T[(m, m'), (a, a')] against a copy of R in (a a' | i j) blocks."""
+    d = transfer.shape[0]
+    t = transfer.transpose(1, 0, 2).reshape(4, d * d)
+    blocks = np.asarray(joint, dtype=complex).reshape(d, 2, d, 2).transpose(0, 2, 1, 3)
+    c = (t @ blocks.reshape(d * d, 4).view(float)).view(complex)
+    return c.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+
+
+def _random_transfer(n, rng):
+    d = 2 ** n
+    return rng.normal(size=(d, 4, d)) / d
+
+
+class TestTransferChoi:
+    """The in-place contraction against the blocks copy it replaces."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_blocks_contraction(self, n):
+        rng = np.random.default_rng(70 + n)
+        dim = 2 ** (n + 1)
+        joint = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))  # not Hermitian
+        transfer = _random_transfer(n, rng)
+        got = transfer_choi(transfer, joint)
+        assert got.shape == (4, 4) and got.dtype == complex
+        want = _blocks_contraction(transfer, joint)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(joint).max()
+
+    def test_real_input(self, rng):
+        n = 3
+        joint = rng.normal(size=(16, 16))
+        transfer = _random_transfer(n, rng)
+        want = _blocks_contraction(transfer, joint)
+        assert np.abs(transfer_choi(transfer, joint) - want).max() <= 1e-13 * np.abs(joint).max()
+
+    def test_non_contiguous_input(self, rng):
+        n = 4
+        wide = rng.normal(size=(32, 64)) + 1j * rng.normal(size=(32, 64))
+        joint = wide[:, ::2]
+        assert not joint.flags.c_contiguous
+        transfer = _random_transfer(n, rng)
+        want = _blocks_contraction(transfer, joint)
+        assert np.abs(transfer_choi(transfer, joint) - want).max() <= 1e-13 * np.abs(joint).max()

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from pbtsim import oracle
 from pbtsim.linalg import max_abs, permute_qubits
 from pbtsim.oracle import build_povm, oracle_choi, povm_element, sigma_op
 from pbtsim.resources import AdChoi, Bell, ReducedResource, make_family, reduced_from_port
 
-from conftest import random_density, rho_eigenbasis
+from conftest import dense_rho, random_density, rho_eigenbasis
 
 
 def per_entry_oracle(reduced: ReducedResource) -> np.ndarray:
@@ -39,19 +40,19 @@ def _block(reduced: ReducedResource, i: int, j: int) -> np.ndarray:
 
 class TestBuildPovm:
     def test_two_port_spectrum(self):
-        w = np.linalg.eigvalsh(build_povm(2).rho)
+        w = np.linalg.eigvalsh(dense_rho(2))
         counts = {0.0: 4, 0.5: 2, 1.5: 2}
         for value, mult in counts.items():
             assert np.sum(np.abs(w - value) < 1e-10) == mult
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_spectrum_multiplicities_match_labels(self, n):
-        w = np.sort(np.linalg.eigvalsh(build_povm(n).rho))
+        w = np.sort(np.linalg.eigvalsh(dense_rho(n)))
         np.testing.assert_allclose(w, np.sort(rho_eigenbasis(n)[1]), atol=1e-10)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_eigenspace_projectors_match(self, n):
-        w, v = np.linalg.eigh(build_povm(n).rho)
+        w, v = np.linalg.eigh(dense_rho(n))
         _, eig, u = rho_eigenbasis(n)
         for value in np.unique(eig):
             dense_cols = v[:, np.abs(w - value) < 1e-8]
@@ -69,6 +70,12 @@ class TestBuildPovm:
     def test_completeness(self, n):
         total = sum(povm_element(i, n) for i in range(1, n + 1))
         assert max_abs(total, np.eye(2 ** (n + 1))) <= 1e-10
+
+    def test_spectrum_checked_on_every_build(self, monkeypatch):
+        # rho is not kept, so its spectrum is checked while the element is built
+        monkeypatch.setattr(oracle, "_spectrum_stencil", lambda n: [-1.0])
+        with pytest.raises(AssertionError, match="stencil"):
+            build_povm.__wrapped__(2)
 
     def test_port_range(self):
         with pytest.raises(ValueError):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from pbtsim import spin
-from pbtsim.oracle import build_povm
 from pbtsim.spin import build_spin_basis, clebsch_gordan, degeneracy, rho_eigenvalue
 
-from conftest import rho_eigenbasis, total_spin, total_spin_multiplets
+from conftest import dense_rho, rho_eigenbasis, total_spin, total_spin_multiplets
 
 
 class TestClebschGordan:
@@ -172,12 +171,12 @@ class TestRhoEigenvectors:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_reconstructs_dense_rho(self, n):
         _, eig, u = rho_eigenbasis(n)
-        np.testing.assert_allclose((u * eig) @ u.T, build_povm(n).rho, atol=1e-12)
+        np.testing.assert_allclose((u * eig) @ u.T, dense_rho(n), atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_rayleigh_quotients(self, n):
         _, eig, u = rho_eigenbasis(n)
-        quotients = np.einsum("ik,ij,jk->k", u, build_povm(n).rho, u)
+        quotients = np.einsum("ik,ij,jk->k", u, dense_rho(n), u)
         assert np.max(np.abs(quotients - eig)) <= 1e-10
 
     def test_eigenvalues_on_stencil(self):
@@ -198,4 +197,4 @@ class TestRhoEigenvectors:
         assert all(basis.jj[k] == n + 1 and basis.parent[k] == n
                    and basis.alpha[k] == 1 for k in kernel)
         assert len(kernel) == n + 2
-        assert np.max(np.abs(build_povm(n).rho @ u[:, kernel])) <= 1e-12
+        assert np.max(np.abs(dense_rho(n) @ u[:, kernel])) <= 1e-12
