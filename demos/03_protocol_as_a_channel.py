@@ -2,12 +2,13 @@
 
 The map taking Tr_{B2..Bn}[resource] to the simulated channel's Choi matrix
 has an explicit Kraus family: a kernel-sector block and one operator per
-(total spin, projection, multiplet) stratum of the measurement.  Its
-operators are the measurement rows the closed-form Choi assembly sums over,
-so the dense oracle is the independent check.  Both apply as one real
+(total spin, projection, multiplet) stratum of the measurement.  Each
+operator is a bra on the sender qubits times the identity on B_1, and the
+bras are the measurement rows the closed-form Choi assembly sums over, so
+the dense oracle is the independent check.  Both apply as one real
 (2^n, 4, 2^n) transfer matrix, laid out in the index order of the resource's
-operator on (A, B_1): the Gram of the operators' rows here, (n/2) pi_1 from
-a dense eigh in the oracle.
+operator on (A, B_1): the Gram of the bras here, and (n/2) pi_1 from a dense
+eigh, which is what the oracle's build_povm returns.
 """
 
 import numpy as np
@@ -40,4 +41,4 @@ print(f"\nGram operator sum_k K^dag K: trace {np.trace(gram).real:.12f}"
 
 # the whole map, not only its value on one resource
 print("transfer matrix vs dense (n/2) pi_1:",
-      format_deviation(np.abs(pk.transfer - build_povm(n).transfer).max()))
+      format_deviation(np.abs(pk.transfer - build_povm(n)).max()))

@@ -19,14 +19,14 @@ from .choi import (MeasurementRows, QRCoeffs, assemble_choi, check_choi,
 from .kraus import (KrausSet, ProtocolKraus, apply_kraus, apply_protocol,
                     choi_from_kraus, choi_to_kraus, protocol_gram,
                     protocol_kraus)
-from .oracle import DensePovm, build_povm, oracle_choi, povm_element, sigma_op
+from .oracle import build_povm, oracle_choi, povm_element, sigma_op
 from .resources import (AdChoi, Alternate, Bell, FromFile, FullResource,
                         ProductResource, ProductTable, ReducedResource,
                         ResourceFamily, SpinCoefficients,
                         full_from_port, load_resource, make_family,
                         port_state, reduce_full, reduced_from_port,
                         reduced_port_state, save_resource,
-                        to_spin_coefficients, trace_to_first_port)
+                        to_spin_coefficients)
 from .spin import (SpinBasis, build_spin_basis, clebsch_gordan, degeneracy,
                    rho_eigenvalue)
 

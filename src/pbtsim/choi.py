@@ -199,6 +199,8 @@ def check_choi(c: np.ndarray) -> None:
     """Validate the state and trace-preservation invariants of a Choi matrix."""
     if c.shape != (4, 4):
         raise ValueError(f"Choi matrix must be 4x4, got {c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("Choi matrix has a nan or inf entry")
     if herm_defect(c) > CHOI_ATOL:
         raise ValueError("Choi matrix is not Hermitian")
     if np.linalg.eigvalsh(c).min() < -CHOI_PSD_ATOL:

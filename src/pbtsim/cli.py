@@ -10,6 +10,7 @@ import csv
 import math
 import sys
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -83,12 +84,11 @@ def _print_matrix(m: np.ndarray) -> None:
         print("  ".join(f"{z.real:+.12g}{z.imag:+.12g}j" for z in row))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+def _write_csv(fh: TextIO, header: list[str], rows: list[list[float]]) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
 
 
 def sweep_rows(n: int, p0: float, family: str, grid: np.ndarray,
@@ -174,12 +174,10 @@ def cmd_ad_sweep(args) -> int:
             print(f"diamond estimate escaped its bounds at param={row[0]}", file=sys.stderr)
             return VALIDATION_EXIT
     if args.out:
-        _write_csv(Path(args.out), _SWEEP_HEADER, rows)
+        with open(args.out, "w", newline="") as fh:
+            _write_csv(fh, _SWEEP_HEADER, rows)
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(_SWEEP_HEADER)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        _write_csv(sys.stdout, _SWEEP_HEADER, rows)
     return 0
 
 
@@ -190,7 +188,8 @@ def _figure_sweep_files(out: Path, n: int, p0_values, family: str, lo: float, hi
     for p0 in p0_values:
         rows = sweep_rows(n, p0, family, grid)
         path = out / f"{stem}_p0_{p0:g}.csv"
-        _write_csv(path, _SWEEP_HEADER, rows)
+        with open(path, "w", newline="") as fh:
+            _write_csv(fh, _SWEEP_HEADER, rows)
         paths.append(path)
     return paths
 
@@ -230,7 +229,8 @@ def _figure_comparison(out: Path, n: int, step: float) -> list[Path]:
                     lo_a, up_a, num_a = analysis._diamond_with_bounds(c_alt, target)
                     rows.append([p0, p1, lo_c, lo_c, up_c, num_c, a, lo_a, lo_a, up_a, num_a])
         path = out / f"fig4_{stem}.csv"
-        _write_csv(path, header, rows)
+        with open(path, "w", newline="") as fh:
+            _write_csv(fh, header, rows)
         paths.append(path)
     return paths
 

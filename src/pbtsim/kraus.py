@@ -92,23 +92,30 @@ class ProtocolKraus:
     """Kraus operators of the map from Tr_{B2..Bn}[resource] to the Choi matrix.
 
     Operators act on (A, B_1) (dimension 2^(n+1)) and output (C_0, B_1)
-    (dimension 4); ``ops`` holds them as one real (count, 4, 2^(n+1)) array,
-    as the coupled basis and the measurement rows are real.
-    ``k2``, views of its first n + 2 operators, covers the kernel sector of
-    the measurement (ascending mm), ``k1`` the bulk (ss outer, mm middle,
-    alpha inner).  The family with the traced receiver qubits kept explicit
-    is identical up to the choice of a basis bra on those n-1 qubits:
-    2^(n-1) copies of each operator here.
+    (dimension 4).  Each is bra_k (x) 1_{B_1} for a real (2, 2^n) bra_k on A
+    (the coupled basis and the measurement rows are real).  ``bras`` holds
+    them as one (count, 2, 2^n) array; ``ops``, the operators as one
+    (count, 4, 2^(n+1)) array, is built on first read.  ``k2``, views of its
+    first n + 2 operators, covers the kernel sector of the measurement
+    (ascending mm), ``k1`` the bulk (ss outer, mm middle, alpha inner).  The
+    family with the traced receiver qubits kept explicit is identical up to
+    the choice of a basis bra on those n-1 qubits: 2^(n-1) copies of each
+    operator here.
 
-    Each operator is bra_k (x) 1_{B_1} for a real (2, 2^n) bra_k on A, so the
-    whole map is its real (2^n, 4, 2^n) ``transfer`` matrix
+    The whole map is its real (2^n, 4, 2^n) ``transfer`` matrix
     T[a, (m, m'), a'] = sum_k bra_k[m, a] bra_k[m', a'].  It equals the
-    dense oracle's (n/2) pi_1 in the same layout (``DensePovm.transfer``),
+    dense oracle's (n/2) pi_1 in the same layout (``oracle.build_povm``),
     reached from the spin-basis rows instead of a dense ``eigh``.
     """
 
     n: int
-    ops: np.ndarray
+    bras: np.ndarray
+
+    @cached_property
+    def ops(self) -> np.ndarray:
+        """The operators bra_k (x) 1_{B_1}, built on first read (four times the bras' bytes)."""
+        ops = self.bras[:, :, None, :, None] * np.eye(2)[:, None, :]
+        return ops.reshape(len(self.bras), 4, 2 ** (self.n + 1))
 
     @property
     def k2(self) -> np.ndarray:
@@ -121,26 +128,24 @@ class ProtocolKraus:
     @cached_property
     def transfer(self) -> np.ndarray:
         """The map's transfer matrix, built on first use (32 * 4^n bytes)."""
-        d = 2 ** self.n
-        bras = self.ops[:, 0::2, 0::2]  # (k, m, a)
+        d, count = 2 ** self.n, len(self.bras)
         # one (2^(n+1), count) x (count, 2^(n+1)) product: rows (a, m), columns
         # (m', a'), already the target layout
-        rows = bras.transpose(0, 2, 1).reshape(len(bras), 2 * d)
-        return (rows.T @ bras.reshape(len(bras), 2 * d)).reshape(d, 4, d)
+        rows = self.bras.transpose(0, 2, 1).reshape(count, 2 * d)
+        return (rows.T @ self.bras.reshape(count, 2 * d)).reshape(d, 4, d)
 
 
 def protocol_kraus(n: int) -> ProtocolKraus:
     """Explicit protocol Kraus operators for n ports: each measurement row
-    pair G_k on the full basis, as sqrt(w_k) G_k u^T (x) 1."""
+    pair G_k on the full basis, as sqrt(w_k) G_k u^T (x) 1, kept as the bras
+    sqrt(w_k) G_k u^T."""
     if n < 2:
         raise ValueError("at least two ports are required")
     basis = build_spin_basis(n)
     rows, weights = measurement_rows(basis)
     # G_k u^T: each row pair's coefficients times the basis vectors of its columns
     bras = np.sqrt(weights)[:, None, None] * (rows.coefs @ basis.u.T[rows.cols])
-    # the Kronecker product with the identity on B_1, for all k at once
-    ops = bras[:, :, None, :, None] * np.eye(2)[:, None, :]
-    return ProtocolKraus(n=n, ops=ops.reshape(len(bras), 4, 2 ** (n + 1)))
+    return ProtocolKraus(n=n, bras=bras)
 
 
 def apply_protocol(pk: ProtocolKraus, reduced_state: np.ndarray) -> np.ndarray:

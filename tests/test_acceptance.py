@@ -19,8 +19,7 @@ from pbtsim.kraus import apply_protocol, choi_from_kraus, choi_to_kraus, protoco
 from pbtsim.linalg import max_abs
 from pbtsim.oracle import oracle_choi
 from pbtsim.resources import (AdChoi, Alternate, Bell, make_family,
-                              reduce_full, reduced_port_state,
-                              trace_to_first_port)
+                              reduce_full, reduced_port_state)
 
 from conftest import random_choi, random_symmetric_resource
 
@@ -284,7 +283,7 @@ def test_ac11_protocol_kraus_consistency(rng):
         for n in (2, 3, 4):
             for _ in range(2):
                 full = random_symmetric_resource(n, gen)
-                got = apply_protocol(protocol_kraus(n), trace_to_first_port(full))
+                got = apply_protocol(protocol_kraus(n), reduce_full(full).joint)
                 want = choi_from_reduced(reduce_full(full))
                 worst = max(worst, max_abs(got, want))
                 worst_trace = max(worst_trace, abs(np.trace(got) - 1))

@@ -6,15 +6,14 @@ import pytest
 
 from pbtsim import cli
 from pbtsim.analysis import depolarizing_choi, xi
-from pbtsim.choi import choi_from_reduced
+from pbtsim.choi import choi_from_reduced, measurement_rows
 from pbtsim.kraus import (KrausSet, ProtocolKraus, apply_kraus, apply_protocol,
                           choi_from_kraus, choi_to_kraus, protocol_gram, protocol_kraus)
 from pbtsim.linalg import max_abs
-from pbtsim.oracle import build_povm, oracle_choi
+from pbtsim.oracle import build_povm, oracle_choi, povm_element
 from pbtsim.resources import (AdChoi, Alternate, Bell, make_family, port_state,
-                              reduce_full, reduced_from_port, reduced_port_state,
-                              trace_to_first_port)
-from pbtsim.spin import degeneracy
+                              reduce_full, reduced_from_port, reduced_port_state)
+from pbtsim.spin import build_spin_basis, degeneracy
 
 from conftest import random_choi, random_symmetric_resource
 
@@ -144,7 +143,7 @@ class TestProtocolKraus:
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_on_random_symmetric(self, n, rng):
         full = random_symmetric_resource(n, rng)
-        got = apply_protocol(protocol_kraus(n), trace_to_first_port(full))
+        got = apply_protocol(protocol_kraus(n), reduce_full(full).joint)
         want = choi_from_reduced(reduce_full(full))
         assert max_abs(got, want) <= 1e-10
 
@@ -173,6 +172,33 @@ class TestProtocolKraus:
         assert pk.ops.shape == (len(pk.k2) + len(pk.k1), 4, 2 ** (n + 1))
         assert np.shares_memory(pk.k2, pk.ops) and np.shares_memory(pk.k1, pk.ops)
         assert np.array_equal(np.concatenate([pk.k2, pk.k1]), pk.ops)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_operators_are_the_bras_times_identity(self, n):
+        # the bras and their Kronecker product with 1 on B_1, written out
+        basis = build_spin_basis(n)
+        rows, weights = measurement_rows(basis)
+        bras = np.sqrt(weights)[:, None, None] * (rows.coefs @ basis.u.T[rows.cols])
+        ops = (bras[:, :, None, :, None] * np.eye(2)[:, None, :]).reshape(len(bras), 4, 2 ** (n + 1))
+        pk = protocol_kraus(n)
+        assert pk.bras.tobytes() == bras.tobytes()
+        assert pk.ops.tobytes() == ops.tobytes()
+        assert pk.ops is pk.ops
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_verify_builds_no_operators(self, n):
+        pk = protocol_kraus(n)
+        assert "ops" not in vars(pk)
+        for family in (Bell(), AdChoi(0.3), Alternate(0.9)):
+            apply_protocol(pk, reduced_port_state(family, n))
+        assert "ops" not in vars(pk)
+
+    def test_verify_command_builds_no_operators(self, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError("operators built")
+        monkeypatch.setattr(ProtocolKraus, "ops", property(refuse))
+        assert cli.main(["verify", "--max-ports", "4"]) == 0
+        assert capsys.readouterr().out.endswith("ok\n")
 
 
 def _random_operator(n: int, seed: int) -> np.ndarray:
@@ -211,14 +237,14 @@ class TestProtocolTransfer:
     def test_transfer_equals_oracle_measurement(self, n):
         # (n/2) pi_1 from the dense eigh, laid out T[a, (m, m'), a'] = pi_1[(a, m), (a', m')]
         d = 2 ** n
-        pi_1 = build_povm(n).pi_1
+        pi_1 = povm_element(1, n)
         want = (n / 2) * pi_1.reshape(d, 2, d, 2).transpose(0, 1, 3, 2).reshape(d, 4, d)
-        assert np.array_equal(build_povm(n).transfer, want)
+        assert np.array_equal(build_povm(n), want)
         assert max_abs(protocol_kraus(n).transfer, want) <= 1e-13
 
     def test_oracle_transfer_is_the_cached_array(self):
         # the measurement is laid out once per n, not re-laid on each read
-        assert build_povm(4).transfer is build_povm(4).transfer
+        assert build_povm(4) is build_povm(4)
 
     def test_transfer_built_once(self):
         pk = protocol_kraus(3)
@@ -228,8 +254,8 @@ class TestProtocolTransfer:
         assert pk.transfer is transfer
 
     def test_transfer_built_on_first_apply_only(self):
-        # at n = 9 the operators take 8.7 MB and the transfer 8.4 MB; building
-        # the set must not hold both
+        # at n = 9 the bras take 2.2 MB, the operators 8.7 MB and the transfer
+        # 8.4 MB; building the set must hold neither of the last two
         n = 9
         tracemalloc.start()
         try:
@@ -237,10 +263,11 @@ class TestProtocolTransfer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert "transfer" not in vars(pk)
-        assert peak < pk.ops.nbytes + 32 * 4 ** n
+        assert "transfer" not in vars(pk) and "ops" not in vars(pk)
+        assert peak < pk.bras.nbytes + 32 * 4 ** n
         apply_protocol(pk, np.eye(2 ** (n + 1)) / 2 ** (n + 1))
         assert vars(pk)["transfer"].shape == (2 ** n, 4, 2 ** n)
+        assert "ops" not in vars(pk)
 
     def test_protocol_kraus_command_builds_no_transfer(self, monkeypatch, capsys):
         def refuse(self):

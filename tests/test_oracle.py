@@ -16,7 +16,7 @@ def per_entry_oracle(reduced: ReducedResource) -> np.ndarray:
     """Each Choi entry as its own dense trace (n/2) Tr[pi_1 (R^{ij} (x) |m><m'|)],
     one 2^(n+1) matrix product per entry."""
     n = reduced.n
-    pi_1 = build_povm(n).pi_1
+    pi_1 = povm_element(1, n)
     c = np.zeros((4, 4), dtype=complex)
     for m, mp, i, j in itertools.product((0, 1), repeat=4):
         e = np.zeros((2, 2))
@@ -61,8 +61,7 @@ class TestBuildPovm:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_element_is_povm(self, n):
-        pi_1 = build_povm(n).pi_1
-        w = np.linalg.eigvalsh(pi_1)
+        w = np.linalg.eigvalsh(povm_element(1, n))
         assert w.min() >= -1e-10
         assert w.max() <= 1 + 1e-10
 
@@ -72,10 +71,18 @@ class TestBuildPovm:
         assert max_abs(total, np.eye(2 ** (n + 1))) <= 1e-10
 
     def test_spectrum_checked_on_every_build(self, monkeypatch):
-        # rho is not kept, so its spectrum is checked while the element is built
-        monkeypatch.setattr(oracle, "_spectrum_stencil", lambda n: [-1.0])
+        # rho is not kept, so its spectrum is checked, against the spin
+        # module's eigenvalues, while the element is built
+        monkeypatch.setattr(oracle, "rho_eigenvalue", lambda sign, jj, n: -1.0)
         with pytest.raises(AssertionError, match="stencil"):
             build_povm.__wrapped__(2)
+
+    def test_transfer_is_read_only(self):
+        # cached per n, so a write would change every later oracle Choi matrix
+        transfer = build_povm(3)
+        assert not transfer.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            transfer[0, 0, 0] = 1.0
 
     def test_port_range(self):
         with pytest.raises(ValueError):

@@ -110,8 +110,51 @@ def test_turned_ports_match_turned_closed_forms(n, family, closed):
     (np.diag([1.2, 0, -0.2, 0]).astype(complex), "not positive semidefinite"),
 ], ids=["non-hermitian", "negative"])
 def test_rejects_a_port_with_a_bad_marginal(port, problem):
-    with pytest.raises(ValueError, match=f"sender marginal is {problem}"):
+    with pytest.raises(ValueError, match=f"resource state is {problem}"):
         choi_from_reduced(ProductResource(20, port))
+
+
+def _shifted_bell() -> np.ndarray:
+    """The Bell port with 0.05 moved from |00><00| to |11><11|: eigenvalues
+    -0.05, 0, 0.05 and 1, trace 1, and a positive sender marginal."""
+    port = port_state(Bell())
+    port[0, 0] -= 0.05
+    port[3, 3] += 0.05
+    return port
+
+
+def _nan_bell() -> np.ndarray:
+    port = port_state(Bell())
+    port[1, 2] = np.nan
+    return port
+
+
+@pytest.mark.parametrize("n", [2, 5, 50, 500])
+@pytest.mark.parametrize("port, problem", [
+    (_shifted_bell(), "resource state is not positive semidefinite"),
+    (2 * port_state(Bell()), "resource state trace differs from 1"),
+    (_nan_bell(), "resource state has a nan or inf entry"),
+], ids=["negative-eigenvalue", "trace-2", "nan"])
+def test_rejects_a_port_that_is_not_a_state(n, port, problem):
+    # each used to give a Choi matrix, the first one that check_choi passes
+    # at n = 2 and 5
+    resource = ProductResource(n, port)
+    with pytest.raises(ValueError, match=problem):
+        resource.validate()
+    with pytest.raises(ValueError, match=problem):
+        choi_from_reduced(resource)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+@pytest.mark.parametrize("where", [(0, 0), (1, 2), (3, 0)])
+def test_check_choi_rejects_non_finite_entries(entry, where):
+    c = depolarizing_choi(0.3)
+    c[where] = entry
+    with pytest.raises(ValueError, match="nan or inf"):
+        check_choi(c)
+    c = np.full((4, 4), entry, dtype=complex)
+    with pytest.raises(ValueError, match="nan or inf"):
+        check_choi(c)
 
 
 def test_general_port_at_the_cap_within_one_gigabyte():

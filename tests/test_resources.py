@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from pbtsim import resources
-from pbtsim.linalg import max_abs, permute_qubits
+from pbtsim.linalg import max_abs, partial_trace_qubits, permute_qubits
 from pbtsim.oracle import oracle_choi
 from pbtsim.resources import (AdChoi, Alternate, Bell, FromFile, FullResource,
                               ReducedResource, _port_asymmetry, ad_choi_port,
                               alternate_port, bell_port, full_from_port,
                               load_resource, make_family, port_state,
                               reduce_full, reduced_from_port, reduced_port_state,
-                              save_resource, to_spin_coefficients, trace_to_first_port)
+                              save_resource, to_spin_coefficients)
 from pbtsim.spin import build_spin_basis
 
 from conftest import (column_index, left_grown_kron_power, random_density,
@@ -69,7 +69,8 @@ class TestReduce:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_joint_undoes_split(self, n):
         full = random_symmetric_resource(n, np.random.default_rng(n))
-        assert np.array_equal(reduce_full(full).joint, trace_to_first_port(full))
+        want = partial_trace_qubits(full.rho_ab, 2 * n, list(range(n)) + [2 * n - 1])
+        assert np.array_equal(reduce_full(full).joint, want)
 
 
 def random_blocks(n: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -562,6 +563,21 @@ class TestResourceFiles:
         rho[k, k] += 1e-4
         with pytest.raises(ValueError, match="resource state is not positive semidefinite"):
             load_resource(self._full_file(tmp_path, rho))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_state_in_memory(self, n, entry):
+        # a nan passes every tolerance comparison, so only a finiteness test
+        # rejects it, also at n = 1 where the state is one port
+        rho = full_from_port(bell_port(), n).rho_ab.copy()
+        rho[1, 2] = entry
+        with pytest.raises(ValueError, match="resource state has a nan or inf entry"):
+            reduce_full(FullResource(n, rho))
+        red = reduced_from_port(bell_port(), n)
+        red.joint[1, 2] = entry
+        with pytest.raises(ValueError,
+                           match=r"resource reduced to \(A, B_1\) has a nan or inf entry"):
+            red.validate()
 
     def test_rejects_port_asymmetric_full(self, tmp_path):
         rho = random_density(2 ** 6, np.random.default_rng(20191223))
