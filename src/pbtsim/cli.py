@@ -266,10 +266,10 @@ def run_verification(max_ports: int) -> tuple[float, list[tuple[str, float]]]:
     for n in range(2, max_ports + 1):
         pk = protocol_kraus(n)
         for name, family in VERIFY_FAMILIES:
-            reduced = make_family(family, n)
-            closed = choi_from_reduced(reduced)
-            dev = float(np.max(np.abs(closed - oracle_choi(reduced))))
-            dev = max(dev, float(np.max(np.abs(closed - apply_protocol(pk, reduced.joint)))))
+            resource = make_family(family, n)
+            closed = choi_from_reduced(resource)
+            dev = float(np.max(np.abs(closed - oracle_choi(resource))))
+            dev = max(dev, float(np.max(np.abs(closed - apply_protocol(pk, resource)))))
             results.append((f"n={n} {name}", dev))
             worst = max(worst, dev)
     return worst, results

@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .choi import CHOI_PSD_ATOL, measurement_rows
-from .linalg import transfer_choi
+from .resources import ProductResource, ReducedResource, apply_transfer
 from .spin import build_spin_basis
 
 EIG_FLOOR = 1e-12  # rank decision for Kraus extraction
@@ -148,14 +148,13 @@ def protocol_kraus(n: int) -> ProtocolKraus:
     return ProtocolKraus(n=n, bras=bras)
 
 
-def apply_protocol(pk: ProtocolKraus, reduced_state: np.ndarray) -> np.ndarray:
-    """Choi matrix from the resource reduced to (A, B_1): sum_k K_k R K_k^T,
-    applied as the transfer matrix contracted with R where it lies, the
-    contraction ``oracle_choi`` makes with (n/2) pi_1."""
-    d = 2 ** (pk.n + 1)
-    if reduced_state.shape != (d, d):
-        raise ValueError(f"expected {(d, d)} operator on (A, B_1)")
-    return transfer_choi(pk.transfer, reduced_state)
+def apply_protocol(pk: ProtocolKraus,
+                   resource: ReducedResource | ProductResource | np.ndarray) -> np.ndarray:
+    """Choi matrix sum_k K_k R K_k^T for R the resource reduced to (A, B_1):
+    a resource, or R itself.  The transfer matrix is applied as
+    ``oracle_choi`` applies (n/2) pi_1 (``resources.apply_transfer``): a
+    product resource port by port, any other operator where it lies."""
+    return apply_transfer(pk.transfer, resource)
 
 
 def protocol_gram(pk: ProtocolKraus) -> np.ndarray:

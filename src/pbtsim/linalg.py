@@ -15,12 +15,18 @@ def dag(m: np.ndarray) -> np.ndarray:
 def kron_power(m: np.ndarray, k: int, right: np.ndarray | None = None) -> np.ndarray:
     """m^(x)k (x) right, a new complex array (``right`` defaults to 1).
 
-    Built from the right, m (x) (m (x) (... (x) right)), so that each
-    Kronecker product runs its inner loop over the long axis.
+    Built from the right, m (x) (m (x) (... (x) right)), so that each step
+    runs its inner loop over the long axis.  A step writes each block
+    m[i, j] * out straight into its place in the next array, the bytes
+    ``np.kron(m, out)`` gives without its outer-product temporaries.
     """
+    m = np.asarray(m)
     out = np.eye(1, dtype=complex) if right is None else np.array(right, dtype=complex)
     for _ in range(k):
-        out = np.kron(m, out)
+        new = np.empty((m.shape[0], out.shape[0], m.shape[1], out.shape[1]), dtype=complex)
+        for i, j in np.ndindex(m.shape):
+            np.multiply(m[i, j], out, out=new[i, :, j, :])
+        out = new.reshape(m.shape[0] * out.shape[0], m.shape[1] * out.shape[1])
     return out
 
 

@@ -13,9 +13,12 @@ projectors) by a dense ``eigh``, whose spectrum is checked against
 4 x 4 matrix is a contraction with the transfer matrix
 T[a, (m, m'), a'] = (n/2) pi_1[(a, m), (a', m')], O(4^n) work per resource.
 ``build_povm`` returns T, read-only and kept per n; ``povm_element`` re-lays
-pi_1 from it.  The contraction is ``linalg.transfer_choi``, which the
+pi_1 from it.  The contraction is ``resources.apply_transfer``, which the
 protocol Kraus map (``kraus.apply_protocol``) shares: the two checks differ
-only in how their transfer matrix is built.
+only in how their transfer matrix is built.  It contracts a product
+resource port by port, T against the port's sender marginal one qubit at a
+time, so no 2^(n+1)-square operator on (A, B_1) is built; any other
+resource goes through ``linalg.transfer_choi`` on that operator.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import swap_qubits, transfer_choi
-from .resources import ReducedResource, bell_port
+from .linalg import swap_qubits
+from .resources import ProductResource, ReducedResource, apply_transfer, bell_port
 from .spin import rho_eigenvalue
 
 MAX_ORACLE_PORTS = 8
@@ -57,16 +60,30 @@ def build_povm(n: int) -> np.ndarray:
     for i in range(2, n + 1):
         rho += sigma_op(i, n)
     w, v = np.linalg.eigh(rho)
+    del rho  # each square array goes once read: at most four are held at a time
     # the n qubits carry spin jj/2 for jj = n, n - 2, ..., and C anti-aligns
     # with it only for jj > 0
     spectrum = ([rho_eigenvalue("-", jj, n) for jj in range(n % 2, n + 1, 2)]
                 + [rho_eigenvalue("+", jj, n) for jj in range(2 - n % 2, n + 1, 2)])
     if max(min(abs(x - s) for s in spectrum) for x in w) > 1e-8:
         raise AssertionError("rho spectrum off the expected quarter-integer stencil")
-    kept = v[:, w > _SUPPORT_CUTOFF]
-    inv_sqrt = (kept / np.sqrt(w[w > _SUPPORT_CUTOFF])) @ kept.T
-    pi_1 = inv_sqrt @ sigma1 @ inv_sqrt + (np.eye(dim) - kept @ kept.T) / n
-    pi_1 = 0.5 * (pi_1 + pi_1.T)
+    support = w > _SUPPORT_CUTOFF
+    kept = v[:, support]
+    del v
+    inv_sqrt = (kept / np.sqrt(w[support])) @ kept.T
+    # (1 - kept kept^T) / n in the product's own buffer: 0 - x, then + 1 on
+    # the diagonal, keeps the bits (and signed zeros) of 1 - x
+    kernel = kept @ kept.T
+    del kept
+    np.subtract(0.0, kernel, out=kernel)
+    kernel.flat[::dim + 1] += 1.0
+    kernel /= n
+    # the second product of inv_sqrt sigma1 inv_sqrt is written over sigma1,
+    # which it no longer reads
+    pi_1 = np.matmul(inv_sqrt @ sigma1, inv_sqrt, out=sigma1)
+    pi_1 += kernel
+    pi_1 += pi_1.T  # numpy buffers the overlapping operand
+    pi_1 *= 0.5
     d = 2 ** n
     transfer = np.multiply(n / 2, pi_1.reshape(d, 2, d, 2).transpose(0, 1, 3, 2),
                            out=np.empty((d, 2, 2, d))).reshape(d, 4, d)
@@ -83,6 +100,6 @@ def povm_element(i: int, n: int) -> np.ndarray:
     return swap_qubits(pi_1.reshape(2 * d, 2 * d), n + 1, (n - 1, n - i))
 
 
-def oracle_choi(reduced: ReducedResource) -> np.ndarray:
+def oracle_choi(resource: ReducedResource | ProductResource) -> np.ndarray:
     """Choi matrix of the simulated channel, by direct dense traces."""
-    return transfer_choi(build_povm(reduced.n), reduced.joint)
+    return apply_transfer(build_povm(resource.n), resource)

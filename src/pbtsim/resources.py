@@ -9,8 +9,9 @@ qubit, one operator on (A_n .. A_1, B_1) whose four conditional blocks are
 so the reduced form is the primary representation here; full 2n-qubit states
 exist for the brute-force oracle and for FULL resource files.  A product of
 one two-qubit port state on every port is kept as that port
-(``ProductResource``): its spin table comes from the port alone, and its
-reduced operator is built only when asked for.  Tensor slot order for full
+(``ProductResource``): its spin table, and its contraction with the dense
+cross-checks' transfer matrices, come from the port alone, and its reduced
+operator is built only when asked for.  Tensor slot order for full
 states is (A_n .. A_1, B_n .. B_1); the qubit paired with the kept receiver
 qubit sits in slot A_1, matching the spin-basis recursion.
 """
@@ -29,7 +30,7 @@ from scipy.linalg import get_lapack_funcs
 from scipy.special import xlogy
 
 from .linalg import (dag, herm_defect, kron_power, max_abs, partial_trace_qubits, permute_qubits,
-                     swap_qubits, x_matrix)
+                     swap_qubits, transfer_choi, x_matrix)
 from .spin import MAX_PRODUCT_PORTS, SpinBasis, check_port_count
 
 FILE_ATOL = 1e-8  # Hermiticity, trace, positivity and port-symmetry defects
@@ -198,9 +199,10 @@ def reduced_from_port(port: np.ndarray, n: int) -> ReducedResource:
 class ProductResource:
     """The n-fold product of one two-qubit port state, kept as the port.
 
-    ``to_spin_coefficients`` and ``validate`` read only the port, at any n
-    up to MAX_PRODUCT_PORTS.  The reduced operator (``reduced``, and its
-    ``joint``) is built on first use, and only up to MAX_PORTS ports.
+    ``to_spin_coefficients``, ``validate`` and ``apply_transfer`` read only
+    the port, at any n up to MAX_PRODUCT_PORTS.  The reduced operator
+    (``reduced``, and its ``joint``) is built on first use, and only up to
+    MAX_PORTS ports.
     """
 
     n: int
@@ -214,6 +216,53 @@ class ProductResource:
 
     def validate(self) -> None:
         FullResource(1, self.port).validate()  # the port as a one-port state
+
+
+def apply_transfer(transfer: np.ndarray,
+                   resource: ReducedResource | ProductResource | np.ndarray) -> np.ndarray:
+    """4 x 4 Choi matrix of the map with the real (2^n, 4, 2^n) transfer
+    matrix T (``linalg.transfer_choi``) applied to an n-port resource.
+
+    A ReducedResource, or a bare operator on (A, B_1), is contracted by
+    ``transfer_choi``.  A ProductResource is contracted port by port, with
+    no 2^(n+1)-square operator: its operator is M^(x)(n-1) (x) port for the
+    port's sender marginal M, so
+
+        C[(m, i), (m', j)] = sum T[a, (m, m'), a'] prod_{k >= 2} M[a_k, a'_k]
+                             port[(a_1, i), (a'_1, j)].
+
+    Each step contracts the leading sender qubit of T's rows and columns
+    with M, reading T once and leaving it 4 times smaller (only M's nonzero
+    entries are read, in real arithmetic when M is real); the last
+    (2, 4, 2) array meets the port.
+    """
+    d = transfer.shape[0]
+    if isinstance(resource, ProductResource):
+        shape = (2 ** (resource.n + 1),) * 2
+    else:
+        joint = resource.joint if isinstance(resource, ReducedResource) else np.asarray(resource)
+        shape = joint.shape
+    if shape != (2 * d, 2 * d):
+        raise ValueError(f"expected {(2 * d, 2 * d)} operator on (A, B_1), got {shape}")
+    if not isinstance(resource, ProductResource):
+        return transfer_choi(transfer, joint)
+    t = _port_blocks(resource.port)
+    marginal = t[0, 0] + t[1, 1]
+    if not marginal.imag.any():
+        marginal = marginal.real
+    (x0, y0), *rest = zip(*np.nonzero(marginal))
+    s = transfer
+    while d > 2:
+        # rows (leading qubit, (other qubits, (m, m'))), columns (leading
+        # qubit, other qubits)
+        s = s.reshape(2, 2 * d, 2, d // 2)
+        out = marginal[x0, y0] * s[x0, :, y0]
+        for x, y in rest:
+            out += marginal[x, y] * s[x, :, y]
+        d //= 2
+        s = out.reshape(d, 4, d)
+    c = np.einsum("xky,xiyj->kij", s, np.reshape(resource.port, (2, 2, 2, 2)))
+    return c.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
 
 
 def make_family(family: ResourceFamily, n: int) -> ReducedResource | ProductResource:

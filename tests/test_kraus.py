@@ -9,10 +9,11 @@ from pbtsim.analysis import depolarizing_choi, xi
 from pbtsim.choi import choi_from_reduced, measurement_rows
 from pbtsim.kraus import (KrausSet, ProtocolKraus, apply_kraus, apply_protocol,
                           choi_from_kraus, choi_to_kraus, protocol_gram, protocol_kraus)
-from pbtsim.linalg import max_abs
+from pbtsim.linalg import max_abs, transfer_choi
 from pbtsim.oracle import build_povm, oracle_choi, povm_element
-from pbtsim.resources import (AdChoi, Alternate, Bell, make_family, port_state,
-                              reduce_full, reduced_from_port, reduced_port_state)
+from pbtsim.resources import (AdChoi, Alternate, Bell, ProductResource, apply_transfer,
+                              make_family, port_state, reduce_full, reduced_from_port,
+                              reduced_port_state)
 from pbtsim.spin import build_spin_basis, degeneracy
 
 from conftest import random_choi, random_symmetric_resource
@@ -275,3 +276,61 @@ class TestProtocolTransfer:
         monkeypatch.setattr(ProtocolKraus, "transfer", property(refuse))
         assert cli.main(["protocol-kraus", "--ports", "3"]) == 0
         assert "# 9 reduced protocol Kraus operators, 4 x 16" in capsys.readouterr().out
+
+
+def _general_ports(n: int) -> list[np.ndarray]:
+    """Seeded random ports of rank 1..4, and a port whose sender marginal
+    is a singular pure state; every marginal is complex and not diagonal."""
+    gen = np.random.default_rng(60 + n)
+    ports = []
+    for rank in (1, 2, 3, 4):
+        g = gen.normal(size=(4, rank)) + 1j * gen.normal(size=(4, rank))
+        ports.append(g @ g.conj().T / np.vdot(g, g).real)
+    psi = np.array([0.6, 0.8j])
+    g = gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2))
+    ports.append(np.kron(np.outer(psi, psi.conj()), g @ g.conj().T / np.vdot(g, g).real))
+    return ports
+
+
+class TestPortByPort:
+    """Both checks contract a product resource port by port, never building
+    its 2^(n+1)-square operator on (A, B_1)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_matches_dense_contraction(self, n):
+        pk = protocol_kraus(n)
+        ports = [port_state(f) for _, f in cli.VERIFY_FAMILIES] + _general_ports(n)
+        for port in ports:
+            for transfer, check in ((build_povm(n), oracle_choi),
+                                    (pk.transfer, lambda r: apply_protocol(pk, r))):
+                resource = ProductResource(n, port)
+                got = check(resource)
+                assert "reduced" not in vars(resource)
+                assert max_abs(got, transfer_choi(transfer, resource.reduced.joint)) <= 1e-14
+
+    def test_general_marginals_are_complex_and_one_singular(self):
+        marginals = [p[0::2, 0::2] + p[1::2, 1::2] for p in _general_ports(4)]
+        assert all(abs(m[0, 1].imag) > 1e-3 for m in marginals)
+        assert abs(np.linalg.det(marginals[-1])) <= 1e-15
+
+    def test_rejects_a_resource_of_another_port_count(self):
+        pk = protocol_kraus(3)
+        with pytest.raises(ValueError) as wrong_shape:
+            apply_protocol(pk, np.eye(32))
+        assert str(wrong_shape.value).startswith("expected (16, 16) operator on (A, B_1)")
+        for transfer in (pk.transfer, build_povm(3)):
+            for n in (2, 4):
+                resource = make_family(Bell(), n)
+                with pytest.raises(ValueError, match=r"^expected \(16, 16\) operator on \(A, B_1\), got"):
+                    apply_transfer(transfer, resource)
+                assert "reduced" not in vars(resource)
+        with pytest.raises(ValueError, match=r"^expected \(16, 16\) operator on \(A, B_1\), got \(32, 32\)"):
+            apply_protocol(pk, make_family(AdChoi(0.3), 4))
+
+    def test_verify_command_builds_no_reduced_operator(self, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError("reduced operator built")
+        monkeypatch.setattr(ProductResource, "joint", property(refuse))
+        monkeypatch.setattr(ProductResource, "reduced", property(refuse))
+        assert cli.main(["verify", "--max-ports", "4"]) == 0
+        assert capsys.readouterr().out.endswith("ok\n")

@@ -64,6 +64,32 @@ class TestKronPower:
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
+    @pytest.mark.parametrize("k", range(10))
+    def test_bytes_of_right_grown_kron_chain(self, k):
+        # each block is written in place, with the bits np.kron gives
+        rng = np.random.default_rng(50 + k)
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        right = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        for r in (None, right):
+            want = np.eye(1, dtype=complex) if r is None else r
+            for _ in range(k):
+                want = np.kron(m, want)
+            got = kron_power(m, k, r)
+            assert got.shape == want.shape and got.dtype == complex
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_bytes_of_a_four_by_four_power(self, k):
+        # the port itself, as full_from_port takes it; real entries and
+        # signed zeros come out as np.kron makes them
+        rng = np.random.default_rng(70 + k)
+        for m in (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)),
+                  np.diag([0.5, -0.0, 0.25, 0.0])):
+            want = np.eye(1, dtype=complex)
+            for _ in range(k):
+                want = np.kron(m, want)
+            assert kron_power(m, k).tobytes() == want.tobytes()
+
 
 def _blocks_contraction(transfer, joint):
     """The contraction transfer_choi replaces: the transfer laid out

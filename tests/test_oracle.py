@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,35 @@ class TestBuildPovm:
         monkeypatch.setattr(oracle, "rho_eigenvalue", lambda sign, jj, n: -1.0)
         with pytest.raises(AssertionError, match="stencil"):
             build_povm.__wrapped__(2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_matches_the_out_of_place_expression(self, n):
+        # the element as one expression, each step a new array
+        dim, d = 2 ** (n + 1), 2 ** n
+        sigma1 = sigma_op(1, n)
+        rho = sigma1.copy()
+        for i in range(2, n + 1):
+            rho += sigma_op(i, n)
+        w, v = np.linalg.eigh(rho)
+        kept = v[:, w > 1e-10]
+        inv_sqrt = (kept / np.sqrt(w[w > 1e-10])) @ kept.T
+        pi_1 = inv_sqrt @ sigma1 @ inv_sqrt + (np.eye(dim) - kept @ kept.T) / n
+        pi_1 = 0.5 * (pi_1 + pi_1.T)
+        want = (n / 2) * pi_1.reshape(d, 2, d, 2).transpose(0, 1, 3, 2).reshape(d, 4, d)
+        assert np.array_equal(build_povm(n), want)
+
+    def test_build_holds_few_squares_at_once(self):
+        # rho, its eigenvectors and eigh's copy of rho beside sigma_1: four
+        # 2^(n+1)-square arrays, where the out-of-place steps held eight
+        n = 8
+        square = 8 * 4 ** (n + 1)
+        tracemalloc.start()
+        try:
+            build_povm.__wrapped__(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * square
 
     def test_transfer_is_read_only(self):
         # cached per n, so a write would change every later oracle Choi matrix
