@@ -455,13 +455,14 @@ def alternate_choi(n: int, a: float) -> np.ndarray:
     return x_matrix((v.x, 0.5 - v.x, v.y, 0.5 - v.y), c03=v.z)
 
 
-def _bracketed_root(fn, lo: float, hi: float, samples: int = 256,
-                    zero_tol: float = 1e-13) -> float | None:
-    """First sign change of fn on [lo, hi], refined by brentq.
+def _bracketed_root(fn, lo: float, hi: float) -> float | None:
+    """First sign change of fn over 256 samples of [lo, hi], refined by
+    brentq; a sample within 1e-13 of 0 is the root.
 
     fn takes the whole sample grid in one call, and scalars for brentq.
     """
-    grid = np.linspace(lo, hi, samples)
+    zero_tol = 1e-13
+    grid = np.linspace(lo, hi, 256)
     vals = fn(grid)
     hits = np.flatnonzero((np.abs(vals[:-1]) <= zero_tol) | (vals[:-1] * vals[1:] < 0))
     if hits.size:

@@ -8,7 +8,7 @@ The square-root measurement acts on the coupled spin basis of the n sender
 qubits through one real row pair G_k per stratum (``measurement_rows``): a
 kernel-sector pair per projection mm, then a bulk pair per total spin
 ss = 2s of the measured (n+1)-qubit system, projection and multiplet of the
-n-1 unkept ports, built from the overlap coefficients ``qr_coeffs``.  One
+n-1 unkept ports, whose overlap coefficients it writes in closed form.  One
 sum sum_k w_k G_k T G_k^T (``g_sum``) over the resource's spin table T gives
 a 2x2 matrix for each of the four conditional blocks, and those tile the
 Choi matrix.
@@ -33,37 +33,6 @@ CHOI_ATOL = 1e-10      # Hermiticity, trace and trace-preservation defects
 CHOI_PSD_ATOL = 1e-9   # most negative eigenvalue tolerated
 
 _LOWER = np.tril_indices(4, -1)
-
-
-@dataclass(frozen=True)
-class QRCoeffs:
-    """Measurement overlap coefficients at one (ss, mm) stratum."""
-
-    q_minus: float
-    q_plus: float
-    r_minus: float
-    r_plus: float
-
-
-def qr_coeffs(ss: int, mm, n: int) -> QRCoeffs:
-    """Overlap coefficients; zero radicands give exact 0.
-
-    Doubled arguments: ss = 2s, mm = 2m (an integer or an integer array).
-    Requires ss <= n - 1 so the divisors stay positive, and |mm| <= ss.
-    """
-    mm = np.asarray(mm)
-    if ss > n - 1:
-        raise ValueError(f"ss={ss} exceeds n-1={n - 1}")
-    if (abs(mm) > ss).any():
-        raise ValueError(f"|mm|={abs(mm).max()} exceeds ss={ss}")
-    dq = (n + 1 - ss) * (ss + 1)
-    dr = (n + 3 + ss) * (ss + 1)
-    return QRCoeffs(
-        q_minus=np.sqrt((ss - mm) / dq)[()],
-        q_plus=np.sqrt((ss + mm) / dq)[()],
-        r_minus=np.sqrt((ss - mm + 2) / dr)[()],
-        r_plus=np.sqrt((ss + mm + 2) / dr)[()],
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,13 +103,15 @@ def measurement_rows(basis: SpinBasis) -> tuple[MeasurementRows, np.ndarray]:
     add(0.5, *pairs(mm, n - 1, 1, [(0, np.sqrt(np.maximum(0.5 - w, 0.0)), n, 1),
                                    (1, np.sqrt(np.maximum(0.5 + w, 0.0)), n, -1)]))
     for ss in range(1 if n % 2 == 0 else 0, n, 2):
+        # overlaps with the columns of spin ss - 1 (q) and ss + 1 (r); a zero
+        # radicand, at mm = +-ss, gives exactly 0
         mm = np.arange(-ss, ss + 1, 2)
-        qr = qr_coeffs(ss, mm, n)
+        dq, dr = (n + 1 - ss) * (ss + 1), (n + 3 + ss) * (ss + 1)
+        q_minus, q_plus = np.sqrt((ss - mm) / dq), np.sqrt((ss + mm) / dq)
+        r_minus, r_plus = np.sqrt((ss - mm + 2) / dr), np.sqrt((ss + mm + 2) / dr)
         # strata ordered by mm, then alpha
-        by_alpha = [pairs(mm, ss, alpha, [(0, qr.q_minus, ss - 1, 1),
-                                          (0, -qr.r_plus, ss + 1, 1),
-                                          (1, qr.q_plus, ss - 1, -1),
-                                          (1, qr.r_minus, ss + 1, -1)])
+        by_alpha = [pairs(mm, ss, alpha, [(0, q_minus, ss - 1, 1), (0, -r_plus, ss + 1, 1),
+                                          (1, q_plus, ss - 1, -1), (1, r_minus, ss + 1, -1)])
                     for alpha in range(1, held[ss] + 1)]
         add((n / 2) * degeneracy(n - 1, ss) / held[ss],
             *(np.stack(part, axis=1).reshape(-1, *part[0].shape[1:]) for part in zip(*by_alpha)))

@@ -41,10 +41,15 @@ def parse_resource(spec: str) -> ResourceFamily:
     low = spec.lower()
     if low == "bell":
         return Bell()
-    if low.startswith("ad:"):
-        return AdChoi(float(spec.split(":", 1)[1]))
-    if low.startswith("alternate:") or low.startswith("alt:"):
-        return Alternate(float(spec.split(":", 1)[1]))
+    for prefixes, family in ((("ad:",), AdChoi), (("alternate:", "alt:"), Alternate)):
+        if low.startswith(prefixes):
+            param = spec.split(":", 1)[1]
+            try:
+                value = float(param)
+            except ValueError:
+                raise ValueError(f"resource spec {spec!r}: parameter {param!r} "
+                                 f"is not a number") from None
+            return family(value)
     if Path(spec).exists():
         return FromFile(spec)
     raise ValueError(
@@ -222,12 +227,8 @@ def _figure_comparison(out: Path, n: int, step: float) -> list[Path]:
             if 0 <= p1 <= 1:
                 a = choose_a(p0)
                 if a is not None:
-                    target = analysis.ad_choi(p0, "plus")
-                    c_choi = analysis.pbt_ad_choi(n, p1)
-                    c_alt = analysis.alternate_choi(n, a)
-                    lo_c, up_c, num_c = analysis._diamond_with_bounds(c_choi, target)
-                    lo_a, up_a, num_a = analysis._diamond_with_bounds(c_alt, target)
-                    rows.append([p0, p1, lo_c, lo_c, up_c, num_c, a, lo_a, lo_a, up_a, num_a])
+                    rows.append([p0] + sweep_rows(n, p0, "choi", np.array([p1]))[0]
+                                + sweep_rows(n, p0, "alternate", np.array([a]))[0])
         path = out / f"fig4_{stem}.csv"
         with open(path, "w", newline="") as fh:
             _write_csv(fh, header, rows)
@@ -251,12 +252,8 @@ def cmd_figure(args) -> int:
     return 0
 
 
-VERIFY_FAMILIES = [
-    ("bell", Bell()),
-    ("ad:0", AdChoi(0.0)), ("ad:0.3", AdChoi(0.3)), ("ad:0.7", AdChoi(0.7)), ("ad:1", AdChoi(1.0)),
-    ("alternate:0.1", Alternate(0.1)), ("alternate:0.5", Alternate(0.5)),
-    ("alternate:0.9", Alternate(0.9)),
-]
+VERIFY_FAMILIES = [(spec, parse_resource(spec)) for spec in (
+    "bell", "ad:0", "ad:0.3", "ad:0.7", "ad:1", "alternate:0.1", "alternate:0.5", "alternate:0.9")]
 
 
 def run_verification(max_ports: int) -> tuple[float, list[tuple[str, float]]]:

@@ -96,9 +96,8 @@ def herm_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - dag(m))))
 
 
-def max_abs(a: np.ndarray, b: np.ndarray | None = None) -> float:
-    d = a if b is None else a - b
-    return float(np.max(np.abs(d)))
+def max_abs(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))
 
 
 def transfer_choi(transfer: np.ndarray, joint: np.ndarray) -> np.ndarray:

@@ -486,7 +486,10 @@ def load_resource(path: str | Path) -> ReducedResource:
         raise ValueError("not a PBTRES resource file")
     if not head[1].startswith("N="):
         raise ValueError("missing N= header line")
-    n = int(head[1][2:])
+    try:
+        n = int(head[1][2:])
+    except ValueError:
+        raise ValueError(f"the N= header must be an integer, got {head[1][2:]!r}") from None
     check_port_count(n)  # before the body is parsed or a block is shaped
     form = head[2]
     if form not in ("FORM=FULL", "FORM=REDUCED"):

@@ -1,10 +1,11 @@
 """Angular-momentum (spin) structure of n qubits.
 
 Builds the coupled spin basis of n qubits by the standard spin-1/2
-Clebsch-Gordan recursion.  Each column is labelled by four integers: its
-doubled total spin jj and projection mm, the doubled spin ``parent`` of the
-(n-1)-qubit multiplet it couples the last qubit to (jj + 1 or jj - 1), and
-that multiplet's index alpha.  One level up the basis also diagonalises the
+Clebsch-Gordan recursion, one qubit at a time; ``SpinBasis.parents`` holds
+the two coefficients of each step.  Each column is labelled by four
+integers: its doubled total spin jj and projection mm, the doubled spin
+``parent`` of the (n-1)-qubit multiplet it couples the last qubit to (jj + 1
+or jj - 1), and that multiplet's index alpha.  One level up the basis also diagonalises the
 operator rho = sum_i sigma_i (sigma_i = singlet projector between an extra
 qubit C and qubit i) that underlies the square-root measurement: the
 recursion couples the newest qubit last, so with C as qubit n + 1 every
@@ -48,31 +49,6 @@ MAX_PORTS = 12
 MAX_PRODUCT_PORTS = 500
 
 
-def clebsch_gordan(branch: str, jj, mm):
-    """<j, m, 1/2, s2 | j +- 1/2, m +- 1/2> in the Condon-Shortley convention.
-
-    ``branch`` holds two signs, e.g. ``"+-"``: the first selects whether the
-    target total spin is j+1/2 or j-1/2, the second whether the target
-    z-projection is m+1/2 or m-1/2.  ``jj`` and ``mm`` are the doubled source
-    labels, integers or integer arrays (the result then has their broadcast
-    shape).  Couplings whose source or target state does not exist return
-    exactly 0.
-    """
-    if branch not in ("++", "+-", "-+", "--"):
-        raise ValueError(f"unknown coupling branch {branch!r}")
-    jj, mm = np.asarray(jj), np.asarray(mm)
-    if (jj < 0).any():
-        raise ValueError(f"negative spin magnitude: jj={jj}")
-    if ((jj - mm) % 2).any():
-        raise ValueError(f"jj={jj} and mm={mm} must have equal parity")
-    jj_t = jj + 1 if branch[0] == "+" else jj - 1
-    mm_t = mm + 1 if branch[1] == "+" else mm - 1
-    exists = (abs(mm) <= jj) & (jj_t >= 0) & (abs(mm_t) <= jj_t)
-    radicand = {"++": jj + mm + 2, "+-": jj - mm + 2, "--": jj + mm, "-+": jj - mm}[branch]
-    value = np.sqrt(np.where(exists, radicand, 0) / (2.0 * (jj + 1)))
-    return (-value if branch == "-+" else value)[()]
-
-
 def degeneracy(ports: int, jj: int) -> int:
     """Number of spin-j multiplets in ``ports`` qubits (exact integer).
 
@@ -114,7 +90,7 @@ class SpinBasis:
     ``u`` holds the basis vectors as columns (computational basis rows,
     qubit 1 in the last tensor slot): a real orthogonal 2^n x 2^n matrix, or
     its alpha = 1 columns alone (``first_only``).  The Clebsch-Gordan
-    coefficients are real.
+    coefficients (``parents``) are real.
     """
 
     n: int
@@ -152,23 +128,20 @@ class SpinBasis:
         (pos, cg), each (columns, 2): column c is
         sum_b cg[c, b] |parent[c]; pos[c, b]> (x) |b>, where |parent; pos> is
         the state of multiplet alpha[c] of spin parent[c] at doubled projection
-        2 pos - parent (mm + 1 for b = 0, mm - 1 for b = 1).  Where that state
-        does not exist, pos is -1 or parent + 1 and cg is 0."""
-        cg = np.stack(coupling(self.jj, self.parent, self.mm), axis=-1)
-        return (self.mm[:, None] + np.array([1, -1]) + self.parent[:, None]) // 2, cg
+        2 pos - parent (mm + 1 for b = 0, mm - 1 for b = 1).
 
-
-def coupling(jj_child, jj_parent, mm):
-    """How child vector |jj_child, mm> is built from its parent multiplet:
-    the coefficients of |jj_parent, mm + 1> (x) |0> and |jj_parent, mm - 1> (x) |1>.
-    Arguments may be integer arrays, as in ``clebsch_gordan``."""
-    aligned = np.asarray(jj_parent) < jj_child  # the child has spin j + 1/2
-
-    def coefficient(second: str, mm_parent):
-        return np.where(aligned, clebsch_gordan("+" + second, jj_parent, mm_parent),
-                        clebsch_gordan("-" + second, jj_parent, mm_parent))[()]
-
-    return coefficient("-", np.asarray(mm) + 1), coefficient("+", np.asarray(mm) - 1)
+        cg holds the Condon-Shortley coefficients of coupling one qubit to a
+        parent of doubled spin p: with a = sqrt((p - mm + 1) / (2 (p + 1)))
+        and b = sqrt((p + mm + 1) / (2 (p + 1))), (a, b) for a child of spin
+        p/2 + 1/2 and (b, -a) for one of spin p/2 - 1/2.  Where the parent
+        state does not exist, pos is -1 or parent + 1 and the radicand is
+        exactly 0."""
+        p, mm = self.parent, self.mm
+        a = np.sqrt((p - mm + 1) / (2.0 * (p + 1)))
+        b = np.sqrt((p + mm + 1) / (2.0 * (p + 1)))
+        aligned = (p < self.jj)[:, None]
+        cg = np.where(aligned, np.stack([a, b], axis=-1), np.stack([b, -a], axis=-1))
+        return (mm[:, None] + np.array([1, -1]) + p[:, None]) // 2, cg
 
 
 def check_port_count(n: int, limit: int = MAX_PORTS) -> None:

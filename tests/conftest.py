@@ -1,5 +1,6 @@
 """Shared helpers: random resources, random channels, and independent oracles."""
 
+import math
 import os
 import resource
 import subprocess
@@ -153,6 +154,15 @@ def column_index(basis) -> dict:
     """Column of each (jj, mm, parent, alpha) label of a spin basis."""
     labels = zip(*(x.tolist() for x in (basis.jj, basis.mm, basis.parent, basis.alpha)))
     return {label: k for k, label in enumerate(labels)}
+
+
+def textbook_cg(j1: float, m1: float, m2: float, j: float) -> float:
+    """<j1, m1; 1/2, m2 | j, m1 + m2> in the Condon-Shortley convention, in
+    spin values, for j = j1 +- 1/2; exactly 0 where |m1| > j1."""
+    m = m1 + m2
+    if j == j1 + 0.5:
+        return math.sqrt((j1 + 2 * m2 * m + 0.5) / (2 * j1 + 1))
+    return -2 * m2 * math.sqrt((j1 - 2 * m2 * m + 0.5) / (2 * j1 + 1))
 
 
 @pytest.fixture(scope="session")

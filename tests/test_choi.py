@@ -4,38 +4,20 @@ import numpy as np
 import pytest
 
 from pbtsim.analysis import alternate_choi, depolarizing_choi, pbt_ad_choi, xi
-from pbtsim.choi import (assemble_choi, check_choi, choi_from_reduced, g_sum,
-                         measurement_rows, qr_coeffs)
+from pbtsim.choi import assemble_choi, check_choi, choi_from_reduced, g_sum, measurement_rows
 from pbtsim.linalg import max_abs, partial_trace_qubits
 from pbtsim.oracle import oracle_choi
 from pbtsim.resources import (AdChoi, Alternate, Bell, ReducedResource,
                               make_family, reduce_full, to_spin_coefficients)
-from pbtsim.spin import build_spin_basis, degeneracy
+from pbtsim.spin import build_spin_basis, degeneracy, held_multiplets, rho_eigenvalue
 
-from conftest import column_index, random_symmetric_resource
+from conftest import column_index, random_symmetric_resource, textbook_cg
 
 
 def full_basis_choi(reduced: ReducedResource) -> np.ndarray:
     """Reference route without the alpha = 1 compression: congruence with the
     full basis and one measurement row per multiplet alpha."""
     return assemble_choi(to_spin_coefficients(reduced, build_spin_basis(reduced.n)))
-
-
-class TestQRCoeffs:
-    def test_zero_radicand_is_exact_zero(self):
-        assert qr_coeffs(1, 1, 2).q_minus == 0.0
-
-    def test_values(self):
-        # q- at (s=1/2, m=-1/2, n=2): 2(s-m) = 2, (n+1-2s)(2s+1) = 4
-        assert qr_coeffs(1, -1, 2).q_minus == pytest.approx(math.sqrt(0.5), abs=1e-15)
-        assert qr_coeffs(1, 1, 2).r_plus == pytest.approx(math.sqrt(1 / 3), abs=1e-15)
-        assert qr_coeffs(1, -1, 2).r_minus == pytest.approx(math.sqrt(1 / 3), abs=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            qr_coeffs(3, 1, 2)   # s beyond (n-1)/2
-        with pytest.raises(ValueError):
-            qr_coeffs(1, 3, 4)   # |m| > s
 
 
 class TestMeasurementRows:
@@ -60,10 +42,56 @@ class TestMeasurementRows:
         k = index[2, 2, 1, 1]
         assert np.count_nonzero(top) == 1
         assert rows.cols[4 + 1][top != 0] == [k]
-        assert top[top != 0] == [-qr_coeffs(1, 1, 2).r_plus]
+        assert top[top != 0] == pytest.approx([-1 / math.sqrt(3)], abs=1e-15)
         # the missing entry repeats a column the pair holds
         held = {index[jj, mm, 1, 1] for jj, mm in ((2, 2), (0, 0), (2, 0))}
         assert set(rows.cols[4 + 1].tolist()) == held
+
+    def test_two_port_overlaps(self):
+        # the one bulk stratum of n = 2, ss = 1: q- = sqrt(1/2) and r- = sqrt(1/3)
+        # at mm = -1, r+ = sqrt(1/3) at mm = 1
+        basis = build_spin_basis(2)
+        index = column_index(basis)
+        rows, _ = measurement_rows(basis)
+
+        def entry(k, a, jj, mm):
+            return rows.coefs[k, a][rows.cols[k] == index[jj, mm, 1, 1]].sum()
+
+        assert entry(4, 0, 0, 0) == pytest.approx(math.sqrt(1 / 2), abs=1e-15)
+        assert entry(4, 1, 2, -2) == pytest.approx(math.sqrt(1 / 3), abs=1e-15)
+        assert entry(5, 0, 2, 2) == pytest.approx(-math.sqrt(1 / 3), abs=1e-15)
+
+    @pytest.mark.parametrize("n, first_only", [(n, f) for n in range(2, 9) for f in (False, True)]
+                             + [(50, True), (200, True)])
+    def test_every_bulk_coefficient_is_textbook(self, n, first_only):
+        # bulk pair (ss, mm, alpha) couples qubit C to the unkept ports' spin s:
+        # row a (m2 = +1/2, then -1/2) holds, at each column of spin j = s +- 1/2
+        # and projection m + m2, -2 m2 <s, m; 1/2, m2 | j, m + m2> / sqrt(2 lambda),
+        # lambda the eigenvalue of rho on that column's sector
+        basis = build_spin_basis(n, first_only)
+        index = column_index(basis)
+        rows, _ = measurement_rows(basis)
+        got, want, k = {}, {}, n + 2
+        for ss in range(1 if n % 2 == 0 else 0, n, 2):
+            for mm in range(-ss, ss + 1, 2):
+                for alpha in range(1, held_multiplets(n, ss, first_only) + 1):
+                    for a, m2 in enumerate((0.5, -0.5)):
+                        for jj, sign in ((ss - 1, "-"), (ss + 1, "+")):
+                            c = index.get((jj, mm + round(2 * m2), ss, alpha))
+                            if c is None:
+                                continue
+                            lam = rho_eigenvalue(sign, jj, n)
+                            value = -2 * m2 * textbook_cg(ss / 2, mm / 2, m2, jj / 2)
+                            if value:
+                                want[k, a, c] = value / math.sqrt(2 * lam)
+                    for a in range(2):
+                        for c, coef in zip(rows.cols[k].tolist(), rows.coefs[k, a].tolist()):
+                            if coef:
+                                got[k, a, c] = coef
+                    k += 1
+        assert k == len(rows)
+        assert got.keys() == want.keys()
+        assert max(abs(got[key] - want[key]) for key in want) <= 1e-15
 
 
 class TestGSum:

@@ -154,6 +154,23 @@ class TestErrors:
         assert code == 1
         assert "unknown resource" in err
 
+    @pytest.mark.parametrize("spec", ["ad:abc", "alternate:x", "alt:0.3x"])
+    def test_non_numeric_resource_parameter(self, capsys, spec):
+        code, out, err = run_cli(capsys, "choi", "--ports", "2", "--resource", spec)
+        assert code == 1
+        assert out == ""
+        assert f"resource spec {spec!r}: parameter" in err
+        assert "could not convert" not in err
+
+    def test_non_integer_port_header(self, capsys, tmp_path):
+        path = tmp_path / "ports.pbtres"
+        path.write_text("PBTRES 1\nN=abc\nFORM=REDUCED\n1 0\n")
+        code, out, err = run_cli(capsys, "choi", "--ports", "2", "--resource", str(path))
+        assert code == 1
+        assert out == ""
+        assert "the N= header must be an integer, got 'abc'" in err
+        assert "invalid literal" not in err
+
     def test_non_finite_grid(self, capsys):
         code, _, err = run_cli(capsys, "ad-sweep", "--ports", "3", "--p0", "0.5",
                                "--family", "choi", "--grid", "nan:1:0.1")

@@ -4,35 +4,50 @@ import numpy as np
 import pytest
 
 from pbtsim import spin
-from pbtsim.spin import build_spin_basis, clebsch_gordan, degeneracy, rho_eigenvalue
+from pbtsim.spin import build_spin_basis, degeneracy, rho_eigenvalue
 
-from conftest import dense_rho, rho_eigenbasis, total_spin, total_spin_multiplets
+from conftest import (column_index, dense_rho, rho_eigenbasis, textbook_cg, total_spin,
+                      total_spin_multiplets)
 
 
-class TestClebschGordan:
-    @pytest.mark.parametrize("branch, jj, mm, expected", [
-        ("--", 1, 1, 1 / math.sqrt(2)),     # two-spin singlet coefficient
-        ("-+", 1, -1, -1 / math.sqrt(2)),   # two-spin singlet coefficient
-        ("++", 1, 1, 1.0),                  # stretched state
-        ("--", 0, 0, 0.0),                  # no j = -1/2 multiplet
-        ("+-", 1, -1, 1.0),
-        ("++", 1, -3, 0.0),                 # nonexistent source state
-        ("+-", 1, 3, 0.0),
+class TestParents:
+    S = 1 / math.sqrt(2)
+
+    @pytest.mark.parametrize("n, label, want", [
+        (2, (0, 0, 1), (S, -S)),       # two-spin singlet
+        (2, (2, 0, 1), (S, S)),
+        (2, (2, -2, 1), (1.0, 0.0)),   # stretched states: the parent's m = -3/2
+        (2, (2, 2, 1), (0.0, 1.0)),    # and m = 3/2 are missing
+        (3, (3, -3, 2), (1.0, 0.0)),
+        (3, (3, 3, 2), (0.0, 1.0)),
+        (3, (1, -1, 0), (1.0, 0.0)),   # spin 0 has no m = +-1
+        (3, (1, 1, 0), (0.0, 1.0)),
+        (3, (1, -1, 2), (math.sqrt(1 / 3), -math.sqrt(2 / 3))),
+        (3, (1, 1, 2), (math.sqrt(2 / 3), -math.sqrt(1 / 3))),
     ])
-    def test_values(self, branch, jj, mm, expected):
-        assert clebsch_gordan(branch, jj, mm) == pytest.approx(expected, abs=1e-15)
+    @pytest.mark.parametrize("first_only", [False, True])
+    def test_values(self, n, label, want, first_only):
+        basis = build_spin_basis(n, first_only)
+        jj, mm, parent = label
+        c = column_index(basis)[jj, mm, parent, 1]
+        pos, cg = basis.parents
+        assert cg[c] == pytest.approx(want, abs=1e-15)
+        # a missing parent state has coefficient exactly 0, at pos -1 or parent + 1
+        missing = (pos[c] < 0) | (pos[c] > parent)
+        assert list(missing) == [w == 0.0 for w in want]
+        assert (cg[c][missing] == 0.0).all()
 
-    def test_negative_j_rejected(self):
-        with pytest.raises(ValueError):
-            clebsch_gordan("++", -1, 1)
-
-    def test_parity_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            clebsch_gordan("++", 2, 1)
-
-    def test_unknown_branch_rejected(self):
-        with pytest.raises(ValueError):
-            clebsch_gordan("+*", 1, 1)
+    @pytest.mark.parametrize("n, first_only", [(n, f) for n in range(2, 9) for f in (False, True)]
+                             + [(50, True), (200, True)])
+    def test_every_coefficient_is_textbook(self, n, first_only):
+        # column c couples |parent, m - m2> (x) |b>, qubit |0> at m2 = -1/2
+        basis = build_spin_basis(n, first_only)
+        _, cg = basis.parents
+        labels = zip(basis.jj.tolist(), basis.mm.tolist(), basis.parent.tolist())
+        for c, (jj, mm, parent) in enumerate(labels):
+            for b, m2 in enumerate((-0.5, 0.5)):
+                want = textbook_cg(parent / 2, mm / 2 - m2, m2, jj / 2)
+                assert abs(cg[c, b] - want) <= 1e-15
 
 
 class TestDegeneracy:
