@@ -14,8 +14,7 @@ from .analysis import (AdKnownPoints, AlternateDerivatives, AlternateXYZ,
                        diamond_numeric, difference_spectrum, p0_cross,
                        pbt_ad_choi, symmetric_sum_curvature, trace_min_location,
                        trace_norm, xi)
-from .choi import (MeasurementRows, assemble_choi, check_choi, choi_from_reduced,
-                   g_sum, measurement_rows)
+from .choi import assemble_choi, check_choi, choi_from_reduced, g_sum
 from .kraus import (KrausSet, ProtocolKraus, apply_kraus, apply_protocol,
                     choi_from_kraus, choi_to_kraus, protocol_gram,
                     protocol_kraus)
@@ -27,7 +26,8 @@ from .resources import (AdChoi, Alternate, Bell, FromFile, FullResource,
                         port_state, reduce_full, reduced_from_port,
                         reduced_port_state, save_resource,
                         to_spin_coefficients)
-from .spin import SpinBasis, build_spin_basis, degeneracy, rho_eigenvalue
+from .spin import (MeasurementRows, SpinBasis, build_spin_basis, degeneracy,
+                   rho_eigenvalue)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ from .choi import check_choi, choi_from_reduced
 from .kraus import apply_protocol, choi_to_kraus, protocol_kraus
 from .oracle import MAX_ORACLE_PORTS, oracle_choi
 from .resources import AdChoi, Alternate, Bell, FromFile, ResourceFamily, make_family
+from .spin import MAX_PRODUCT_PORTS, check_port_count
 
 USAGE_EXIT = 1
 VALIDATION_EXIT = 2
@@ -121,6 +122,7 @@ _SWEEP_HEADER = ["param", "trace_norm", "diamond_lower", "diamond_upper", "diamo
 
 
 def cmd_xi(args) -> int:
+    check_port_count(args.ports, MAX_PRODUCT_PORTS)
     print(_fmt(analysis.xi(args.ports)))
     return 0
 
@@ -167,6 +169,7 @@ def cmd_protocol_kraus(args) -> int:
 
 
 def cmd_ad_sweep(args) -> int:
+    check_port_count(args.ports, MAX_PRODUCT_PORTS)
     if args.grid is not None:
         grid = parse_grid(args.grid)
     elif args.family == "choi":

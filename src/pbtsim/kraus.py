@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .choi import CHOI_PSD_ATOL, measurement_rows
+from .choi import CHOI_PSD_ATOL
 from .resources import ProductResource, ReducedResource, apply_transfer
 from .spin import build_spin_basis
 
@@ -142,9 +142,9 @@ def protocol_kraus(n: int) -> ProtocolKraus:
     if n < 2:
         raise ValueError("at least two ports are required")
     basis = build_spin_basis(n)
-    rows, weights = measurement_rows(basis)
+    rows = basis.rows
     # G_k u^T: each row pair's coefficients times the basis vectors of its columns
-    bras = np.sqrt(weights)[:, None, None] * (rows.coefs @ basis.u.T[rows.cols])
+    bras = np.sqrt(rows.weights)[:, None, None] * (rows.coefs @ basis.u.T[rows.cols])
     return ProtocolKraus(n=n, bras=bras)
 
 

@@ -486,10 +486,12 @@ def load_resource(path: str | Path) -> ReducedResource:
         raise ValueError("not a PBTRES resource file")
     if not head[1].startswith("N="):
         raise ValueError("missing N= header line")
-    try:
-        n = int(head[1][2:])
-    except ValueError:
-        raise ValueError(f"the N= header must be an integer, got {head[1][2:]!r}") from None
+    # ASCII digits only, as save_resource writes them; a minus sign reads, so
+    # that a negative count fails on its range below
+    count = head[1][2:]
+    if not re.fullmatch("-?[0-9]+", count):
+        raise ValueError(f"the N= header must be an integer, got {count!r}")
+    n = int(count)
     check_port_count(n)  # before the body is parsed or a block is shaped
     form = head[2]
     if form not in ("FORM=FULL", "FORM=REDUCED"):

@@ -14,14 +14,24 @@ being the n-qubit spin.  A vector with parent = jj + 1 has eigenvalue
 ``rho_eigenvalue('+', jj + 1, n)``, one with parent = jj - 1
 ``rho_eigenvalue('-', jj - 1, n)``; those at jj = n + 1 span the kernel.
 
+The square-root measurement acts on the n-qubit basis through one real row
+pair per stratum (``SpinBasis.rows``): a kernel-sector pair per projection
+mm, then a bulk pair per total spin ss = 2s of the measured (n+1)-qubit
+system, projection and multiplet of the n-1 unkept ports, whose overlap
+coefficients are written in closed form.  Labels outside the basis
+contribute exactly 0, which covers the s = 0 stratum of odd n without
+special-casing.
+
 For port-symmetric resources every spin table is the same on each multiplet
 of a given (jj, parent) (Schur-Weyl duality), so the channel needs only the
 first multiplet of each: ``build_spin_basis(n, first_only=True)`` keeps those,
 a real 2^n x O(n^2) matrix (60 columns at n = 10) instead of the 2^n x 2^n
-unitary.  A product resource needs only their labels and how each column
-couples to its parent multiplet (``SpinBasis.parents``); the vectors are
-built on first use of ``SpinBasis.u``, so for it no 2^n array is built and n
-may reach MAX_PRODUCT_PORTS.
+unitary.  A product resource needs only their labels, how each column
+couples to its parent multiplet (``SpinBasis.parents``) and the rows; the
+vectors are built on first use of ``SpinBasis.u``, so for it no 2^n array is
+built and n may reach MAX_PRODUCT_PORTS.  Bases up to MAX_PORTS are cached,
+each with the vectors, couplings and rows it has built; larger ones are built
+afresh on every call, so nothing above MAX_PORTS is kept.
 
 Half-integer labels are stored doubled (``jj = 2j``, ``mm = 2m``) so that all
 index arithmetic is exact; values are converted to floats only inside
@@ -33,8 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, wraps
-from typing import Callable
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -77,6 +86,21 @@ def rho_eigenvalue(sign: str, jj: int, n: int) -> float:
             raise ValueError(f"jj={jj} out of range for n={n} (sign '+')")
         return (n + jj + 2) / 4.0
     raise ValueError(f"sign must be '-' or '+', got {sign!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class MeasurementRows:
+    """Row pairs G_k over the basis columns, stored by their entries: pair k
+    holds ``coefs[k, a, e]`` in row a at column ``cols[k, e]`` and has weight
+    ``weights[k]``.  Each pair has four entries; a pair with fewer repeats one
+    of its columns with coefficient 0."""
+
+    cols: np.ndarray     # (pairs, 4) integer
+    coefs: np.ndarray    # (pairs, 2, 4) real
+    weights: np.ndarray  # (pairs,) real
+
+    def __len__(self) -> int:
+        return len(self.cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,28 +167,76 @@ class SpinBasis:
         cg = np.where(aligned, np.stack([a, b], axis=-1), np.stack([b, -a], axis=-1))
         return (mm[:, None] + np.array([1, -1]) + p[:, None]) // 2, cg
 
+    @cached_property
+    def rows(self) -> MeasurementRows:
+        """The square-root measurement's rows on this basis, built on first use.
+
+        One row pair per stratum, in protocol order.  First one kernel pair
+        per mm, ascending, at alpha = 1 with weight 1/2; then one bulk pair
+        per (ss, mm, alpha) the basis holds, weighted by
+        (n/2) degeneracy(n-1, ss) over the number of those alpha.  The blocks
+        of a port-symmetric resource commute with permutations of A_n..A_2, so
+        by Schur-Weyl duality every alpha gives the same term: on the
+        alpha = 1 basis each bulk pair stands for all degeneracy(n-1, ss)
+        multiplets.  Every pair reads columns of one parent multiplet only
+        (``parents``): a kernel pair that of spin n - 1, a bulk pair that of
+        spin ss, at projections mm and mm +- 2, found in closed form from the
+        column order of ``build_spin_basis``.
+        """
+        n = self.n
+        held = [held_multiplets(n, ss, self.first_only) for ss in range(n + 2)]
+        cols, coefs, weights = [], [], []
+
+        def pairs(mm, parent, alpha, entries):
+            # one pair per projection in mm, reading multiplet alpha of spin parent;
+            # entries: (row, coefficients, jj, mm shift).  Labels outside the basis
+            # add nothing: coefficient 0 at a column the pair holds, so that every
+            # pair reads one parent multiplet
+            c = np.full((mm.size, 4), -1)
+            g = np.zeros((mm.size, 2, 4))
+            for e, (r, coef, jj, shift) in enumerate(entries):
+                there = np.abs(mm + shift) <= jj
+                # the multiplet's lowest projection: within jj, those coupled from
+                # spin jj + 1 come first
+                start = (np.searchsorted(self.jj, jj) + (alpha - 1) * (jj + 1)
+                         + (held[jj + 1] * (jj + 1) if parent < jj else 0))
+                c[:, e] = np.where(there, start + (mm + shift + jj) // 2, -1)
+                g[:, r, e] = np.where(there, coef, 0.0)
+            return np.where(c < 0, c.max(axis=1, keepdims=True), c), g
+
+        def add(weight, c, g):
+            cols.append(c)
+            coefs.append(g)
+            weights.append(np.full(len(c), weight))
+
+        # kernel sector, weight m/(n+1) written with doubled mm
+        mm = np.arange(-(n + 1), n + 2, 2)
+        w = mm / (2.0 * (n + 1))
+        add(0.5, *pairs(mm, n - 1, 1, [(0, np.sqrt(np.maximum(0.5 - w, 0.0)), n, 1),
+                                       (1, np.sqrt(np.maximum(0.5 + w, 0.0)), n, -1)]))
+        for ss in range(1 if n % 2 == 0 else 0, n, 2):
+            # overlaps with the columns of spin ss - 1 (q) and ss + 1 (r); a zero
+            # radicand, at mm = +-ss, gives exactly 0
+            mm = np.arange(-ss, ss + 1, 2)
+            dq, dr = (n + 1 - ss) * (ss + 1), (n + 3 + ss) * (ss + 1)
+            q_minus, q_plus = np.sqrt((ss - mm) / dq), np.sqrt((ss + mm) / dq)
+            r_minus, r_plus = np.sqrt((ss - mm + 2) / dr), np.sqrt((ss + mm + 2) / dr)
+            # strata ordered by mm, then alpha
+            by_alpha = [pairs(mm, ss, alpha, [(0, q_minus, ss - 1, 1), (0, -r_plus, ss + 1, 1),
+                                              (1, q_plus, ss - 1, -1), (1, r_minus, ss + 1, -1)])
+                        for alpha in range(1, held[ss] + 1)]
+            add((n / 2) * degeneracy(n - 1, ss) / held[ss],
+                *(np.stack(part, axis=1).reshape(-1, *part[0].shape[1:])
+                  for part in zip(*by_alpha)))
+        rows = MeasurementRows(*(np.concatenate(x) for x in (cols, coefs, weights)))
+        for a in (rows.cols, rows.coefs, rows.weights):
+            a.setflags(write=False)
+        return rows
+
 
 def check_port_count(n: int, limit: int = MAX_PORTS) -> None:
     if not 1 <= n <= limit:
         raise ValueError(f"port count must be in 1..{limit}, got {n}")
-
-
-def cached_up_to_max_ports(ports: Callable) -> Callable:
-    """``lru_cache`` for the calls whose port count, ``ports`` of the first
-    argument, is at most MAX_PORTS; larger calls are computed afresh.  So a
-    caller sweeping n up to MAX_PRODUCT_PORTS keeps nothing above MAX_PORTS,
-    where the label arrays of one first-only basis alone hold O(n^2) entries."""
-    def decorate(fn: Callable) -> Callable:
-        cached = lru_cache(maxsize=None)(fn)
-
-        @wraps(fn)
-        def call(first, *args, **kwargs):
-            return (cached if ports(first) <= MAX_PORTS else fn)(first, *args, **kwargs)
-
-        call.cache_info = cached.cache_info
-        return call
-
-    return decorate
 
 
 def held_multiplets(n: int, ss: int, first_only: bool) -> int:
@@ -181,7 +253,6 @@ def _runs(counts) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-@cached_up_to_max_ports(lambda n: n)
 def build_spin_basis(n: int, first_only: bool = False) -> SpinBasis:
     """Construct the coupled spin basis of n qubits.
 
@@ -192,10 +263,16 @@ def build_spin_basis(n: int, first_only: bool = False) -> SpinBasis:
     With ``first_only`` each (jj, parent) keeps just its alpha = 1 multiplet.
     Its columns are exactly the alpha = 1 columns of the full basis, O(n^2)
     of them, so n may reach MAX_PRODUCT_PORTS; the full basis has 2^n columns
-    and stops at MAX_PORTS.  Only the labels are built here, the vectors on
-    first use of ``SpinBasis.u``.
+    and stops at MAX_PORTS.  Only the labels are built here; the vectors,
+    couplings and measurement rows on first use of ``u``, ``parents`` and
+    ``rows``.  Bases up to MAX_PORTS are cached, each with whatever it has
+    built; a caller sweeping n up to MAX_PRODUCT_PORTS keeps nothing above.
     """
     check_port_count(n, MAX_PRODUCT_PORTS if first_only else MAX_PORTS)
+    return (_cached_spin_basis if n <= MAX_PORTS else _spin_basis)(n, first_only)
+
+
+def _spin_basis(n: int, first_only: bool) -> SpinBasis:
     # one entry per multiplet
     jj = np.repeat(np.arange(n % 2, n + 1, 2), 2)
     parent = jj + np.tile([1, -1], jj.size // 2)
@@ -208,3 +285,6 @@ def build_spin_basis(n: int, first_only: bool = False) -> SpinBasis:
     for x in (jj, mm, parent, alpha):
         x.setflags(write=False)
     return SpinBasis(n, first_only, jj, mm, parent, alpha)
+
+
+_cached_spin_basis = lru_cache(maxsize=None)(_spin_basis)

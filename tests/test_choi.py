@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pbtsim.analysis import alternate_choi, depolarizing_choi, pbt_ad_choi, xi
-from pbtsim.choi import assemble_choi, check_choi, choi_from_reduced, g_sum, measurement_rows
+from pbtsim.choi import assemble_choi, check_choi, choi_from_reduced, g_sum
 from pbtsim.linalg import max_abs, partial_trace_qubits
 from pbtsim.oracle import oracle_choi
 from pbtsim.resources import (AdChoi, Alternate, Bell, ReducedResource,
@@ -24,8 +24,9 @@ class TestMeasurementRows:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_counts_and_weights(self, n):
         ss_values = range(1 if n % 2 == 0 else 0, n, 2)
-        full_rows, full_w = measurement_rows(build_spin_basis(n))
-        first_rows, first_w = measurement_rows(build_spin_basis(n, first_only=True))
+        full_rows = build_spin_basis(n).rows
+        first_rows = build_spin_basis(n, first_only=True).rows
+        full_w, first_w = full_rows.weights, first_rows.weights
         assert len(full_rows) == n + 2 + sum(degeneracy(n - 1, ss) * (ss + 1) for ss in ss_values)
         assert len(first_rows) == n + 2 + sum(ss + 1 for ss in ss_values)
         assert (full_w[:n + 2] == 0.5).all() and (full_w[n + 2:] == n / 2).all()
@@ -37,7 +38,7 @@ class TestMeasurementRows:
         # spin 1 does not exist, so the top row holds only the entry at (2, 2)
         basis = build_spin_basis(2)
         index = column_index(basis)
-        rows, _ = measurement_rows(basis)
+        rows = basis.rows
         top = rows.coefs[4 + 1][0]
         k = index[2, 2, 1, 1]
         assert np.count_nonzero(top) == 1
@@ -52,7 +53,7 @@ class TestMeasurementRows:
         # at mm = -1, r+ = sqrt(1/3) at mm = 1
         basis = build_spin_basis(2)
         index = column_index(basis)
-        rows, _ = measurement_rows(basis)
+        rows = basis.rows
 
         def entry(k, a, jj, mm):
             return rows.coefs[k, a][rows.cols[k] == index[jj, mm, 1, 1]].sum()
@@ -70,7 +71,7 @@ class TestMeasurementRows:
         # lambda the eigenvalue of rho on that column's sector
         basis = build_spin_basis(n, first_only)
         index = column_index(basis)
-        rows, _ = measurement_rows(basis)
+        rows = basis.rows
         got, want, k = {}, {}, n + 2
         for ss in range(1 if n % 2 == 0 else 0, n, 2):
             for mm in range(-ss, ss + 1, 2):
@@ -98,7 +99,7 @@ class TestGSum:
     def test_bell_two_port_value(self):
         basis = build_spin_basis(2)
         table = to_spin_coefficients(make_family(Bell(), 2), basis).table
-        got = g_sum(*measurement_rows(basis), table)[0, 0]
+        got = g_sum(basis.rows, table)[0, 0]
         want = np.diag([6 + math.sqrt(3), 6 - math.sqrt(3)]) / 24
         assert max_abs(got, want) <= 1e-15
 
@@ -106,15 +107,14 @@ class TestGSum:
         for first_only in (False, True):
             basis = build_spin_basis(4, first_only=first_only)
             width = len(basis)
-            got = g_sum(*measurement_rows(basis), np.zeros((width, width), dtype=complex))
+            got = g_sum(basis.rows, np.zeros((width, width), dtype=complex))
             assert np.array_equal(got, np.zeros((2, 2)))
 
     def test_conjugate_symmetry_between_tags(self, symmetric_reduced):
         for first_only in (False, True):
             basis = build_spin_basis(3, first_only=first_only)
             coeffs = to_spin_coefficients(symmetric_reduced(3), basis)
-            rows, weights = measurement_rows(basis)
-            sums = g_sum(rows, weights, coeffs.table)
+            sums = g_sum(basis.rows, coeffs.table)
             assert max_abs(sums[1, 0], sums[0, 1].conj().T) <= 1e-14
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -124,12 +124,11 @@ class TestGSum:
         # block's own 2-D table
         basis = build_spin_basis(n, first_only=first_only)
         table = to_spin_coefficients(symmetric_reduced(n), basis).table
-        rows, weights = measurement_rows(basis)
-        sums = g_sum(rows, weights, table)
+        sums = g_sum(basis.rows, table)
         assert sums.shape == (2, 2, 2, 2)
         for i in (0, 1):
             for j in (0, 1):
-                assert sums[i, j].tobytes() == g_sum(rows, weights, table[..., i, j]).tobytes()
+                assert sums[i, j].tobytes() == g_sum(basis.rows, table[..., i, j]).tobytes()
 
 
 class TestTwoPort:

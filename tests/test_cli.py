@@ -6,7 +6,6 @@ import pytest
 
 from pbtsim import analysis, cli
 from pbtsim.analysis import depolarizing_choi, pbt_ad_choi, xi
-from pbtsim.choi import measurement_rows
 from pbtsim.resources import AdChoi, FullResource, ReducedResource, make_family, save_resource
 from pbtsim.spin import MAX_PRODUCT_PORTS, build_spin_basis
 
@@ -35,10 +34,24 @@ class TestSimpleCommands:
         assert code == 0
         assert out.strip() == "0.5"
 
-    def test_xi_many_ports(self, capsys):
-        code, out, _ = run_cli(capsys, "xi", "--ports", "2000")
+    def test_xi_many_ports(self):
+        # the library has no port cap; the command stops at MAX_PRODUCT_PORTS
+        assert 0 < xi(2000) < 1e-3
+
+    @pytest.mark.parametrize("argv", [
+        ["xi"],
+        ["ad-sweep", "--p0", "0.3", "--family", "choi", "--grid", "0.5:0.5:0.1"],
+        ["ad-sweep", "--p0", "0.3", "--family", "alternate", "--grid", "0.7:0.7:0.1"],
+    ])
+    def test_port_cap(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--ports", str(MAX_PRODUCT_PORTS))
         assert code == 0
-        assert 0 < float(out) < 1e-3
+        assert out
+        over = MAX_PRODUCT_PORTS + 1
+        code, out, err = run_cli(capsys, *argv, "--ports", str(over))
+        assert code == 1
+        assert out == ""
+        assert f"port count must be in 1..{MAX_PRODUCT_PORTS}, got {over}" in err
 
     def test_choi_matches_closed_form(self, capsys):
         code, out, _ = run_cli(capsys, "choi", "--ports", "3", "--resource", "ad:0.3")
@@ -61,9 +74,10 @@ class TestSimpleCommands:
     def test_protocol_kraus_bytes_match_per_operator_kron(self, capsys, n):
         # each operator built on its own, sqrt(w_k) G_k u^T (x) 1 by np.kron
         basis = build_spin_basis(n)
-        rows, weights = measurement_rows(basis)
+        rows = basis.rows
         bras = rows.coefs @ basis.u.T[rows.cols]
-        ops = [np.kron(math.sqrt(w) * g, np.eye(2, dtype=complex)) for g, w in zip(bras, weights)]
+        ops = [np.kron(math.sqrt(w) * g, np.eye(2, dtype=complex))
+               for g, w in zip(bras, rows.weights)]
         lines = [f"# {len(ops)} reduced protocol Kraus operators, 4 x {2 ** (n + 1)}",
                  f"# kernel sector: {n + 2}, bulk: {len(ops) - n - 2}"]
         for i, op in enumerate(ops, start=1):
@@ -170,6 +184,15 @@ class TestErrors:
         assert out == ""
         assert "the N= header must be an integer, got 'abc'" in err
         assert "invalid literal" not in err
+
+    @pytest.mark.parametrize("count", ["abc", "0_2", "+2", "\uff12", " 2"])
+    def test_port_header_takes_ascii_digits_only(self, capsys, tmp_path, count):
+        path = tmp_path / "ports.pbtres"
+        path.write_text(f"PBTRES 1\nN={count}\nFORM=REDUCED\n1 0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "choi", "--ports", "2", "--resource", str(path))
+        assert code == 1
+        assert out == ""
+        assert f"the N= header must be an integer, got {count!r}" in err
 
     def test_non_finite_grid(self, capsys):
         code, _, err = run_cli(capsys, "ad-sweep", "--ports", "3", "--p0", "0.5",

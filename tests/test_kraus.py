@@ -6,7 +6,7 @@ import pytest
 
 from pbtsim import cli
 from pbtsim.analysis import depolarizing_choi, xi
-from pbtsim.choi import choi_from_reduced, measurement_rows
+from pbtsim.choi import choi_from_reduced
 from pbtsim.kraus import (KrausSet, ProtocolKraus, apply_kraus, apply_protocol,
                           choi_from_kraus, choi_to_kraus, protocol_gram, protocol_kraus)
 from pbtsim.linalg import max_abs, transfer_choi
@@ -178,8 +178,8 @@ class TestProtocolKraus:
     def test_operators_are_the_bras_times_identity(self, n):
         # the bras and their Kronecker product with 1 on B_1, written out
         basis = build_spin_basis(n)
-        rows, weights = measurement_rows(basis)
-        bras = np.sqrt(weights)[:, None, None] * (rows.coefs @ basis.u.T[rows.cols])
+        rows = basis.rows
+        bras = np.sqrt(rows.weights)[:, None, None] * (rows.coefs @ basis.u.T[rows.cols])
         ops = (bras[:, :, None, :, None] * np.eye(2)[:, None, :]).reshape(len(bras), 4, 2 ** (n + 1))
         pk = protocol_kraus(n)
         assert pk.bras.tobytes() == bras.tobytes()

@@ -1,10 +1,12 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from pbtsim import spin
-from pbtsim.spin import build_spin_basis, degeneracy, rho_eigenvalue
+from pbtsim.choi import g_sum
+from pbtsim.spin import MAX_PORTS, build_spin_basis, degeneracy, rho_eigenvalue
 
 from conftest import (column_index, dense_rho, rho_eigenbasis, textbook_cg, total_spin,
                       total_spin_multiplets)
@@ -162,7 +164,7 @@ class TestSpinBasis:
     def test_vectors_keep_no_lower_level(self, monkeypatch):
         # the recursion reads the lower levels' labels and builds none of
         # their vectors
-        build, made = build_spin_basis.__wrapped__, []
+        build, made = spin._spin_basis, []
 
         def fresh(level, first_only=False):
             made.append(build(level, first_only))
@@ -180,6 +182,26 @@ class TestSpinBasis:
 
     def test_cache_returns_same_object(self):
         assert build_spin_basis(3) is build_spin_basis(3)
+
+    def test_rows_are_built_once(self):
+        basis = build_spin_basis(5, first_only=True)
+        assert basis.rows is basis.rows
+        assert build_spin_basis(5, True).rows is basis.rows
+
+    def test_rows_are_built_on_first_use(self):
+        basis = build_spin_basis(MAX_PORTS + 1, first_only=True)
+        assert basis is not build_spin_basis(MAX_PORTS + 1, first_only=True)
+        assert "rows" not in vars(basis)
+        rows = basis.rows
+        assert vars(basis)["rows"] is rows
+
+    def test_uncached_basis_dies_with_its_rows(self):
+        basis = build_spin_basis(MAX_PORTS + 1, first_only=True)
+        table = np.eye(len(basis))
+        assert g_sum(basis.rows, table).shape == (2, 2)
+        ref = weakref.ref(basis)
+        del basis
+        assert ref() is None
 
 
 class TestRhoEigenvectors:
