@@ -8,7 +8,10 @@ of the input marginal.  Where the analytic bounds meet, the trace norm is
 returned; for X-shaped Choi differences, which every damping-study pair is
 and for which a diagonal marginal is optimal, the maximum is a golden-section
 search over one closed-form variable; any other pair is searched over the
-Bloch ball by Nelder-Mead.
+Bloch ball by Nelder-Mead.  That search is the package's only use of scipy,
+imported on its first call (``minimize``); the known-point and trace-minimum
+roots come from ``_brentq``, Brent's method as scipy runs it, and the
+alternate sums' x log y terms from ``linalg.xlogy``.
 """
 
 from __future__ import annotations
@@ -18,13 +21,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq, minimize
-from scipy.special import xlogy
 
 # no longer called here; kept as a module attribute, which the benchmark's
 # tracer patches (bench/tracing.py)
 from .kraus import choi_to_kraus  # noqa: F401
-from .linalg import X_PAIRS, mat_abs, partial_trace_qubits, x_matrix
+from .linalg import X_PAIRS, mat_abs, partial_trace_qubits, x_matrix, xlogy
 
 
 # ----------------------------------------------------------------------------
@@ -125,6 +126,13 @@ def _sqrt_marginal(r: np.ndarray) -> np.ndarray:
     off = complex(x, -y) / scale
     return np.array([[(1 + z + 2 * root_det) / scale, off],
                      [off.conjugate(), (1 - z + 2 * root_det) / scale]])
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first call: the Bloch-ball
+    search is the only user of scipy, and no CLI command reaches it."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 # Nelder-Mead runs per diamond norm at most; sweep points need 2-3
@@ -247,6 +255,74 @@ def _diamond_search(j: np.ndarray) -> float:
 
 
 # ----------------------------------------------------------------------------
+# root finding
+# ----------------------------------------------------------------------------
+
+# scipy's default and least relative tolerance, and its default iteration cap
+_BRENT_RTOL = 4 * math.ulp(1.0)
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of f in [xa, xb] by Brent's method, with rtol = 4 eps.
+
+    Step for step the C routine behind ``scipy.optimize.brentq`` (brentq.c),
+    so it returns scipy's root to the bit: an endpoint where f is 0 (of
+    either sign) is the root, ValueError when f has one sign at both ends or
+    a nan value, RuntimeError after 100 iterations.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is nan")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1, fpre) == math.copysign(1, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1, fpre) != math.copysign(1, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.nan  # a nan step fails the test below: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic extrapolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's step is inf or nan
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry  # a good short step
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"no root to tolerance after {_BRENT_MAXITER} iterations; last x={xcur}")
+
+
+# ----------------------------------------------------------------------------
 # damping-Choi resource study
 # ----------------------------------------------------------------------------
 
@@ -333,9 +409,9 @@ def trace_min_location(n: int, p0: float) -> float | None:
         return p_disc
     if grad_pre(0.0) >= 0:
         return 0.0
-    p_star = brentq(grad_pre, 0.0, p_disc - eps, xtol=1e-14)
+    p_star = _brentq(grad_pre, 0.0, p_disc - eps, xtol=1e-14)
     if _choi_trace_norm(n, p0, p_star) <= _choi_trace_norm(n, p0, p_disc):
-        return float(p_star)
+        return p_star
     return p_disc
 
 
@@ -381,7 +457,10 @@ def _alternate_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     scale is the largest log magnitude among its terms.  The binomial weights
     enter as log(C(n, k) / 2^n), so nothing overflows at any n, and at
     a = 1/2 each term is exp(scale) times a mantissa; zero terms are left out.
+    Every alternate function reads this table, so it rejects n < 2 for all.
     """
+    if n < 2:
+        raise ValueError("at least two ports are required")
     # bulk strata: spin ss of the n - 1 unkept ports, projection mm
     spins = np.arange(1 - n % 2, n, 2)
     log_binom = np.array([_log_binomial_over_power_of_two(n, (n - 1 - x) // 2)
@@ -427,14 +506,16 @@ def _alternate_sums(n: int, a, order: int = 0) -> np.ndarray:
 
     d/da a^e (1-a)^f = a^e (1-a)^f g with g = e/a - f/(1-a), and the second
     derivative has the factor g^2 + g' with g' = -e/a^2 - f/(1-a)^2.
+    A scalar a stays a float, for which ``xlogy`` takes libm's log.
     """
     e, scale, mantissa = _alternate_table(n)
     f = n - e
-    a = np.asarray(a, dtype=float)[..., None]
+    a = np.asarray(a, dtype=float)
+    a = float(a) if a.ndim == 0 else a[..., None]
     terms = np.exp(scale + xlogy(e, 2 * a) + xlogy(f, 2 * (1 - a)))
     if order:
         g = e / a - f / (1 - a)
-        terms = terms * (g if order == 1 else g * g - e / a ** 2 - f / (1 - a) ** 2)
+        terms = terms * (g if order == 1 else g * g - e / (a * a) - f / ((1 - a) * (1 - a)))
     return terms @ mantissa.T
 
 
@@ -457,9 +538,9 @@ def alternate_choi(n: int, a: float) -> np.ndarray:
 
 def _bracketed_root(fn, lo: float, hi: float) -> float | None:
     """First sign change of fn over 256 samples of [lo, hi], refined by
-    brentq; a sample within 1e-13 of 0 is the root.
+    Brent's method (``_brentq``); a sample within 1e-13 of 0 is the root.
 
-    fn takes the whole sample grid in one call, and scalars for brentq.
+    fn takes the whole sample grid in one call, and floats for ``_brentq``.
     """
     zero_tol = 1e-13
     grid = np.linspace(lo, hi, 256)
@@ -469,7 +550,7 @@ def _bracketed_root(fn, lo: float, hi: float) -> float | None:
         k = hits[0]
         if abs(vals[k]) <= zero_tol:
             return float(grid[k])
-        return float(brentq(fn, grid[k], grid[k + 1], xtol=1e-12))
+        return _brentq(fn, grid[k], grid[k + 1], xtol=1e-12)
     if abs(vals[-1]) <= zero_tol:
         return float(grid[-1])
     return None

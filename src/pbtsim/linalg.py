@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import string
 from typing import Sequence
 
@@ -10,6 +11,24 @@ import numpy as np
 
 def dag(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
+
+
+def xlogy(x, y):
+    """x log(y), and 0 where x == 0 unless y is nan, as ``scipy.special.xlogy``.
+
+    A float y in [0, inf) takes math.log, the libm log scipy calls, and one
+    multiply, masked where x == 0 (so 0 log 0 is never formed, and 0 log y
+    is +0.0, not the -0.0 of 0 * log(y < 1)): the result has scipy's bits.
+    Any other y takes numpy's log, which may differ from libm's in the last
+    bit.
+    """
+    if isinstance(y, float) and 0 <= y < math.inf:
+        x = np.asarray(x)
+        return np.multiply(x, math.log(y) if y else -math.inf, out=np.zeros(x.shape),
+                           where=x != 0)[()]
+    y = np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((np.asarray(x) == 0) & ~np.isnan(y), 0.0, x * np.log(y))[()]
 
 
 def kron_power(m: np.ndarray, k: int, right: np.ndarray | None = None) -> np.ndarray:
@@ -93,7 +112,8 @@ def mat_abs(h: np.ndarray) -> np.ndarray:
 
 
 def herm_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - dag(m))))
+    m = np.asarray(m)
+    return float(np.abs(m - m.conj().T).max())
 
 
 def max_abs(a: np.ndarray, b: np.ndarray) -> float:

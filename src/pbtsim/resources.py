@@ -26,11 +26,9 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-from scipy.special import xlogy
 
 from .linalg import (dag, herm_defect, kron_power, max_abs, partial_trace_qubits, permute_qubits,
-                     swap_qubits, transfer_choi, x_matrix)
+                     swap_qubits, transfer_choi, x_matrix, xlogy)
 from .spin import MAX_PRODUCT_PORTS, SpinBasis, check_port_count
 
 FILE_ATOL = 1e-8  # Hermiticity, trace, positivity and port-symmetry defects
@@ -113,22 +111,21 @@ def _check_state(op: np.ndarray, name: str) -> None:
     Hermitian, of unit trace, and with no eigenvalue below -FILE_ATOL (up to
     rounding).  A nan passes every comparison below, hence the first test.
     The operator plus FILE_ATOL has a Cholesky factor only if it is positive
-    definite, and the factorisation costs a fraction of the eigenvalues.
-    LAPACK's potrf is called directly: scipy's ``cholesky`` wrapper costs
-    three times the factor of a two-qubit port."""
+    definite, and the factorisation costs a fraction of the eigenvalues."""
     if not np.isfinite(op).all():
         raise ValueError(f"{name} has a nan or inf entry")
     if herm_defect(op) > FILE_ATOL:
         raise ValueError(f"{name} is not Hermitian")
-    if abs(np.trace(op) - 1) > FILE_ATOL:
+    if abs(op.trace() - 1) > FILE_ATOL:
         raise ValueError(f"{name} trace differs from 1")
-    shifted = np.array(op)  # the one copy, shifted and factored in place
-    shifted.flat[::len(shifted) + 1] += FILE_ATOL
-    # read in Fortran order the copy is op^T = conj(op), positive definite
-    # exactly when op is, so LAPACK needs no copy of its own
-    potrf, = get_lapack_funcs(("potrf",), (shifted,))
-    if potrf(shifted.T, lower=True, overwrite_a=True, clean=False)[1] != 0:
-        raise ValueError(f"{name} is not positive semidefinite")
+    shifted = np.array(op)
+    shifted.reshape(-1)[::len(shifted) + 1] += FILE_ATOL
+    try:
+        # numpy's factor reads the lower triangle: of the transpose, that is
+        # the upper triangle of op
+        np.linalg.cholesky(shifted.T)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{name} is not positive semidefinite") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,7 +400,7 @@ class ProductTable:
         ss = np.arange((n - 1) % 2, n, 2)[:, None]
         # column pos + 1 for pos = -1..n; pos outside 0..ss, where cg is 0,
         # reads the finite weight at the nearest end
-        k = np.clip(np.arange(-1, n + 1), 0, ss)
+        k = np.minimum(np.maximum(np.arange(-1, n + 1), 0), ss)
         log_weight = xlogy(k, m1) + xlogy(ss - k, m0) + xlogy((n - 1 - ss) / 2, m0 * m1)
         # the complex exp rounds as libm does; numpy's vectorised real exp
         # can differ in the last bit, and with it a printed Kraus digit

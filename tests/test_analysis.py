@@ -615,6 +615,23 @@ class TestAlternateTable:
             assert np.isfinite(list(vars(analysis.alternate_derivatives(n, a)).values())).all()
 
 
+@pytest.mark.parametrize("n", [1, 0, -1])
+@pytest.mark.parametrize("call", [
+    lambda n: analysis.alternate_choi(n, 0.5),
+    lambda n: analysis.alternate_xyz(n, 0.3),
+    lambda n: analysis.alternate_xyz(n, np.linspace(0.0, 1.0, 5)),
+    lambda n: analysis.alternate_known_point(n, 0.5),
+    lambda n: analysis.alternate_trace_min_a(n, 0.4),
+    lambda n: analysis.symmetric_sum_curvature(n),
+    lambda n: analysis.alternate_derivatives(n, 0.7),
+], ids=["choi", "xyz", "xyz_array", "known_point", "trace_min_a", "curvature", "derivatives"])
+def test_alternate_needs_two_ports(n, call):
+    # the message xi and the Choi route give; before, n = 1 gave a matrix or
+    # None, and n <= 0 an IndexError or RuntimeWarnings
+    with pytest.raises(ValueError, match="at least two ports are required"):
+        call(n)
+
+
 class TestAlternateKnownPoint:
     def test_reachable_range_starts_at_xi(self):
         # at a = 1/2 the known-point condition forces p0 = xi(n)

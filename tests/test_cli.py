@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -284,6 +285,17 @@ class TestErrors:
         assert code == 1
         assert out == ""
 
+    def test_sweep_families_need_two_ports_alike(self, capsys):
+        # the alternate family printed 51 rows at one port
+        outcomes = {family: run_cli(capsys, "ad-sweep", "--ports", "1", "--p0", "0.5",
+                                    "--family", family)
+                    for family in ("choi", "alternate")}
+        assert outcomes["choi"] == outcomes["alternate"]
+        code, out, err = outcomes["alternate"]
+        assert code == 1
+        assert out == ""
+        assert err == "pbtsim: error: at least two ports are required\n"
+
     @pytest.mark.parametrize("n", [0, -1, 13])
     def test_rejects_file_port_count_without_traceback(self, tmp_path, n):
         path = tmp_path / "ports.pbtres"
@@ -369,3 +381,82 @@ class TestSweeps:
         out = capsys.readouterr().out
         assert "--seed" not in out
         assert "--restarts" not in out
+
+
+# Runs CLI commands in one process and prints, as JSON, what each printed and
+# which scipy modules they loaded; with "block", any import of scipy raises.
+_RUN_COMMANDS = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None
+import numpy as np
+import pbtsim
+from pbtsim import analysis, cli
+results = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    results.append([code, out.getvalue()])
+loaded_by_cli = sorted(m for m, v in sys.modules.items() if v and m.split(".")[0] == "scipy")
+# a pair off the X shape, which only the Bloch-ball search handles
+off_x = analysis.pbt_ad_choi(4, 0.2)
+off_x[0, 1] = off_x[1, 0] = off_x[2, 3] = off_x[3, 2] = 1e-6
+target = analysis.ad_choi(0.5)
+try:
+    value = analysis.diamond_numeric(off_x, target)
+except ImportError:
+    value = None
+print(json.dumps({"results": results, "loaded_by_cli": loaded_by_cli, "off_x": value,
+                  "bounds": analysis.diamond_bounds(off_x, target),
+                  "optimize_loaded": "scipy.optimize" in sys.modules}))
+"""
+
+_SCIPY_FREE_COMMANDS = [
+    ["choi", "--ports", "5", "--resource", "ad:0.3"],
+    ["choi", "--ports", "50", "--resource", "alternate:0.7"],
+    ["kraus", "--ports", "4", "--resource", "alternate:0.13"],
+    ["kraus", "--ports", "3", "--resource", "ad:1"],
+    ["protocol-kraus", "--ports", "3"],
+    ["verify", "--max-ports", "4"],
+    ["xi", "--ports", "7"],
+    ["ad-sweep", "--ports", "4", "--p0", "0.7", "--family", "choi"],
+    ["ad-sweep", "--ports", "4", "--p0", "0.7", "--family", "alternate"],
+]
+
+
+class TestWithoutScipy:
+    """The CLI needs no scipy: only the Bloch-ball search of diamond_numeric
+    imports it, on its first call."""
+
+    @staticmethod
+    def _run(mode: str, out_dir) -> dict:
+        argv = _SCIPY_FREE_COMMANDS + [["figure", "--id", str(i), "--out", str(out_dir)]
+                                       for i in (1, 2, 3, 4)]
+        proc = run_python("-c", _RUN_COMMANDS, mode, json.dumps(argv))
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.splitlines()[-1])
+        got["figures"] = {p.name: p.read_text() for p in sorted(out_dir.glob("*.csv"))}
+        return got
+
+    def test_cli_output_same_with_scipy_blocked(self, capsys, tmp_path):
+        blocked = self._run("block", tmp_path / "blocked")
+        assert blocked["loaded_by_cli"] == []
+        assert blocked["off_x"] is None  # the search alone needs scipy
+        free_dir = tmp_path / "free"
+        for argv, (code, out) in zip(_SCIPY_FREE_COMMANDS, blocked["results"]):
+            assert run_cli(capsys, *argv)[:2] == (code, out), argv
+        for i, (code, out) in zip((1, 2, 3, 4), blocked["results"][len(_SCIPY_FREE_COMMANDS):]):
+            want = run_cli(capsys, "figure", "--id", str(i), "--out", str(free_dir))
+            assert code == want[0] == 0
+            assert out == want[1].replace(str(free_dir), str(tmp_path / "blocked"))
+        assert len(blocked["figures"]) == 8
+        assert blocked["figures"] == {p.name: p.read_text() for p in sorted(free_dir.glob("*.csv"))}
+
+    def test_search_imports_scipy_on_first_use(self, tmp_path):
+        free = self._run("free", tmp_path)
+        assert free["loaded_by_cli"] == []
+        assert free["optimize_loaded"]
+        lower, upper = free["bounds"]
+        assert lower - 1e-12 <= free["off_x"] <= upper + 1e-12
+        assert upper - lower > 1e-9  # the pair is not settled by the bounds alone
