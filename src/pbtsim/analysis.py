@@ -57,6 +57,11 @@ def depolarizing_choi(xi_val: float) -> np.ndarray:
                     c03=0.5 - xi_val / 2)
 
 
+def _check_damping(p: float) -> None:
+    if not 0 <= p <= 1:  # a nan fails too
+        raise ValueError(f"damping probability out of [0,1]: {p}")
+
+
 def ad_choi(p: float, convention: str = "plus") -> np.ndarray:
     """Choi matrix of amplitude damping with probability p, relative to
     (|00> + |11>)/sqrt(2), the protocol's output convention.
@@ -65,8 +70,7 @@ def ad_choi(p: float, convention: str = "plus") -> np.ndarray:
     per-port resource convention, is ``resources.ad_choi_port``; the two
     differ by Y on the idler.
     """
-    if not 0 <= p <= 1:
-        raise ValueError(f"damping probability out of [0,1]: {p}")
+    _check_damping(p)
     if convention != "plus":
         raise ValueError(f"unknown convention {convention!r}")
     return x_matrix((0.5, 0, p / 2, (1 - p) / 2), c03=math.sqrt(1 - p) / 2)
@@ -74,8 +78,7 @@ def ad_choi(p: float, convention: str = "plus") -> np.ndarray:
 
 def pbt_ad_choi(n: int, p1: float) -> np.ndarray:
     """Closed-form output Choi for n damping-Choi ports with probability p1."""
-    if not 0 <= p1 <= 1:
-        raise ValueError(f"damping probability out of [0,1]: {p1}")
+    _check_damping(p1)
     x = xi(n)
     return x_matrix((0.5 - x / 4 * (1 - p1), x / 4 * (1 - p1), p1 * (0.5 - x / 4) + x / 4,
                      (1 - p1) * (0.5 - x / 4)),
@@ -337,8 +340,7 @@ class AdKnownPoints:
 
 
 def ad_known_points(n: int, p0: float) -> AdKnownPoints:
-    if not 0 <= p0 <= 1:
-        raise ValueError(f"damping probability out of [0,1]: {p0}")
+    _check_damping(p0)
     x = xi(n)
     d0 = x * ((1 - p0) / 2 + math.sqrt(1 - p0))
     if p0 < x:
@@ -363,6 +365,8 @@ class DifferenceSpectrum:
 
 
 def difference_spectrum(n: int, p0: float, p1: float) -> DifferenceSpectrum:
+    _check_damping(p0)
+    _check_damping(p1)
     x = xi(n)
     e1 = x / 4 * (1 - p1)
     e2 = e1 - (p0 - p1) / 2
@@ -396,6 +400,7 @@ def trace_min_location(n: int, p0: float) -> float | None:
     stationary point found by bracketed root finding.  None when p0 < xi/2
     (the candidate would need a negative p1).
     """
+    _check_damping(p0)
     x = xi(n)
     if p0 < x / 2:
         return None
@@ -564,6 +569,7 @@ def alternate_known_point(n: int, p0: float) -> tuple[float, float] | None:
     trace norm and has the closed form used here.  None when p0 is not
     reachable (the reachable set starts at p0 = xi(n), at a = 1/2).
     """
+    _check_damping(p0)
 
     def gap(a):
         v = alternate_xyz(n, a)
@@ -581,6 +587,7 @@ def alternate_known_point(n: int, p0: float) -> tuple[float, float] | None:
 
 def alternate_trace_min_a(n: int, p0: float) -> float | None:
     """a with y(a) = p0/2 on [1/2, 1], near-optimal for the diamond norm."""
+    _check_damping(p0)
 
     def gap(a):
         return alternate_xyz(n, a).y - p0 / 2

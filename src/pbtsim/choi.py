@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import dag, herm_defect, partial_trace_qubits
-from .resources import ProductResource, ReducedResource, SpinCoefficients, to_spin_coefficients
+from .linalg import dag, partial_trace_qubits
+from .resources import (ProductResource, ReducedResource, SpinCoefficients, _check_state,
+                        to_spin_coefficients)
 from .spin import MeasurementRows, build_spin_basis
 
 CHOI_ATOL = 1e-10      # Hermiticity, trace and trace-preservation defects
@@ -72,17 +73,9 @@ def choi_from_reduced(reduced: ReducedResource | ProductResource) -> np.ndarray:
 
 
 def check_choi(c: np.ndarray) -> None:
-    """Validate the state and trace-preservation invariants of a Choi matrix."""
-    if c.shape != (4, 4):
-        raise ValueError(f"Choi matrix must be 4x4, got {c.shape}")
-    if not np.isfinite(c).all():
-        raise ValueError("Choi matrix has a nan or inf entry")
-    if herm_defect(c) > CHOI_ATOL:
-        raise ValueError("Choi matrix is not Hermitian")
-    if np.linalg.eigvalsh(c).min() < -CHOI_PSD_ATOL:
-        raise ValueError("Choi matrix is not positive semidefinite")
-    if abs(np.trace(c) - 1) > CHOI_ATOL:
-        raise ValueError("Choi matrix trace differs from 1")
+    """Validate the state (``resources._check_state``) and trace-preservation
+    invariants of a Choi matrix."""
+    _check_state(c, "Choi matrix", 4, CHOI_ATOL, CHOI_PSD_ATOL)
     marginal = partial_trace_qubits(c, 2, [0])
     if np.max(np.abs(marginal - np.eye(2) / 2)) > CHOI_ATOL:
         raise ValueError("channel is not trace preserving (idler marginal != I/2)")

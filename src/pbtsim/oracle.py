@@ -36,10 +36,14 @@ MAX_ORACLE_PORTS = 8
 _SUPPORT_CUTOFF = 1e-10  # spectral gap of rho is >= 1/4, so orders of margin
 
 
-def sigma_op(i: int, n: int) -> np.ndarray:
-    """Singlet projector between C and sender qubit i, identity elsewhere."""
+def _check_port_index(i: int, n: int) -> None:
     if not 1 <= i <= n:
         raise ValueError(f"port index {i} out of 1..{n}")
+
+
+def sigma_op(i: int, n: int) -> np.ndarray:
+    """Singlet projector between C and sender qubit i, identity elsewhere."""
+    _check_port_index(i, n)
     # normalised, so rho = sum_i sigma_i has the spectrum of spin.rho_eigenvalue,
     # which build_povm asserts on every call
     sigma1 = np.kron(np.eye(2 ** (n - 1)), bell_port().real)
@@ -94,6 +98,7 @@ def build_povm(n: int) -> np.ndarray:
 def povm_element(i: int, n: int) -> np.ndarray:
     """Outcome-i measurement element on (A, C): pi_1, re-laid from the
     transfer matrix, with its port permuted."""
+    _check_port_index(i, n)  # the swap below takes any slot, C included
     d = 2 ** n
     pi_1 = np.divide(build_povm(n).reshape(d, 2, 2, d).transpose(0, 1, 3, 2), n / 2,
                      out=np.empty((d, 2, d, 2)))

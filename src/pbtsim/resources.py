@@ -106,20 +106,24 @@ def port_state(family: ResourceFamily) -> np.ndarray:
 # full and reduced resources
 # ----------------------------------------------------------------------------
 
-def _check_state(op: np.ndarray, name: str) -> None:
-    """Reject ``op`` unless it is a density matrix up to FILE_ATOL: finite,
-    Hermitian, of unit trace, and with no eigenvalue below -FILE_ATOL (up to
-    rounding).  A nan passes every comparison below, hence the first test.
-    The operator plus FILE_ATOL has a Cholesky factor only if it is positive
-    definite, and the factorisation costs a fraction of the eigenvalues."""
+def _check_state(op: np.ndarray, name: str, dim: int,
+                 atol: float = FILE_ATOL, psd_atol: float = FILE_ATOL) -> None:
+    """Reject ``op`` unless it is a dim x dim density matrix: finite, Hermitian
+    and of unit trace within atol, with no eigenvalue below -psd_atol (up to
+    rounding).  A nan passes every comparison below, hence the finiteness
+    test.  op + psd_atol has a Cholesky factor only if it is positive
+    definite, at a fraction of the eigenvalues' cost.  The tolerances default
+    to a resource's; ``choi.check_choi`` passes a Choi matrix's."""
+    if op.shape != (dim, dim):
+        raise ValueError(f"expected shape {(dim, dim)}, got {op.shape}")
     if not np.isfinite(op).all():
         raise ValueError(f"{name} has a nan or inf entry")
-    if herm_defect(op) > FILE_ATOL:
+    if herm_defect(op) > atol:
         raise ValueError(f"{name} is not Hermitian")
-    if abs(op.trace() - 1) > FILE_ATOL:
+    if abs(op.trace() - 1) > atol:
         raise ValueError(f"{name} trace differs from 1")
     shifted = np.array(op)
-    shifted.reshape(-1)[::len(shifted) + 1] += FILE_ATOL
+    shifted.reshape(-1)[::dim + 1] += psd_atol
     try:
         # numpy's factor reads the lower triangle: of the transpose, that is
         # the upper triangle of op
@@ -136,10 +140,7 @@ class FullResource:
     rho_ab: np.ndarray
 
     def validate(self) -> None:
-        d = 2 ** (2 * self.n)
-        if self.rho_ab.shape != (d, d):
-            raise ValueError(f"expected shape {(d, d)}, got {self.rho_ab.shape}")
-        _check_state(self.rho_ab, "resource state")
+        _check_state(self.rho_ab, "resource state", 4 ** self.n)
 
 
 class ReducedResource:
@@ -160,6 +161,9 @@ class ReducedResource:
 
     @classmethod
     def from_joint(cls, n: int, joint: np.ndarray) -> ReducedResource:
+        d = 2 ** (n + 1)
+        if np.shape(joint) != (d, d):
+            raise ValueError(f"joint operator: expected shape {(d, d)}, got {np.shape(joint)}")
         obj = cls.__new__(cls)
         obj.n, obj.joint = n, np.ascontiguousarray(joint, dtype=complex)
         return obj
@@ -175,7 +179,7 @@ class ReducedResource:
 
     def validate(self) -> None:
         # the operator on (A, B_1), not r11 and r22 alone: large r12, r21 break it
-        _check_state(self.joint, "resource reduced to (A, B_1)")
+        _check_state(self.joint, "resource reduced to (A, B_1)", 2 ** (self.n + 1))
 
 
 def _port_blocks(port: np.ndarray) -> np.ndarray:
@@ -212,7 +216,7 @@ class ProductResource:
     joint = property(lambda self: self.reduced.joint)
 
     def validate(self) -> None:
-        FullResource(1, self.port).validate()  # the port as a one-port state
+        _check_state(self.port, "resource state", 4)  # the port as a one-port state
 
 
 def apply_transfer(transfer: np.ndarray,

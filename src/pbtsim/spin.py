@@ -215,10 +215,12 @@ class SpinBasis:
         add(0.5, *pairs(mm, n - 1, 1, [(0, np.sqrt(np.maximum(0.5 - w, 0.0)), n, 1),
                                        (1, np.sqrt(np.maximum(0.5 + w, 0.0)), n, -1)]))
         for ss in range(1 if n % 2 == 0 else 0, n, 2):
-            # overlaps with the columns of spin ss - 1 (q) and ss + 1 (r); a zero
-            # radicand, at mm = +-ss, gives exactly 0
+            # overlaps with the columns of spin ss - 1 (q) and ss + 1 (r), over the
+            # exact (ss + 1) 4 lambda for rho's eigenvalue lambda there (ss = 0 has
+            # no q column); a zero radicand, at mm = +-ss, gives exactly 0
             mm = np.arange(-ss, ss + 1, 2)
-            dq, dr = (n + 1 - ss) * (ss + 1), (n + 3 + ss) * (ss + 1)
+            dq = (ss + 1) * 4 * rho_eigenvalue("-", ss - 1, n) if ss else 1.0
+            dr = (ss + 1) * 4 * rho_eigenvalue("+", ss + 1, n)
             q_minus, q_plus = np.sqrt((ss - mm) / dq), np.sqrt((ss + mm) / dq)
             r_minus, r_plus = np.sqrt((ss - mm + 2) / dr), np.sqrt((ss + mm + 2) / dr)
             # strata ordered by mm, then alpha

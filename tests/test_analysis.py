@@ -632,6 +632,21 @@ def test_alternate_needs_two_ports(n, call):
         call(n)
 
 
+@pytest.mark.parametrize("p", [1.5, -0.2, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda p: analysis.alternate_known_point(4, p),
+    lambda p: analysis.alternate_trace_min_a(4, p),
+    lambda p: analysis.trace_min_location(4, p),
+    lambda p: analysis.difference_spectrum(4, p, 0.3),
+    lambda p: analysis.difference_spectrum(4, 0.3, p),
+], ids=["known_point", "trace_min_a", "trace_min_location", "spectrum_p0", "spectrum_p1"])
+def test_damping_roots_need_a_probability(p, call):
+    # before, the first two returned None ("p0 not reachable") and the others
+    # ended in a math domain error, or Brent's method's nan error
+    with pytest.raises(ValueError, match=r"damping probability out of \[0,1\]"):
+        call(p)
+
+
 class TestAlternateKnownPoint:
     def test_reachable_range_starts_at_xi(self):
         # at a = 1/2 the known-point condition forces p0 = xi(n)

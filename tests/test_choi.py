@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -32,6 +33,18 @@ class TestMeasurementRows:
         assert (full_w[:n + 2] == 0.5).all() and (full_w[n + 2:] == n / 2).all()
         # on the alpha = 1 basis each bulk row carries all of its multiplets
         assert first_w.sum() == pytest.approx(full_w.sum(), abs=1e-12)
+
+    def test_bytes_pinned(self):
+        # every row, coefficient and weight, full bases at n = 1..10 and
+        # first-only ones at n = 1..13, 50, 200, 500; sqrt and true division
+        # round correctly, so the digest is the same on every IEEE machine
+        h = hashlib.sha256()
+        for first_only, ports in ((False, range(1, 11)), (True, [*range(1, 14), 50, 200, 500])):
+            for n in ports:
+                rows = build_spin_basis(n, first_only).rows
+                for a, dtype in ((rows.cols, "<i8"), (rows.coefs, "<f8"), (rows.weights, "<f8")):
+                    h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+        assert h.hexdigest() == "f55fd84df35f3b636df63e066eca974dc588421389cbb5c6a980262459594567"
 
     def test_labels_outside_basis_are_skipped(self):
         # n = 2, ss = 1, mm = 1: the label (jj, mm) = (0, 2) coupled from
@@ -242,6 +255,20 @@ class TestCheckChoi:
     def test_rejects_trace_deficit(self):
         with pytest.raises(ValueError):
             check_choi(0.9 * depolarizing_choi(0.3))
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"expected shape \(4, 4\), got \(2, 2\)"):
+            check_choi(np.eye(2) / 2)
+
+    @pytest.mark.parametrize("lowest, ok", [(-5e-10, True), (-2e-9, False)])
+    def test_tolerates_eigenvalues_down_to_minus_1e_9(self, lowest, ok):
+        # trace 1 and trace preserving: only the lowest eigenvalue decides
+        c = np.diag([0.5 - lowest, lowest, 0.0, 0.5]).astype(complex)
+        if ok:
+            check_choi(c)
+        else:
+            with pytest.raises(ValueError, match="Choi matrix is not positive semidefinite"):
+                check_choi(c)
 
     def test_rejects_non_trace_preserving(self):
         c = np.diag([0.6, 0.0, 0.4, 0.0]).astype(complex)

@@ -122,6 +122,12 @@ class TestBuildPovm:
         with pytest.raises(ValueError):
             sigma_op(0, 3)
 
+    @pytest.mark.parametrize("i", [0, 4, -1])
+    def test_povm_element_rejects_a_port_index_outside_one_to_n(self, i):
+        # i = 0 and n + 1 gave an element of valid trace, with A_1 and C exchanged
+        with pytest.raises(ValueError, match=f"port index {i} out of 1..3"):
+            povm_element(i, 3)
+
 
 class TestOracleChoi:
     def test_bell_two_ports(self):

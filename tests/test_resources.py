@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -137,6 +138,13 @@ class TestJointLayout:
         red = ReducedResource.from_joint(2, joint)
         assert red.joint is joint
         assert red.r12.tobytes() == joint.reshape(4, 2, 4, 2)[:, 0, :, 1].copy().tobytes()
+
+    @pytest.mark.parametrize("op", [np.ones((4, 64)) / 8, np.eye(8) / 8], ids=["4x64", "8x8"])
+    def test_from_joint_rejects_operator_of_wrong_shape(self, op):
+        # the first gave a 4 x 4 Choi matrix; the second passed validate(),
+        # then failed to reshape in choi_from_reduced
+        with pytest.raises(ValueError, match=re.escape(f"expected shape (16, 16), got {op.shape}")):
+            ReducedResource.from_joint(3, op)
 
     def test_rejects_block_of_wrong_shape(self):
         blocks = random_blocks(2, np.random.default_rng(2))

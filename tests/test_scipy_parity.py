@@ -202,7 +202,7 @@ def _potrf_accepts(op: np.ndarray) -> bool:
 
 def _accepts(op: np.ndarray) -> bool:
     try:
-        _check_state(op, "state")
+        _check_state(op, "state", len(op))
     except ValueError as exc:
         assert "not positive semidefinite" in str(exc) or "nan or inf" in str(exc), exc
         return False
