@@ -7,13 +7,13 @@ exact and numerical diamond-norm metrics.
 """
 
 from .analysis import (AdKnownPoints, AlternateDerivatives, AlternateXYZ,
-                       DifferenceSpectrum, ad_choi, ad_known_points,
+                       Diamond, DifferenceSpectrum, ad_choi, ad_known_points,
                        alternate_choi, alternate_derivatives,
                        alternate_known_point, alternate_trace_min_a,
-                       alternate_xyz, depolarizing_choi, diamond_bounds,
-                       diamond_numeric, difference_spectrum, p0_cross,
-                       pbt_ad_choi, symmetric_sum_curvature, trace_min_location,
-                       trace_norm, xi)
+                       alternate_xyz, depolarizing_choi, diamond,
+                       diamond_bounds, diamond_numeric, difference_spectrum,
+                       p0_cross, pbt_ad_choi, symmetric_sum_curvature,
+                       trace_min_location, trace_norm, xi)
 from .choi import assemble_choi, check_choi, choi_from_reduced, g_sum
 from .kraus import (KrausSet, ProtocolKraus, apply_kraus, apply_protocol,
                     choi_from_kraus, choi_to_kraus, protocol_gram,

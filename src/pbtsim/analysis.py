@@ -3,12 +3,12 @@
 Closed forms for the depolarising probability of the protocol with maximally
 entangled ports, the output Choi matrices for the damping-Choi and alternate
 port families, the two parameter points where the diamond norm collapses onto
-the trace norm, and numerical diamond norms by maximising a concave function
-of the input marginal.  Where the analytic bounds meet, the trace norm is
-returned; for X-shaped Choi differences, which every damping-study pair is
-and for which a diagonal marginal is optimal, the maximum is a golden-section
-search over one closed-form variable; any other pair is searched over the
-Bloch ball by Nelder-Mead.  That search is the package's only use of scipy,
+the trace norm, and the diamond norm as one ``Diamond`` result, the maximum
+of a concave function of the input marginal kept with its maximiser and
+witness.  Where the analytic bounds meet, the trace norm is the value; for
+X-shaped Choi differences, every damping-study pair, a diagonal marginal is
+optimal and the maximum is a golden-section search over one closed-form
+variable; any other pair is searched over the Bloch ball by Nelder-Mead.  That search is the package's only use of scipy,
 imported on its first call (``minimize``); the known-point and trace-minimum
 roots come from ``_brentq``, Brent's method as scipy runs it, and the
 alternate sums' x log y terms from ``linalg.xlogy``.
@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 # no longer called here; kept as a module attribute, which the benchmark's
 # tracer patches (bench/tracing.py)
 from .kraus import choi_to_kraus  # noqa: F401
-from .linalg import X_PAIRS, mat_abs, partial_trace_qubits, x_matrix, xlogy
+from .choi import CHOI_ATOL
+from .linalg import X_PAIRS, dag, herm_defect, partial_trace_qubits, x_matrix, xlogy
 
 
 # ----------------------------------------------------------------------------
@@ -89,22 +90,34 @@ def pbt_ad_choi(n: int, p1: float) -> np.ndarray:
 # distance measures
 # ----------------------------------------------------------------------------
 
+def _difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x - y for two finite 4 x 4 Choi matrices, Hermitian within CHOI_ATOL: the
+    X route reads its upper triangle, ``eigh`` and ``eigvalsh`` its lower."""
+    x, y = np.asarray(x), np.asarray(y)
+    if x.shape != (4, 4) or y.shape != (4, 4):
+        raise ValueError(f"expected two 4 x 4 Choi matrices, got {x.shape} and {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("Choi matrix has a non-finite entry")
+    if herm_defect(j := x - y) > CHOI_ATOL:
+        raise ValueError(f"Choi difference is not Hermitian (defect {herm_defect(j):.3g})")
+    return j
+
+
 def trace_norm(x: np.ndarray, y: np.ndarray) -> float:
     """Sum of absolute eigenvalues of x - y."""
-    return float(np.abs(np.linalg.eigvalsh(np.asarray(x) - np.asarray(y))).sum())
+    return float(np.abs(np.linalg.eigvalsh(_difference(x, y))).sum())
 
 
 def diamond_bounds(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """(lower, upper) bounds on the diamond norm between two qubit channels.
 
-    Lower bound is the trace norm of the Choi difference; upper bound is
-    twice the largest eigenvalue of the output-traced modulus of the
-    difference.  They coincide when that partial trace is scalar.
+    Lower bound is the trace norm of the Choi difference, upper bound twice
+    the largest eigenvalue of its output-traced modulus, both from one
+    ``eigh``.  They coincide when that partial trace is scalar.
     """
-    lower = trace_norm(x, y)
-    traced = partial_trace_qubits(mat_abs(np.asarray(x) - np.asarray(y)), 2, [0])
-    upper = 2.0 * float(np.linalg.eigvalsh(traced).max())
-    return lower, upper
+    w, v = np.linalg.eigh(_difference(x, y))
+    traced = partial_trace_qubits((v * np.abs(w)) @ dag(v), 2, [0])
+    return float(np.abs(w).sum()), 2.0 * float(np.linalg.eigvalsh(traced).max())
 
 
 def _fold(r: np.ndarray) -> np.ndarray:
@@ -151,18 +164,43 @@ _GOLDEN = (math.sqrt(5) - 1) / 2
 _GOLDEN_XTOL = 1e-13
 
 
-def diamond_numeric(x: np.ndarray, y: np.ndarray, seed: int = 0, restarts: int = 64) -> float:
+@dataclass(frozen=True, eq=False)  # by identity: == on its array fields has no truth value
+class Diamond:
+    """Diamond norm ``value`` of J = x - y, its bounds and ``route`` (``diamond``):
+    2 ||K||_1 with K = (sqrt(rho) (x) 1) J (sqrt(rho) (x) 1) at the maximising
+    input marginal rho, which is stored by its square root."""
+
+    lower: float
+    upper: float
+    route: str
+    value: float
+    sqrt_rho: np.ndarray
+    J: np.ndarray
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.sqrt_rho @ self.sqrt_rho
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        """Watrous' witness (sqrt(rho) (x) 1) sign(K) (sqrt(rho) (x) 1): it lies
+        between -rho (x) 1 and rho (x) 1, and 2 Tr[W J] = value."""
+        s = np.kron(self.sqrt_rho, np.eye(2))
+        w, v = np.linalg.eigh(s @ self.J @ s)
+        return s @ (v * np.sign(w)) @ dag(v) @ s
+
+
+def diamond(x: np.ndarray, y: np.ndarray) -> Diamond:
     """Diamond norm by maximising over the input marginal rho.
 
     The value 2 ||(sqrt(rho) (x) 1) J (sqrt(rho) (x) 1)||_1 of the Choi
     difference J is concave in rho (Watrous' SDP, arXiv:1207.5726), so a
     local search finds the global maximum.  Three routes, in this order:
 
-    1. At rho = 1/2 the objective is the trace-norm lower bound of
+    1. "bounds": at rho = 1/2 the objective is the trace-norm lower bound of
        ``diamond_bounds``, and the upper bound is the dual value of the same
-       point, so when the two meet within CERTIFIED_GAP the lower bound is
-       returned with no search.
-    2. When J is X-shaped (nonzero only on the diagonal and at (0, 3),
+       point, so when the two meet within CERTIFIED_GAP it is the value.
+    2. "x": when J is X-shaped (nonzero only on the diagonal and at (0, 3),
        (1, 2) and their conjugates, as every damping-study pair is), J is
        invariant under conjugation by Z (x) Z, so the objective takes the
        same value at rho and Z rho Z, and by concavity their average
@@ -172,29 +210,26 @@ def diamond_numeric(x: np.ndarray, y: np.ndarray, seed: int = 0, restarts: int =
        X shape is decided by a bound: the off-X part E of J changes the
        objective by at most 2 ||E||_1 <= 2 sum |E_kl|, and the route is taken
        when that is at most CERTIFIED_GAP.
-    3. Otherwise Nelder-Mead searches the Bloch ball (``_diamond_search``).
-
-    ``seed`` and ``restarts`` are ignored: every route is deterministic.
-    They exist because the benchmark's workloads pass them; ROADMAP item 1
-    removes them.
+    3. "search": otherwise Nelder-Mead searches the Bloch ball
+       (``_diamond_search``).
     """
-    return _diamond_with_bounds(x, y)[2]
-
-
-def _diamond_with_bounds(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """(lower, upper, value): ``diamond_bounds`` and ``diamond_numeric`` from
-    one computation of the bounds."""
     lower, upper = diamond_bounds(x, y)
-    if upper - lower <= CERTIFIED_GAP:
-        return lower, upper, lower
     j = np.asarray(x) - np.asarray(y)
+    if upper - lower <= CERTIFIED_GAP:
+        return Diamond(lower, upper, "bounds", lower, np.eye(2) / math.sqrt(2), j)
     if 2.0 * float(np.abs(j[_OFF_X]).sum()) <= CERTIFIED_GAP:
-        return lower, upper, _diamond_x_shaped(j)
-    return lower, upper, _diamond_search(j)
+        return Diamond(lower, upper, "x", *_diamond_x_shaped(j), j)
+    return Diamond(lower, upper, "search", *_diamond_search(j), j)
 
 
-def _diamond_x_shaped(j: np.ndarray) -> float:
-    """Maximum of the objective over diagonal marginals, from the X entries of j.
+def diamond_numeric(x: np.ndarray, y: np.ndarray, seed: int = 0, restarts: int = 64) -> float:
+    """``diamond(x, y).value``.  ``seed`` and ``restarts`` are ignored: the
+    benchmark's workloads pass them, and ROADMAP item 1 removes them."""
+    return diamond(x, y).value
+
+
+def _diamond_x_shaped(j: np.ndarray) -> tuple[float, np.ndarray]:
+    """(maximum, sqrt(rho)) over diagonal marginals rho, from the X entries of j.
 
     At rho = diag(p, 1 - p) the weighted difference splits into the 2 x 2
     blocks {0, 3} and {1, 2}, each [[a, c], [c*, b]] with a = p j_kk,
@@ -226,11 +261,12 @@ def _diamond_x_shaped(j: np.ndarray) -> float:
             hi, p2, f2 = p2, p1, f1
             p1 = hi - _GOLDEN * (hi - lo)
             f1 = objective(p1)
-    return max(f1, f2, objective(0.0), objective(0.5), objective(1.0))
+    value, p = max((f1, p1), (f2, p2), *((objective(p), p) for p in (0.0, 0.5, 1.0)))
+    return value, np.diag(np.sqrt([p, 1 - p]))
 
 
-def _diamond_search(j: np.ndarray) -> float:
-    """Maximum of the objective over all marginals, for any 4 x 4 difference j.
+def _diamond_search(j: np.ndarray) -> tuple[float, np.ndarray]:
+    """(maximum, sqrt(rho)) over all marginals rho, for any 4 x 4 difference j.
 
     Nelder-Mead starts at the maximally mixed marginal, so the result never
     falls below the trace norm, over Bloch vectors folded into the ball
@@ -254,7 +290,7 @@ def _diamond_search(j: np.ndarray) -> float:
             best = res
         if gain <= 1e-15:
             break
-    return float(-best.fun)
+    return float(-best.fun), _sqrt_marginal(_fold(best.x))
 
 
 # ----------------------------------------------------------------------------

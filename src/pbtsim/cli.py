@@ -113,8 +113,8 @@ def sweep_rows(n: int, p0: float, family: str, grid: np.ndarray,
             out = analysis.alternate_choi(n, float(param))
         else:
             raise ValueError(f"unknown sweep family {family!r}")
-        lower, upper, numeric = analysis._diamond_with_bounds(out, target)
-        rows.append([float(param), lower, lower, upper, numeric])
+        d = analysis.diamond(out, target)
+        rows.append([float(param), d.lower, d.lower, d.upper, d.value])
     return rows
 
 

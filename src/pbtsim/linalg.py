@@ -105,12 +105,6 @@ def x_matrix(diagonal: Sequence, c03=0, c12=0) -> np.ndarray:
                      [c03.conjugate(), 0, 0, d3]], dtype=complex)
 
 
-def mat_abs(h: np.ndarray) -> np.ndarray:
-    """|H| for Hermitian H, via eigendecomposition."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.abs(w)) @ dag(v)
-
-
 def herm_defect(m: np.ndarray) -> float:
     m = np.asarray(m)
     return float(np.abs(m - m.conj().T).max())

@@ -215,13 +215,27 @@ def _study_rows(n: int):
 def _assert_x_route_matches_search(pairs) -> None:
     worst = worst_below = 0.0
     for x, y in pairs:
-        fast, search = analysis._diamond_x_shaped(x - y), analysis._diamond_search(x - y)
+        (fast, _), (search, _) = analysis._diamond_x_shaped(x - y), analysis._diamond_search(x - y)
         worst = max(worst, abs(fast - search))
         worst_below = max(worst_below, search - fast)
     assert worst <= 1e-9
     # the search value is the objective at a feasible marginal, so the
     # maximum over diagonal marginals may only fall short of it by rounding
     assert worst_below <= 1e-12
+
+
+def _known_point_rows():
+    """(out, p0) at the d0, d1 and d2 points, where the diamond bounds meet."""
+    rows = []
+    for n in (3, 4, 6):
+        for p0 in (0.3, 0.45, 0.6, 0.8, 0.95):
+            kp = analysis.ad_known_points(n, p0)
+            rows += [(analysis.pbt_ad_choi(n, p1), p0) for p1 in (kp.p1_a, kp.p1_b)
+                     if p1 is not None]
+            known = analysis.alternate_known_point(n, p0)
+            if known is not None:
+                rows.append((analysis.alternate_choi(n, known[0]), p0))
+    return rows
 
 
 class TestDiamondRoutes:
@@ -367,15 +381,7 @@ class TestDiamondNumeric:
         def no_search(*args, **kwargs):
             raise AssertionError("search ran at a point with meeting bounds")
 
-        rows = []
-        for n in (3, 4, 6):
-            for p0 in (0.3, 0.45, 0.6, 0.8, 0.95):
-                kp = analysis.ad_known_points(n, p0)
-                rows += [(analysis.pbt_ad_choi(n, p1), p0) for p1 in (kp.p1_a, kp.p1_b)
-                         if p1 is not None]
-                known = analysis.alternate_known_point(n, p0)
-                if known is not None:
-                    rows.append((analysis.alternate_choi(n, known[0]), p0))
+        rows = _known_point_rows()
         assert len(rows) == 39
         monkeypatch.setattr(analysis, "minimize", no_search)
         for out, p0 in rows:
@@ -406,6 +412,115 @@ class TestDiamondNumeric:
                 best_sample = max(best_sample, 2.0 * float(np.abs(np.linalg.eigvalsh(d @ j @ d)).sum()))
             assert best_sample <= got + 1e-12
             assert got <= analysis.diamond_bounds(x, y)[1] + 1e-12
+
+
+def _assert_certified(d: analysis.Diamond) -> None:
+    """Watrous' witness reproduces the value and lies between -rho (x) 1 and rho (x) 1."""
+    assert abs(2.0 * np.trace(d.W @ d.J) - d.value) <= 1e-13
+    weight = np.kron(d.rho, np.eye(2))
+    assert np.linalg.eigvalsh(weight - d.W).min() >= -1e-12
+    assert np.linalg.eigvalsh(weight + d.W).min() >= -1e-12
+
+
+def _assert_route(d: analysis.Diamond, route: str) -> None:
+    assert d.route == route
+    if route == "bounds":
+        assert d.value == d.lower
+        np.testing.assert_allclose(d.rho, np.eye(2) / 2, rtol=0, atol=1e-15)
+    elif route == "x":
+        assert d.rho[0, 1] == 0 and d.rho[1, 0] == 0
+
+
+class TestDiamondResult:
+    """diamond(x, y): the value with its witness, the route and the maximiser."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_certified_on_figure_grid(self, n):
+        routes = set()
+        for p0 in (0.36, 0.7, 0.85, 0.95):
+            target = analysis.ad_choi(p0, "plus")
+            outs = ([analysis.pbt_ad_choi(n, float(p1)) for p1 in np.arange(0, 1, 0.03)]
+                    + [analysis.alternate_choi(n, float(a)) for a in np.arange(0.5, 1, 0.02)])
+            for out in outs:
+                d = analysis.diamond(out, target)
+                _assert_route(d, "bounds" if d.upper - d.lower <= analysis.CERTIFIED_GAP
+                              else "x")
+                _assert_certified(d)
+                routes.add(d.route)
+        assert "x" in routes
+
+    def test_certified_on_random_channels_by_search(self):
+        from conftest import random_choi
+
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            d = analysis.diamond(random_choi(rng), random_choi(rng))
+            _assert_route(d, "search")
+            _assert_certified(d)
+
+    def test_known_points_take_the_bounds_route(self):
+        for out, p0 in _known_point_rows():
+            d = analysis.diamond(out, analysis.ad_choi(p0, "plus"))
+            _assert_route(d, "bounds")
+            _assert_certified(d)
+
+    def test_x_shaped_and_off_x_routes(self):
+        out, target = analysis.pbt_ad_choi(4, 0.2), analysis.ad_choi(0.5, "plus")
+        d = analysis.diamond(out, target)
+        _assert_route(d, "x")
+        off_x = out.copy()
+        off_x[0, 1] = off_x[1, 0] = off_x[2, 3] = off_x[3, 2] = 1e-6
+        _assert_route(analysis.diamond(off_x, target), "search")
+        assert d.value == analysis.diamond_numeric(out, target)
+        assert (d.lower, d.upper) == analysis.diamond_bounds(out, target)
+        np.testing.assert_array_equal(d.J, out - target)
+
+    def test_witness_is_computed_on_first_read_only(self):
+        d = analysis.diamond(analysis.pbt_ad_choi(4, 0.2), analysis.ad_choi(0.5, "plus"))
+        assert "W" not in vars(d)
+        assert d.W is d.W
+
+
+class TestMalformedInputs:
+    """Every distance rejects what is not a pair of finite 4 x 4 matrices with a
+    Hermitian difference, instead of reading one triangle of it."""
+
+    DISTANCES = (analysis.trace_norm, analysis.diamond_bounds, analysis.diamond,
+                 analysis.diamond_numeric)
+
+    @pytest.mark.parametrize("entry", [(0, 3), (3, 0)])
+    def test_coherence_on_one_side_only(self, entry):
+        # before the check, (0, 3) gave 0.31503 below the lower bound 0.34934,
+        # and (3, 0) gave 0.35035 above the upper bound 0.31810
+        out = analysis.pbt_ad_choi(4, 0.2).copy()
+        out[entry] += 0.05
+        for distance in self.DISTANCES:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                distance(out, analysis.ad_choi(0.5, "plus"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry(self, bad):
+        out = analysis.pbt_ad_choi(4, 0.2).copy()
+        out[1, 1] = bad
+        for distance in self.DISTANCES:
+            for x, y in ((out, analysis.ad_choi(0.5, "plus")), (out, out)):
+                with pytest.raises(ValueError, match="non-finite"):
+                    distance(x, y)
+
+    @pytest.mark.parametrize("x, y", [(np.eye(3) / 3, np.eye(3) / 3),
+                                      (np.eye(4) / 2, np.eye(2) / 2),
+                                      (np.zeros(16), np.zeros(16))])
+    def test_wrong_shape(self, x, y):
+        for distance in self.DISTANCES:
+            with pytest.raises(ValueError, match="expected two 4 x 4 Choi matrices"):
+                distance(x, y)
+
+    def test_rounding_level_asymmetry_is_accepted(self):
+        out, target = analysis.pbt_ad_choi(4, 0.2).copy(), analysis.ad_choi(0.5, "plus")
+        want = analysis.diamond(out, target)
+        out[0, 3] += 5e-11
+        got = analysis.diamond(out, target)
+        assert got.route == "x" and abs(got.value - want.value) <= 1e-10
 
 
 class TestKnownPoints:
