@@ -187,7 +187,9 @@ class Diamond:
         between -rho (x) 1 and rho (x) 1, and 2 Tr[W J] = value."""
         s = np.kron(self.sqrt_rho, np.eye(2))
         w, v = np.linalg.eigh(s @ self.J @ s)
-        return s @ (v * np.sign(w)) @ dag(v) @ s
+        witness = s @ (v * np.sign(w)) @ dag(v) @ s
+        witness.flags.writeable = False
+        return witness
 
 
 def diamond(x: np.ndarray, y: np.ndarray) -> Diamond:
@@ -216,10 +218,14 @@ def diamond(x: np.ndarray, y: np.ndarray) -> Diamond:
     lower, upper = diamond_bounds(x, y)
     j = np.asarray(x) - np.asarray(y)
     if upper - lower <= CERTIFIED_GAP:
-        return Diamond(lower, upper, "bounds", lower, np.eye(2) / math.sqrt(2), j)
-    if 2.0 * float(np.abs(j[_OFF_X]).sum()) <= CERTIFIED_GAP:
-        return Diamond(lower, upper, "x", *_diamond_x_shaped(j), j)
-    return Diamond(lower, upper, "search", *_diamond_search(j), j)
+        route, value, sqrt_rho = "bounds", lower, np.eye(2) / math.sqrt(2)
+    elif 2.0 * float(np.abs(j[_OFF_X]).sum()) <= CERTIFIED_GAP:
+        route, (value, sqrt_rho) = "x", _diamond_x_shaped(j)
+    else:
+        route, (value, sqrt_rho) = "search", _diamond_search(j)
+    # read-only, as the frozen result and the witness cached from them are
+    j.flags.writeable = sqrt_rho.flags.writeable = False
+    return Diamond(lower, upper, route, value, sqrt_rho, j)
 
 
 def diamond_numeric(x: np.ndarray, y: np.ndarray, seed: int = 0, restarts: int = 64) -> float:

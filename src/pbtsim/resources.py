@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .float_text import format_rows
 from .linalg import (dag, herm_defect, kron_power, max_abs, partial_trace_qubits, permute_qubits,
                      swap_qubits, transfer_choi, x_matrix, xlogy)
 from .spin import MAX_PRODUCT_PORTS, SpinBasis, check_port_count
@@ -428,23 +429,26 @@ class ProductTable:
 
 _MAGIC = "PBTRES 1"
 
+_CHUNK = 2048  # real numbers formatted at once, about 90 bytes each at the peak
+
 
 def save_resource(path: str | Path, obj: FullResource | ReducedResource | ProductResource) -> None:
-    """Write a resource in the PBTRES text format (FULL or REDUCED), row by row."""
+    """Write a resource in the PBTRES text format (FULL or REDUCED), a few
+    rows at a time."""
     if isinstance(obj, FullResource):
         form, mats = "FULL", [obj.rho_ab]
     else:
         d = 2 ** obj.n
         blocks = obj.joint.reshape(d, 2, d, 2)
         form, mats = "REDUCED", [blocks[:, i, :, j] for i, j in np.ndindex(2, 2)]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{_MAGIC}\nN={obj.n}\nFORM={form}\n")
+    with open(path, "wb") as f:
+        f.write(f"{_MAGIC}\nN={obj.n}\nFORM={form}\n".encode())
         for m in mats:
             m = np.asarray(m, dtype=complex)
-            # one %-format per row, over its real and imaginary parts interleaved
-            row_format = " ".join(["%.17g"] * (2 * m.shape[1])) + "\n"
-            for row in m:
-                f.write(row_format % tuple(np.ascontiguousarray(row).view(float).tolist()))
+            # whole rows of about _CHUNK real numbers, real and imaginary parts interleaved
+            rows = max(1, _CHUNK // (2 * m.shape[1]))
+            for r in range(0, len(m), rows):
+                f.write(format_rows(np.ascontiguousarray(m[r:r + rows]).view(float)))
 
 
 _NEWLINE = re.compile(rb"\r\n|\r|\n")

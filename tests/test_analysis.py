@@ -480,6 +480,27 @@ class TestDiamondResult:
         assert "W" not in vars(d)
         assert d.W is d.W
 
+    @pytest.mark.parametrize("route", ["bounds", "x", "search"])
+    def test_arrays_are_read_only(self, route):
+        # a write to J once moved 2 Tr[W J] 0.064 away from value, unseen
+        out, target = analysis.pbt_ad_choi(4, 0.2), analysis.ad_choi(0.5, "plus")
+        if route == "bounds":
+            out, p0 = _known_point_rows()[0]
+            target = analysis.ad_choi(p0, "plus")
+        elif route == "search":
+            out = out.copy()
+            out[0, 1] = out[1, 0] = 1e-6
+        d = analysis.diamond(out, target)
+        _assert_route(d, route)
+        value, witness, rho = d.value, d.W.copy(), d.rho
+        for name in ("J", "sqrt_rho", "W"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(d, name)[0, 0] += 0.1
+        assert d.value == value
+        np.testing.assert_array_equal(d.W, witness)
+        np.testing.assert_array_equal(d.rho, rho)
+        _assert_certified(d)
+
 
 class TestMalformedInputs:
     """Every distance rejects what is not a pair of finite 4 x 4 matrices with a

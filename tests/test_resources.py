@@ -1,12 +1,14 @@
+import importlib.util
 import math
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pbtsim import resources
+from pbtsim import float_text, resources
 from pbtsim.linalg import max_abs, partial_trace_qubits, permute_qubits
 from pbtsim.oracle import oracle_choi
 from pbtsim.resources import (AdChoi, Alternate, Bell, FromFile, FullResource,
@@ -317,6 +319,16 @@ def bell_coherences_scaled(n: int, scale: float) -> ReducedResource:
     return ReducedResource(n, bell.r11, scale * bell.r12, scale * bell.r21, bell.r22)
 
 
+_WRITER_CHECK = Path(__file__).resolve().parents[1] / "tools" / "check_pbtres_writer.py"
+
+
+def _load_writer_check():
+    spec = importlib.util.spec_from_file_location("_check_pbtres_writer", _WRITER_CHECK)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _saved(tmp_path, obj):
     path = tmp_path / "res.pbtres"
     save_resource(path, obj)
@@ -450,9 +462,54 @@ class TestResourceFiles:
                 "0.33333333333333331"} <= set(want.split())
         assert _saved(tmp_path, obj).read_bytes() == want.encode()
 
+    def test_corpus_written_as_per_entry_formatting(self, tmp_path, monkeypatch):
+        # 262144 numbers of every binade, sign, tie and power-of-ten
+        # neighbour, dense (FULL) and in rows of every +0 share (REDUCED),
+        # each line against per-entry f"{x:.17g}"; the numbers handed to
+        # Python's "%.17g" are recorded
+        check = _load_writer_check()
+        full, reduced = check.corpus_resources(4, 7, np.random.default_rng(8))
+        handed, original = [], float_text.percent_format
+
+        def percent_format(x):
+            handed.append(x.copy())
+            return original(x)
+
+        monkeypatch.setattr(float_text, "percent_format", percent_format)
+        for obj in (full, reduced):
+            path = _saved(tmp_path, obj)
+            assert check.differing_lines(path, obj) == []
+        x = np.concatenate(handed)
+        a = np.abs(x)
+        assert (x != 0).all()  # a zero never takes Python's route
+        tiny = np.finfo(float).smallest_normal
+        assert np.isnan(x).any() and np.isinf(x).any()
+        assert ((a > 0) & (a < tiny)).any()
+        assert ((a >= tiny) & (a < 1e-11)).any()
+        assert ((a >= 1) & np.isfinite(a)).any()
+        # in the integer route's range only numbers within a part in 1e-15
+        # of a power of ten fall back, where log10 can miss the exponent by one
+        fast = a[(a >= 1e-11) & (a < 1)]
+        assert (np.abs(fast / 10.0 ** np.round(np.log10(fast)) - 1) < 1e-15).all()
+        exponent = np.array([int(f"{v:.16e}".split("e")[1]) for v in fast])
+        assert (np.floor(np.log10(fast)) == exponent + 1).any()
+
+    @pytest.mark.parametrize("toward", [-np.inf, np.inf])
+    def test_log10_an_ulp_off_changes_no_byte(self, tmp_path, monkeypatch, toward):
+        # the exponent log10 gives is checked against the digits, so a log10
+        # one ulp off either way, as another libm may be, only hands more
+        # numbers to Python's "%.17g"
+        check = _load_writer_check()
+        full, reduced = check.corpus_resources(3, 5, np.random.default_rng(9))
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
+        for obj in (full, reduced):
+            assert check.differing_lines(_saved(tmp_path, obj), obj) == []
+
     def test_save_and_load_memory(self, tmp_path):
         # the text of a FULL n = 4 file (3 MB) is held once while loading,
-        # and never whole while saving
+        # and never whole while saving; nor is that of a REDUCED family
+        # mixture at n = 8 (1 MB, over 99% of its numbers +0)
         rng = np.random.default_rng(44)
         full = full_from_port(random_density(4, rng), 4)
         path = tmp_path / "full4.pbtres"
@@ -469,6 +526,20 @@ class TestResourceFiles:
         assert size > 3e6
         assert saved_peak < 0.1 * size
         assert loaded_peak < 2.5 * size
+        families = (Bell(), AdChoi(0.3), Alternate(0.7))
+        mixture = ReducedResource.from_joint(
+            8, sum(w * make_family(f, 8).joint for w, f in zip((0.5, 0.3, 0.2), families)))
+        assert np.count_nonzero(mixture.joint.view(float)) < 0.01 * 2 * mixture.joint.size
+        path = tmp_path / "mixture8.pbtres"
+        tracemalloc.start()
+        try:
+            save_resource(path, mixture)
+            saved_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 1e6
+        assert saved_peak < 0.1 * size
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("form", ["FULL", "REDUCED"])
