@@ -1,8 +1,10 @@
-"""Python's "%.17g" for whole float64 arrays, byte for byte.
+"""Python's "%.17g" for whole float64 arrays, byte for byte, and its inverse.
 
 ``format_rows`` gives the text ``resources.save_resource`` writes for a chunk
 of matrix rows; ``percent_format`` is Python's own formatting, entry by entry,
-for the numbers the integer route does not take.
+for the numbers the integer route does not take.  ``text_blocks`` and
+``parse_numbers`` read such text back as ``np.fromstring(text, sep=" ")``
+does (see "reading" below).
 
 A number with 1e-11 <= |x| < 1, as most density-matrix entries are,
 takes an exact integer route: with x = m 2^e (m < 2^53), decimal exponent X
@@ -71,7 +73,8 @@ def _seventeen_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m &= 0xFFFFFFFF
     b &= 0xFFFFFFFF
     lo = m * b
-    cross = m * b_hi + m_hi * b
+    cross = m * b_hi
+    cross += m_hi * b
     hi = m_hi * b_hi
     del m, b, m_hi, b_hi
     mid = (lo >> 32) + (cross & 0xFFFFFFFF)
@@ -142,3 +145,237 @@ def format_rows(values: np.ndarray) -> np.ndarray:
     text[left] = np.delete(pairs.view(np.uint16).ravel(), i).view(np.uint8)
     text[at] = tokens
     return text
+
+
+# ----------------------------------------------------------------------------
+# reading
+# ----------------------------------------------------------------------------
+#
+# A block of text becomes float64 values bit for bit as np.fromstring(text,
+# sep=" ") gives them, with its errors.  Tokens are the runs of bytes
+# between the six separators numpy skips.  "0" and "-0" are set directly.
+# A token of the writer's shapes, [-]d.ddd... or [-]d.ddd...e-XX, has its
+# digits after the point read eight to a uint64 word (SWAR) into one integer
+# n < 10^17, its value being n 10^-e; a float candidate for it is taken, or
+# else one of its two neighbours an ulp away, only if _seventeen_digits, the
+# writer's own route, gives back n's 17 digits and exponent.  Since 17
+# digits name one double, that double is the correctly rounded value.  Every
+# other token (other shapes, more digits, values outside [1e-11, 1), a
+# candidate and both neighbours missing) is handed to np.fromstring alone,
+# and a block with a control byte other than \t\n\v\f\r goes to it whole.
+
+_BLOCK = 1 << 18  # bytes of text parsed at once; the parse holds up to 15 bytes per byte of it
+_PAD = 32  # separator bytes around a block, so that every window read stays inside
+_SEPARATORS = b" \t\n\v\f\r"  # what np.fromstring(text, sep=" ") skips between numbers
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(_SEPARATORS)))
+_U64 = np.uint64
+_POW10 = np.array([10 ** p for p in range(20)], dtype=_U64)
+# twice 32 - 4 c shifts out all but the c digits a word holds of k = 0..20 after the point
+_HALF = np.array([[32 - 4 * min(max(k - 8 * j, 0), 8) for j in range(3)] for k in range(21)], dtype=_U64)
+_MAX_SCALE = 27  # n 10^-e with 17 digits or fewer and a value of 1e-11 or more has e <= 27
+
+
+@cache  # built on the first read, so that importing pbtsim costs nothing
+def _tens() -> np.ndarray:
+    """10^-e for e = 0.._MAX_SCALE, one row each: hi, the nearest double, as
+    a top half of 26 bits and a bottom half of 27 bits (Veltkamp's split),
+    then hi itself and lo, the nearest double to 10^-e - hi."""
+    rows = []
+    for e in range(_MAX_SCALE + 1):
+        hi = 1 / 10 ** e  # int division rounds correctly
+        num, den = hi.as_integer_ratio()
+        top = hi * (2 ** 27 + 1)
+        top -= top - hi
+        rows.append([top, hi - top, hi, (den - num * 10 ** e) / (den * 10 ** e)])
+    tens = np.array(rows)
+    tens.flags.writeable = False
+    return tens
+
+
+def text_blocks(f, size: int = _BLOCK):
+    """The rest of the binary file f in pieces of about size bytes, each cut
+    just after a separator or at the end of the file, so that no number is
+    split between two pieces."""
+    carry = b""
+    while chunk := f.read(size):
+        text = carry + chunk
+        cut = len(text.rstrip(_NOT_SEPARATORS))  # after the last separator
+        carry = text[cut:]
+        if cut:
+            yield text[:cut]
+    if carry:
+        yield carry
+
+
+def _fromstring(text: bytes) -> np.ndarray:
+    """numpy's own reading, for every token the fast route does not take."""
+    return np.fromstring(text, sep=" ")
+
+
+def _windows(b: np.ndarray, at: np.ndarray, width: int, dtype) -> np.ndarray:
+    """The bytes b[at:at + width * itemsize] of each position, as width
+    little-endian words."""
+    item = np.dtype(dtype).itemsize
+    view = np.ndarray((b.size - width * item + 1, width), dtype=dtype, buffer=b, strides=(1, item))
+    return view[at]
+
+
+def _confirmed(x: np.ndarray, n: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Whether the writer's route gives each x the value n 10^-e: a kind
+    -1 - X and the 17 digits n 10^(17 - sig), where n has sig = e - kind
+    digits.  Then x is the double nearest to n 10^-e, as 17 digits name one
+    double only."""
+    kind, digits = _seventeen_digits(x)
+    scale = np.clip(17 + kind - e, 0, 17)  # 17 - sig
+    return ((kind <= 10) & (17 + kind - e == scale) & (n < _POW10[17 - scale].view(np.int64))
+            & (digits == n * _POW10[scale].view(np.int64)))
+
+
+def _parse_tokens(b: np.ndarray, at: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value of each token b[at:at + length], and whether it was read:
+    0 and -0 directly, and [-]d.ddd... and [-]d.ddd...e-XX with 17
+    significant digits or fewer and a value in [1e-11, 1), each confirmed by
+    the writer's route."""
+    neg = b[at] == ord("-")
+    at = at + neg
+    length = length - neg
+    lead = b[at] - np.uint8(ord("0"))
+    tail = _windows(b, at + length - 4, 1, "<u4")[:, 0]  # the last four bytes
+    is_e = ((tail & 0xFFFF) == ord("e") | ord("-") << 8) & (length >= 7)
+    tail >>= 16
+    tail -= 0x3030  # the exponent's two digits, if any
+    k = length - 2 - 4 * is_e  # digits after the point
+    ok = (b[at + 1] == ord(".")) & (lead <= 9) & (k >= 1) & (k <= 20)
+    ok &= ~is_e | ((tail & 0xF0F0) == 0) & ((tail & 0xFF) <= 9) & ((tail >> 8) <= 9)
+    k[~ok] = 1
+    # the digits after the point, eight to a word, the first in its lowest
+    # byte; the bytes after the last digit shift out at the top, and the
+    # leading zeros shifted in at the bottom are digits 0
+    v = _windows(b, at + 2, 3, "<u8")
+    v -= _U64(0x3030303030303030)
+    half = _HALF.take(k, axis=0)
+    v <<= half
+    v <<= half
+    del half
+    bad = (v + _U64(0x7676767676767676)) | v  # a high bit where a byte is not 0..9
+    ok &= ((bad[:, 0] | bad[:, 1] | bad[:, 2]) & _U64(0x8080808080808080)) == 0
+    del bad
+    v *= _U64(10 * 256 + 1)  # pairs of digits, then fours, then eights
+    v >>= _U64(8)
+    v &= _U64(0x00FF00FF00FF00FF)
+    v *= _U64(100 * 65536 + 1)
+    v >>= _U64(16)
+    v &= _U64(0x0000FFFF0000FFFF)
+    v *= _U64(10000 * 2 ** 32 + 1)
+    v >>= _U64(32)
+    # n = the digits as one integer, under 10^17 so that nothing wraps
+    first = np.minimum(k, 8)
+    n = np.minimum(lead, 9) * _POW10[first] + v[:, 0]
+    ok &= n < _POW10[17 - k + first]
+    n *= _POW10[k - first]
+    n += v[:, 1] * _POW10[np.maximum(k - 16, 0)] + v[:, 2]
+    del v
+    e = k + is_e * ((tail & 0xFF) * 10 + (tail >> 8))  # the value is n 10^-e
+    ok &= (n > 0) & (e <= _MAX_SCALE)
+    e[~ok] = 0
+    # n 10^-e from n = top + (n - top), top of 26 bits: top times the halves
+    # of hi is exact, so the sum is the nearest double unless n 10^-e lies
+    # within 2^-26 ulp of a tie
+    top_hi, bottom_hi, hi, lo = _tens().take(e, axis=0).T
+    n = n.view(np.int64)
+    top = n >> 31 << 31
+    x = top.astype(float)
+    rest = x * bottom_hi
+    rest += (n - top).astype(float) * hi
+    rest += n.astype(float) * lo
+    x *= top_hi
+    x += rest
+    del top, rest, top_hi, bottom_hi, hi, lo
+    # else its neighbour one ulp down or up
+    miss = np.flatnonzero(ok & ~_confirmed(x, n, e))
+    for toward in (0.0, np.inf):
+        y = np.nextafter(x[miss], toward)
+        hit = _confirmed(y, n[miss], e[miss])
+        x[miss[hit]] = y[hit]
+        miss = miss[~hit]
+    ok[miss] = False
+    zero = (lead == 0) & (length == 1)
+    x[zero] = 0.0
+    ok |= zero
+    np.copysign(x, 0.5 - neg, out=x)
+    return x, ok
+
+
+def _parse_block(text: bytes) -> tuple[int, np.ndarray | None, np.ndarray]:
+    """np.fromstring(text, sep=" ") for text holding at least one number, as
+    (count, index, x): count numbers, 0 but for x at index, or x itself when
+    index is None."""
+    b = np.empty(len(text) + 2 * _PAD, dtype=np.uint8)
+    b[:_PAD] = b[-_PAD:] = ord(" ")
+    b[_PAD:-_PAD] = np.frombuffer(text, dtype=np.uint8)
+    control = np.count_nonzero(b < 32)
+    if control > np.count_nonzero(b == ord("\n")) and control > np.count_nonzero(b - 9 < 5):
+        x = _fromstring(text)  # a control byte other than \t\n\v\f\r
+        return x.size, None, x
+    inside = b > 32  # the bytes of tokens
+    edge = inside[1:] != inside[:-1]  # a token starts or ends at b[i + 1]
+    if 8 * np.count_nonzero(edge) < b.size:  # tokens of 8 bytes or more on average
+        edges = np.flatnonzero(edge) + 1
+        at, length = edges[::2], edges[1::2] - edges[::2]
+        del inside, edge, edges
+        count, index = at.size, None
+    else:
+        # mostly "0": the other tokens, found with both edges of every "0" dropped
+        zero = (b[1:-1] == ord("0")) & edge[:-1] & edge[1:]  # a "0" at b[i + 1]
+        edge[:-1] &= ~zero
+        edge[1:] &= ~zero
+        edges = np.flatnonzero(edge) + 1
+        at, length = edges[::2], edges[1::2] - edges[::2]
+        del inside, edge, edges
+        # each token's place: the other tokens before it, and the "0": those
+        # of the 8-byte words before its own, then those of its own word
+        ones = np.zeros(-(-b.size // 8) * 8, dtype=np.uint8)
+        ones[1:b.size - 1] = zero
+        del zero
+        words = ones.view(_U64)
+        per_word = ((words * _U64(0x0101010101010101)) >> _U64(56)).view(np.int64)
+        word, byte = np.divmod(at, 8)
+        own = words[word] & ((_U64(1) << (8 * byte).astype(_U64)) - _U64(1))
+        own = ((own * _U64(0x0101010101010101)) >> _U64(56)).view(np.int64)
+        count = at.size + int(per_word.sum())
+        index = np.arange(at.size) + (np.cumsum(per_word) - per_word)[word] + own
+        del ones, words, per_word, word, byte, own
+    x, ok = _parse_tokens(b, at, length)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        # those tokens alone, each with the separator after it
+        at, size = at[rest], length[rest] + 1
+        values = _fromstring(b[np.repeat(at - np.cumsum(size) + size, size) + np.arange(size.sum())].tobytes())
+        if values.size != rest.size:
+            x = _fromstring(text)
+            return x.size, None, x
+        x[rest] = values
+    return count, index, x
+
+
+def parse_numbers(blocks, size: int = 0) -> np.ndarray:
+    """The numbers of a text given in blocks cut after separators (see
+    text_blocks), bit for bit as np.fromstring(text, sep=" ") reads them and
+    with its errors, but none for a text of separators alone.  They are
+    gathered in one array of size numbers, grown in place if more come."""
+    values = np.empty(size)
+    filled = 0
+    for text in blocks:
+        if text.isspace():
+            continue
+        count, index, x = _parse_block(text)
+        if filled + count > values.size:
+            values.resize(max(filled + count, 2 * values.size), refcheck=False)
+        if index is None:
+            values[filled:filled + count] = x
+        else:
+            values[filled:filled + count] = 0.0
+            values[filled + index] = x
+        filled += count
+    values.resize(filled, refcheck=False)
+    return values

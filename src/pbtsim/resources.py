@@ -19,6 +19,7 @@ qubit sits in slot A_1, matching the spin-basis recursion.
 from __future__ import annotations
 
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .float_text import format_rows
 from .linalg import (dag, herm_defect, kron_power, max_abs, partial_trace_qubits, permute_qubits,
                      swap_qubits, transfer_choi, x_matrix, xlogy)
 from .spin import MAX_PRODUCT_PORTS, SpinBasis, check_port_count
@@ -441,6 +441,8 @@ def save_resource(path: str | Path, obj: FullResource | ReducedResource | Produc
         d = 2 ** obj.n
         blocks = obj.joint.reshape(d, 2, d, 2)
         form, mats = "REDUCED", [blocks[:, i, :, j] for i, j in np.ndindex(2, 2)]
+    from .float_text import format_rows  # on first use, as for load_resource
+
     with open(path, "wb") as f:
         f.write(f"{_MAGIC}\nN={obj.n}\nFORM={form}\n".encode())
         for m in mats:
@@ -482,50 +484,54 @@ def load_resource(path: str | Path) -> ReducedResource:
     1e-8 are rejected: the channel's closed form holds only for
     port-symmetric resources.
     """
+    # imported on first use: only file input and output need the module, and
+    # an import that compiles its source (no bytecode written) peaks higher
+    # for every process as the source grows
+    from .float_text import parse_numbers, text_blocks
+
     with open(path, "rb") as f:
         head = _read_head(f)
-        # the only copy of the entries' text, as bytes: numpy parses them as it
-        # parses text, and takes \r, \r\n and \t as separators too
-        body = f.read() if len(head) == 3 else b""
-    if len(head) < 3 or not body or body.isspace() or head[0] != _MAGIC:
-        raise ValueError("not a PBTRES resource file")
-    if not head[1].startswith("N="):
-        raise ValueError("missing N= header line")
-    # ASCII digits only, as save_resource writes them; a minus sign reads, so
-    # that a negative count fails on its range below
-    count = head[1][2:]
-    if not re.fullmatch("-?[0-9]+", count):
-        raise ValueError(f"the N= header must be an integer, got {count!r}")
-    n = int(count)
-    check_port_count(n)  # before the body is parsed or a block is shaped
-    form = head[2]
-    if form not in ("FORM=FULL", "FORM=REDUCED"):
-        raise ValueError(f"unknown FORM header: {form!r}")
-    try:
-        # numpy 1.x only warns at a token it cannot read, and returns the
-        # numbers before it; numpy 2 raises
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            values = np.fromstring(body, sep=" ")
-    except (ValueError, DeprecationWarning):
-        raise ValueError("resource entries must be whitespace-separated numbers") from None
-    del body
+        body = f.tell()
+        if len(head) < 3 or head[0] != _MAGIC or all(text.isspace() for text in text_blocks(f)):
+            raise ValueError("not a PBTRES resource file")
+        f.seek(body)
+        if not head[1].startswith("N="):
+            raise ValueError("missing N= header line")
+        # ASCII digits only, as save_resource writes them; a minus sign reads, so
+        # that a negative count fails on its range below
+        count = head[1][2:]
+        if not re.fullmatch("-?[0-9]+", count):
+            raise ValueError(f"the N= header must be an integer, got {count!r}")
+        n = int(count)
+        check_port_count(n)  # before the body is parsed or a block is shaped
+        form = head[2]
+        if form not in ("FORM=FULL", "FORM=REDUCED"):
+            raise ValueError(f"unknown FORM header: {form!r}")
+        d = 4 ** n if form == "FORM=FULL" else 2 ** n
+        size = d * d if form == "FORM=FULL" else 4 * d * d  # complex entries
+        try:
+            # numpy 1.x only warns at a token it cannot read, and returns the
+            # numbers before it; numpy 2 raises
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                # the body a block at a time, never whole, into room for the
+                # entries the header names, as far as the file can hold them
+                # (a number and its separator take 2 bytes at least)
+                values = parse_numbers(text_blocks(f), min(2 * size, (os.fstat(f.fileno()).st_size + 1) // 2))
+        except (ValueError, DeprecationWarning):
+            raise ValueError("resource entries must be whitespace-separated numbers") from None
     if not np.isfinite(values).all():
         raise ValueError("resource entries must be finite; the file holds nan or inf")
     if values.size % 2:
         raise ValueError("odd number of real values; entries must be re/im pairs")
     entries = values.view(complex)  # keeps signed zeros, unlike re + 1j * im
+    if entries.size != size:
+        raise ValueError(f"expected {size} complex entries, got {entries.size}")
     if form == "FORM=FULL":
-        d = 2 ** (2 * n)
-        if entries.size != d * d:
-            raise ValueError(f"expected {d * d} complex entries, got {entries.size}")
         full = FullResource(n=n, rho_ab=entries.reshape(d, d))
         reduced = reduce_full(full)
         asymmetry = _port_asymmetry(full)
     else:
-        d = 2 ** n
-        if entries.size != 4 * d * d:
-            raise ValueError(f"expected {4 * d * d} complex entries, got {entries.size}")
         reduced = ReducedResource(n, *entries.reshape(4, d, d))
         del values, entries  # the resource holds its own copy
         reduced.validate()

@@ -1,4 +1,5 @@
 import importlib.util
+import io
 import math
 import re
 import tracemalloc
@@ -329,6 +330,12 @@ def _load_writer_check():
     return module
 
 
+def _read(body: bytes, size: int = float_text._BLOCK) -> np.ndarray:
+    """The numbers of a PBTRES body as load_resource reads them, in blocks
+    of about size bytes."""
+    return float_text.parse_numbers(float_text.text_blocks(io.BytesIO(body), size))
+
+
 def _saved(tmp_path, obj):
     path = tmp_path / "res.pbtres"
     save_resource(path, obj)
@@ -476,9 +483,29 @@ class TestResourceFiles:
             return original(x)
 
         monkeypatch.setattr(float_text, "percent_format", percent_format)
+        # and read back, against np.fromstring bit for bit; the texts the
+        # reader hands to numpy are recorded
+        read, fromstring = [], float_text._fromstring
+
+        def numpy_reads(text):
+            read.append(text)
+            return fromstring(text)
+
+        monkeypatch.setattr(float_text, "_fromstring", numpy_reads)
         for obj in (full, reduced):
             path = _saved(tmp_path, obj)
             assert check.differing_lines(path, obj) == []
+            assert check.differing_numbers(path) == 0
+        tokens = b" ".join(read).split()
+        assert b"0" not in tokens and b"-0" not in tokens  # a zero is set directly
+        # numbers of the integer route's range, as the writer's route writes
+        # them, reach numpy only where a float candidate and both its
+        # neighbours miss their digits
+        a = np.abs(np.fromstring(b" ".join(tokens), sep=" "))
+        written = np.abs(np.concatenate([full.rho_ab.view(float).ravel(), reduced.joint.view(float).ravel()]))
+        shaped = np.count_nonzero((written >= 1e-11) & (written < 1))
+        assert shaped > 0.3 * written.size
+        assert np.count_nonzero((a >= 1e-11) & (a < 1)) < 0.01 * shaped
         x = np.concatenate(handed)
         a = np.abs(x)
         assert (x != 0).all()  # a zero never takes Python's route
@@ -507,9 +534,11 @@ class TestResourceFiles:
             assert check.differing_lines(_saved(tmp_path, obj), obj) == []
 
     def test_save_and_load_memory(self, tmp_path):
-        # the text of a FULL n = 4 file (3 MB) is held once while loading,
-        # and never whole while saving; nor is that of a REDUCED family
-        # mixture at n = 8 (1 MB, over 99% of its numbers +0)
+        # the text of a FULL n = 4 file (3 MB) is never held whole while
+        # saving or loading; nor is that of a REDUCED family mixture at n = 8
+        # (1 MB, over 99% of its numbers +0), whose load holds the 4 MB
+        # operator it returns and three more arrays of its size at most: the
+        # numbers read, and the positivity check's copy and factor
         rng = np.random.default_rng(44)
         full = full_from_port(random_density(4, rng), 4)
         path = tmp_path / "full4.pbtres"
@@ -535,11 +564,85 @@ class TestResourceFiles:
         try:
             save_resource(path, mixture)
             saved_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            load_resource(path)
+            loaded_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         size = path.stat().st_size
         assert size > 1e6
         assert saved_peak < 0.1 * size
+        assert loaded_peak < 4 * mixture.joint.nbytes
+
+    @pytest.mark.parametrize("token", [
+        "0.1", "1", "-1", "+0.5", ".5", "5.", "1E-05", "1e-3", "1e+00", "0.0", "00", "-0.0",
+        "1.234567890123456789012345", "0.0001234567890123456789", "4.9e-324", "1e-400",
+        "1.7976931348623157e308", "infinity", "nan"])
+    def test_reads_other_shapes_as_numpy_does(self, token):
+        # alone, between writer-shaped numbers and zeros, and as a whole body
+        # of them, so that a block of mostly other shapes is read too
+        for body in (token, f"0.5 {token} -0 1.2345678901234567e-05\n0 {token}", f"{token} " * 50):
+            assert _read(body.encode()).tobytes() == np.fromstring(body, sep=" ").tobytes()
+
+    @pytest.mark.parametrize("token", ["infinity", "nan"])
+    def test_rejects_other_non_finite_shapes(self, tmp_path, token):
+        path = tmp_path / "token.pbtres"
+        path.write_text(f"PBTRES 1\nN=1\nFORM=REDUCED\n0.5 0 0 0 0 0 0.5 {token}\n" + "0 " * 16)
+        with pytest.raises(ValueError, match="must be finite"):
+            load_resource(path)
+
+    @pytest.mark.parametrize("sep", ["\t", "\v", "\f", "\r\n", "   ", " \n\t\r\v\f "])
+    def test_reads_every_separator(self, sep):
+        # leading and trailing separators too; the writer's shapes, zeros
+        # and one number of another shape
+        numbers = ["0.5", "-0", "0", "1.2345678901234567e-05", "-0.00012345678901234567", "1.5"]
+        body = (sep + sep.join(numbers * 3) + sep).encode()
+        assert _read(body).tobytes() == np.fromstring(body, sep=" ").tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 23, 64])
+    def test_reads_tokens_across_block_boundaries(self, size):
+        # blocks of a few bytes cut most tokens; a token runs on into the
+        # next block until a separator comes
+        body = b"0.12345678901234567 -3.4567890123456789e-07 0 -0\n0.0001234567890123456 1e-05 0.5"
+        blocks = list(float_text.text_blocks(io.BytesIO(body), size))
+        assert b"".join(blocks) == body and all(block[-1:].isspace() for block in blocks[:-1])
+        assert _read(body, size).tobytes() == np.fromstring(body, sep=" ").tobytes()
+
+    def test_reads_writer_shapes_and_mutations_as_numpy_does(self):
+        # seeded numbers in every style numpy reads, and the writer's tokens
+        # with a digit, the point, the sign or the exponent changed: the
+        # numbers read, or the error, are numpy's
+        rng = np.random.default_rng(33)
+        x = 10.0 ** rng.uniform(-13, 1, 3000) * rng.choice([-1.0, 1.0], 3000)
+        tokens = [f"{v:.17g}" for v in x] + [f"{v:.16e}" for v in x[:300]] + [f"{v:.25f}" for v in x[:300]]
+        tokens += [f"{v:.{rng.integers(1, 19)}g}" for v in x[:300]]
+        chars = list("0123456789.-e+ ")
+        mutated = []
+        for t in tokens[:3000:3]:
+            i = int(rng.integers(len(t)))
+            mutated.append(t[:i] + str(rng.choice(chars)) + t[i + 1:])
+            mutated.append(t[:i] + t[i + 1:])
+        bad = 0
+        for batch in np.array_split(np.array(tokens + mutated, dtype=object), 200):
+            body = " ".join(batch).encode()
+            try:
+                want = np.fromstring(body, sep=" ")
+            except ValueError:
+                bad += 1
+                with pytest.raises(ValueError):
+                    _read(body)
+                continue
+            assert _read(body).tobytes() == want.tobytes()
+        assert 0 < bad < 200
+
+    @pytest.mark.parametrize("bad", ["1.5.3", "--1", "1e", "e5", "0x10", "1_0", "1\x002", "0.5-0.5"])
+    def test_rejects_malformed_tokens(self, tmp_path, bad):
+        path = tmp_path / "token.pbtres"
+        path.write_bytes(b"PBTRES 1\nN=1\nFORM=REDUCED\n0.5 0 0 0 0 0 0.5 0 " + bad.encode() + b"\n")
+        with pytest.raises(ValueError):
+            np.fromstring(path.read_bytes().split(b"\n", 3)[3], sep=" ")
+        with pytest.raises(ValueError, match="whitespace-separated numbers"):
+            load_resource(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("form", ["FULL", "REDUCED"])

@@ -1,8 +1,11 @@
-"""Check that ``save_resource`` writes every number as ``"%.17g"`` does.
+"""Check that ``save_resource`` writes every number as ``"%.17g"`` does, and
+that ``load_resource``'s parser reads it back as ``np.fromstring`` does.
 
 A seeded corpus of real numbers goes through ``save_resource`` as one FULL
-and one REDUCED PBTRES file, and every line of both files is compared with
-the same numbers formatted one at a time by Python:
+and one REDUCED PBTRES file.  Every line of both files is compared with the
+same numbers formatted one at a time by Python, and the numbers that
+``float_text.parse_numbers`` reads from each body, a block at a time, are
+compared bit for bit with ``np.fromstring(body, sep=" ")``:
 
     PYTHONPATH=src python tools/check_pbtres_writer.py              # 2^22 numbers
     PYTHONPATH=src python tools/check_pbtres_writer.py --full-ports 4 --reduced-ports 7
@@ -14,7 +17,7 @@ from the subnormals to 1e308, and log-uniform numbers in [1e-11, 1), the range
 of the writer's integer route; all with both signs.  The FULL file is dense.
 Each row of the REDUCED file is set to +0 entry by entry with a probability
 drawn for that row, so rows from all +0 to dense are written.  The exit code
-is 1 if any line differs.
+is 1 if any line or any number read back differs.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from pbtsim import float_text
 from pbtsim.resources import FullResource, ReducedResource, save_resource
 
 
@@ -88,6 +92,27 @@ def differing_lines(path: str | Path, obj: FullResource | ReducedResource) -> li
                 if got != want]
 
 
+def read_back(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """The numbers of the body of a file written by save_resource, as
+    load_resource's parser reads them, and as np.fromstring does."""
+    with open(path, "rb") as f:
+        for _ in range(3):
+            f.readline()
+        body = f.tell()
+        parsed = float_text.parse_numbers(float_text.text_blocks(f))
+        f.seek(body)
+        return parsed, np.fromstring(f.read(), sep=" ")
+
+
+def differing_numbers(path: str | Path) -> int:
+    """How many numbers read_back's two readings do not give bit for bit
+    alike; the larger count if they give different counts."""
+    parsed, expected = read_back(path)
+    if parsed.size != expected.size:
+        return max(parsed.size, expected.size)
+    return int(np.count_nonzero(parsed.view(np.uint64) != expected.view(np.uint64)))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--full-ports", type=int, default=5, help="ports of the FULL file (default 5)")
@@ -104,11 +129,14 @@ def main(argv: list[str] | None = None) -> int:
             seconds = time.perf_counter() - start
             count = (obj.rho_ab.size if form == "FULL" else obj.joint.size) * 2
             differ = differing_lines(path, obj)
+            start = time.perf_counter()
+            misread = differing_numbers(path)
             print(f"{form} n={obj.n}: {count} numbers, {path.stat().st_size} bytes written in "
-                  f"{seconds:.2f} s, {len(differ)} lines differ")
+                  f"{seconds:.2f} s, {len(differ)} lines differ; read back and with np.fromstring "
+                  f"in {time.perf_counter() - start:.2f} s, {misread} numbers differ")
             for number, got, want in differ[:3]:
                 print(f"  line {number}:\n    written  {got[:200]!r}\n    expected {want[:200]!r}")
-            failed |= bool(differ)
+            failed |= bool(differ) or bool(misread)
     return 1 if failed else 0
 
 
