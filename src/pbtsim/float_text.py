@@ -1,10 +1,10 @@
 """Python's "%.17g" for whole float64 arrays, byte for byte, and its inverse.
 
-``format_rows`` gives the text ``resources.save_resource`` writes for a chunk
-of matrix rows; ``percent_format`` is Python's own formatting, entry by entry,
-for the numbers the integer route does not take.  ``text_blocks`` and
-``parse_numbers`` read such text back as ``np.fromstring(text, sep=" ")``
-does (see "reading" below).
+``format_rows`` gives the text ``resources.save_resource`` writes for a
+complex matrix, piece by piece; ``percent_format`` is Python's own
+formatting, entry by entry, for the numbers the integer route does not
+take.  ``text_blocks`` and ``parse_numbers`` read such text back as
+``np.fromstring(text, sep=" ")`` does (see "reading" below).
 
 A number with 1e-11 <= |x| < 1, as most density-matrix entries are,
 takes an exact integer route: with x = m 2^e (m < 2^53), decimal exponent X
@@ -22,12 +22,14 @@ of X = -5..-11 "." and "e-XX"; the sign is NUL for x > 0, and so are the
 trailing zeros of the 16 digits, and the "." of "e" style when all 16 are 0.
 A zero is "0" or "-0".  Every other number (|x| >= 1, |x| < 1e-11,
 subnormal, nan, inf, or a failed exponent check) goes through Python's own
-"%.17g".  A call holds about 90 bytes per number at its peak, as each step
-drops what it no longer needs.
+"%.17g".  Rows of bytes hold about 90 bytes per number at the peak, as each
+step drops what it no longer needs, so they are made for about _CHUNK
+numbers at a time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cache
 
 import numpy as np
@@ -121,29 +123,84 @@ def _tokens(x: np.ndarray, sep: np.ndarray) -> np.ndarray:
     return buf
 
 
-def format_rows(values: np.ndarray) -> np.ndarray:
-    """The bytes "%.17g" gives a 2-D float array: its rows as lines, their
-    numbers separated by single spaces."""
-    x = values.ravel()
-    # "0" and the separator after each number: all there is of a +0
-    pairs = np.full((x.size, 2), ord("0"), dtype=np.uint8)
-    pairs[:, 1] = ord(" ")
-    pairs[values.shape[1] - 1::values.shape[1], 1] = ord("\n")
-    i = np.flatnonzero(x.view(np.uint64))  # all but +0
-    if 2 * i.size >= x.size:  # mostly nonzero: a +0 takes a row as well
-        buf = _tokens(x, pairs[:, 1])
-        return buf[buf != 0]
-    # mostly +0: rows for the rest only, their bytes moved on by the pairs of
-    # the +0 before them, and those pairs in the bytes left over
-    buf = _tokens(x[i], pairs[i, 1])
+_CHUNK = 2048  # real numbers given rows of bytes at once
+_WINDOW = 8 * _CHUNK  # real numbers looked at at once; text mostly +0 takes 4 bytes each
+
+
+def format_rows(m: np.ndarray) -> Iterator[np.ndarray]:
+    """The bytes "%.17g" gives a complex matrix, piece by piece: its rows as
+    lines of the real and imaginary part of each entry, separated by single
+    spaces.  m may be any strided view; it is never copied whole.
+
+    The rows are read in windows of about _WINDOW numbers.  Call an entry
+    used if a part of it is other than +0.  A window whose used entries
+    hold fewer than _CHUNK / 2 numbers is one piece, in which only those
+    entries get rows of bytes (_sparse_text).  The rows of any other window
+    go in pieces of about _CHUNK numbers, each written the same way if under
+    half of its entries are used, else with a row for every number
+    (_dense_text).
+    """
+    wide, rows = (max(1, size // (2 * m.shape[1])) for size in (_WINDOW, _CHUNK))
+    for r in range(0, len(m), wide):
+        window = m[r:r + wide]
+        # astype reads a strided view with no buffer, unlike a comparison
+        used = window.real.view(np.uint64).astype(bool)
+        used |= window.imag.view(np.uint64).astype(bool)
+        if 2 * np.count_nonzero(used) < _CHUNK // 2:  # the numbers of the used entries
+            entries = np.flatnonzero(used)
+            del used  # before the text is built
+            yield _sparse_text(window, entries)
+            continue
+        for s in range(0, len(window), rows):
+            i = np.flatnonzero(used[s:s + rows])
+            piece = window[s:s + rows]
+            yield _sparse_text(piece, i) if 2 * i.size < piece.size else _dense_text(piece)
+
+
+def _dense_text(m: np.ndarray) -> np.ndarray:
+    """format_rows of a piece, with a row of bytes for every number."""
+    x = np.ascontiguousarray(m).view(float).ravel()
+    sep = np.full(x.size, ord(" "), dtype=np.uint8)
+    sep[2 * m.shape[1] - 1::2 * m.shape[1]] = ord("\n")
+    buf = _tokens(x, sep)
+    return buf[buf != 0]
+
+
+def _sparse_text(m: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """format_rows of a piece, given the flat indices of its used entries:
+    rows of bytes for those entries only, and "0 0 " for each of the others
+    ("0 0\n" at the end of a line)."""
+    cols = m.shape[1]
+    x = m[np.unravel_index(used, m.shape)].view(float)  # real, imaginary, real, ...
+    sep = np.full(x.size, ord(" "), dtype=np.uint8)
+    sep[1::2][used % cols == cols - 1] = ord("\n")
+    buf = _tokens(x, sep)
     kept = buf != 0
+    length = kept.reshape(used.size, 2 * kept.shape[1]).sum(axis=1)  # the bytes of each entry
     tokens = buf[kept]
-    at = np.repeat(2 * (i - np.arange(i.size)), kept.sum(axis=1)) + np.arange(tokens.size)
-    text = np.empty(2 * (x.size - i.size) + tokens.size, dtype=np.uint8)
-    left = np.ones(text.size, dtype=bool)
-    left[at] = False
-    text[left] = np.delete(pairs.view(np.uint16).ravel(), i).view(np.uint8)
-    text[at] = tokens
+    del x, sep, buf, kept
+    # the text alternates runs of "0 0 " with the bytes of a used entry: it
+    # starts as "0 " throughout, a run that starts at an odd byte is turned
+    # into " 0" by XOR with "0" ^ " ", and the used entries' bytes go in
+    # between.  It and one mask of its size are all it holds per number.
+    run = np.empty(2 * used.size + 1, dtype=np.intp)
+    run[0::2] = 4 * (np.diff(used, prepend=-1, append=m.size) - 1)
+    run[1::2] = length
+    start = np.cumsum(run) - run
+    flip = np.zeros(run.size, dtype=np.uint8)
+    flip[0::2] = (start[0::2] & 1) * (ord("0") ^ ord(" "))
+    size = start[-1] + run[-1]
+    text = np.empty(size + size % 2, dtype=np.uint8)
+    text.view("<u2")[:] = ord("0") | ord(" ") << 8
+    text = text[:size]
+    text ^= np.repeat(flip, run)
+    text[np.repeat(np.arange(run.size) % 2 == 1, run)] = tokens
+    # a line that ends in an unused entry ends in "\n"
+    ends = np.arange(cols - 1, m.size, cols)
+    before = np.searchsorted(used, ends)  # the used entries before each line end
+    free = np.searchsorted(used, ends, side="right") == before
+    offset = np.concatenate([[0], np.cumsum(length)])  # and their bytes
+    text[(4 * (ends - before) + offset[before] + 3)[free]] = ord("\n")
     return text
 
 

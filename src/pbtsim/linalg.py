@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import string
 from typing import Sequence
@@ -87,6 +88,43 @@ def swap_qubits(op: np.ndarray, qubits: int, *pairs: tuple[int, int]) -> np.ndar
     return permute_qubits(op, src)
 
 
+def swap_defect(op: np.ndarray, qubits: int, *pairs: tuple[int, int]) -> float:
+    """``max_abs(swap_qubits(op, qubits, *pairs), op)`` of a finite operator,
+    with no copy of it: the exchanged operator is read as a transposed view
+    of op, a slice at a time.
+
+    An exchange P is an involution, and |op[P x] - op[x]| is the same at x
+    and at P x, so each slice fixes the row bits of the exchanged slots to
+    values b with b < P(b), or to values P leaves alone together with column
+    bits c < P(c).  The entries P leaves alone, each 0 from itself, are never
+    read.
+    """
+    t = np.asarray(op).reshape((2,) * (2 * qubits))
+    slots = [s for pair in pairs for s in pair]
+    axes = list(range(2 * qubits))
+    for i, j in pairs:
+        for a, b in ((i, j), (qubits + i, qubits + j)):
+            axes[a], axes[b] = axes[b], axes[a]
+    swapped = t.transpose(axes)  # swapped[x] = t[P x]
+
+    values = list(itertools.product((0, 1), repeat=len(slots)))
+    exchanged = {bits: tuple(bits[k ^ 1] for k in range(len(bits))) for bits in values}
+    moved = [bits for bits in values if bits < exchanged[bits]]
+    defects = [0.0]
+    for row in values:
+        if row > exchanged[row]:
+            continue
+        for col in moved if row == exchanged[row] else [()]:
+            index = [slice(None)] * (2 * qubits)
+            for s, bit in zip(slots, row):
+                index[s] = bit
+            for s, bit in zip(slots, col):
+                index[qubits + s] = bit
+            index = tuple(index)
+            defects.append(np.abs(swapped[index] - t[index]).max())
+    return float(max(defects))
+
+
 # the off-diagonal positions of the X shape of a 4 x 4 matrix, upper triangle
 X_PAIRS = ((0, 3), (1, 2))
 
@@ -105,9 +143,30 @@ def x_matrix(diagonal: Sequence, c03=0, c12=0) -> np.ndarray:
                      [c03.conjugate(), 0, 0, d3]], dtype=complex)
 
 
+_TILE = 64  # the copied mirror of a tile takes 64 KB, a sixteenth of a FULL n = 4 operator
+
+
 def herm_defect(m: np.ndarray) -> float:
+    """max |m - m^dag|, square tile by square tile above the diagonal.
+
+    The entries at (i, j) and (j, i) differ by a conjugate and a sign, which
+    leave the modulus bit for bit, so the upper tiles hold the maximum.  A
+    matrix of one tile (as every 4 x 4 Choi matrix) is one expression.
+    """
     m = np.asarray(m)
-    return float(np.abs(m - m.conj().T).max())
+    d, t = len(m), _TILE
+    if m.shape != (d, d) or d <= t:
+        return float(np.abs(m - m.conj().T).max())
+    defects = []
+    for i in range(0, d, t):
+        for j in range(i, d, t):
+            # in place on a contiguous copy of the mirror: a ufunc on two
+            # strided tiles holds a buffer for each
+            mirror = m[j:j + t, i:i + t].T.copy()
+            np.conjugate(mirror, out=mirror)
+            np.subtract(m[i:i + t, j:j + t], mirror, out=mirror)
+            defects.append(np.abs(mirror).max())
+    return float(np.max(defects))
 
 
 def max_abs(a: np.ndarray, b: np.ndarray) -> float:

@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import (dag, herm_defect, kron_power, max_abs, partial_trace_qubits, permute_qubits,
-                     swap_qubits, transfer_choi, x_matrix, xlogy)
+from .linalg import (dag, herm_defect, kron_power, partial_trace_qubits, permute_qubits, swap_defect,
+                     transfer_choi, x_matrix, xlogy)
 from .spin import MAX_PRODUCT_PORTS, SpinBasis, check_port_count
 
 FILE_ATOL = 1e-8  # Hermiticity, trace, positivity and port-symmetry defects
@@ -311,18 +311,16 @@ def _port_asymmetry(obj: FullResource | ReducedResource) -> float:
     A full state exchanges (A_k, B_k) with (A_k+1, B_k+1).  The reduced
     operator keeps B_1, so it shows only the exchanges that leave it alone:
     those within A_n..A_2, and A_2 <-> A_1 in r11 + r22, where B_1 is traced
-    out.
+    out.  Each exchange is read slice by slice (``swap_defect``), with no
+    copy of the operator.
     """
     n = obj.n
     if isinstance(obj, FullResource):
-        rho = obj.rho_ab
-        return max((max_abs(swap_qubits(rho, 2 * n, (k, k + 1), (n + k, n + k + 1)), rho)
-                    for k in range(n - 1)), default=0.0)
-    joint = obj.joint
-    defects = [max_abs(swap_qubits(joint, n + 1, (k, k + 1)), joint) for k in range(n - 2)]
+        return max((swap_defect(obj.rho_ab, 2 * n, (k, k + 1), (n + k, n + k + 1)) for k in range(n - 1)),
+                   default=0.0)
+    defects = [swap_defect(obj.joint, n + 1, (k, k + 1)) for k in range(n - 2)]
     if n >= 2:
-        marg = obj.r11 + obj.r22
-        defects.append(max_abs(swap_qubits(marg, n, (n - 2, n - 1)), marg))
+        defects.append(swap_defect(obj.r11 + obj.r22, n, (n - 2, n - 1)))
     return max(defects, default=0.0)
 
 
@@ -429,12 +427,10 @@ class ProductTable:
 
 _MAGIC = "PBTRES 1"
 
-_CHUNK = 2048  # real numbers formatted at once, about 90 bytes each at the peak
-
 
 def save_resource(path: str | Path, obj: FullResource | ReducedResource | ProductResource) -> None:
     """Write a resource in the PBTRES text format (FULL or REDUCED), a few
-    rows at a time."""
+    rows at a time (``float_text.format_rows``)."""
     if isinstance(obj, FullResource):
         form, mats = "FULL", [obj.rho_ab]
     else:
@@ -446,11 +442,7 @@ def save_resource(path: str | Path, obj: FullResource | ReducedResource | Produc
     with open(path, "wb") as f:
         f.write(f"{_MAGIC}\nN={obj.n}\nFORM={form}\n".encode())
         for m in mats:
-            m = np.asarray(m, dtype=complex)
-            # whole rows of about _CHUNK real numbers, real and imaginary parts interleaved
-            rows = max(1, _CHUNK // (2 * m.shape[1]))
-            for r in range(0, len(m), rows):
-                f.write(format_rows(np.ascontiguousarray(m[r:r + rows]).view(float)))
+            f.writelines(format_rows(np.asarray(m, dtype=complex)))
 
 
 _NEWLINE = re.compile(rb"\r\n|\r|\n")

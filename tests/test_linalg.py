@@ -3,7 +3,8 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from pbtsim.linalg import X_PAIRS, kron_power, swap_qubits, transfer_choi, x_matrix
+from pbtsim.linalg import (X_PAIRS, herm_defect, kron_power, max_abs, swap_defect, swap_qubits,
+                           transfer_choi, x_matrix)
 
 from conftest import left_grown_kron_power
 
@@ -52,6 +53,64 @@ class TestSwapQubits:
     def test_a_slot_swapped_with_itself_is_unchanged(self, rng):
         op = rng.normal(size=(8, 8))
         np.testing.assert_array_equal(swap_qubits(op, 3, (1, 1)), op)
+
+
+class TestSwapDefect:
+    """The exchanged operator read slice by slice, against the whole copy."""
+
+    @pytest.mark.parametrize("qubits, pairs", [
+        (1, []), (2, [(0, 1)]), (3, [(1, 2)]), (4, [(0, 1), (2, 3)]), (4, [(0, 3)]),
+        (6, [(1, 2), (4, 5)]), (6, [(0, 2), (3, 5)]), (7, [(5, 6)]), (8, [(2, 3), (6, 7)])])
+    def test_equals_the_whole_copy(self, qubits, pairs):
+        rng = np.random.default_rng(qubits + 10 * len(pairs))
+        d = 2 ** qubits
+        op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        want = max_abs(swap_qubits(op, qubits, *pairs), op)
+        assert swap_defect(op, qubits, *pairs) == want
+        # symmetric under the exchange but for one entry and its image
+        sym = (op + swap_qubits(op, qubits, *pairs)) / 2
+        sym[d - 1, 0] += 1e-9
+        assert swap_defect(sym, qubits, *pairs) == max_abs(swap_qubits(sym, qubits, *pairs), sym)
+
+    def test_reads_a_strided_operator(self, rng):
+        op = rng.normal(size=(32, 64)) + 1j * rng.normal(size=(32, 64))
+        view = op[:, ::2]
+        want = max_abs(swap_qubits(view, 5, (2, 3)), view)
+        assert swap_defect(view, 5, (2, 3)) == want
+
+
+def _herm_defect_whole(m: np.ndarray) -> float:
+    """The single expression herm_defect keeps for a matrix of one tile."""
+    return float(np.abs(m - m.conj().T).max())
+
+
+class TestHermDefect:
+    """The defect tile by tile above the diagonal, against the whole matrix."""
+
+    @pytest.mark.parametrize("d", [1, 4, 127, 128, 129, 300, 1024])
+    def test_equals_the_whole_matrix_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        herm = g + g.conj().T
+        for m in (g, herm, herm + 1e-12 * g):
+            assert herm_defect(m) == _herm_defect_whole(m)
+        assert herm_defect(herm) == 0.0
+
+    @pytest.mark.parametrize("d", [127, 129, 300])
+    def test_largest_defect_in_the_last_partial_tile(self, d):
+        rng = np.random.default_rng(d)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = g + g.conj().T
+        m[d - 1, d - 2] += 3e-7  # below the diagonal, in the last row of tiles
+        m[d - 2, 1] -= 1e-7j
+        assert herm_defect(m) == _herm_defect_whole(m) > 2e-7
+        m[d - 1, d - 1] += 5e-7j  # the diagonal entry of the last tile
+        assert herm_defect(m) == _herm_defect_whole(m) > 9e-7
+
+    def test_nan_propagates(self, rng):
+        m = np.eye(200, dtype=complex)
+        m[150, 3] = np.nan
+        assert np.isnan(herm_defect(m))
 
 
 class TestKronPower:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pbtsim import float_text, resources
-from pbtsim.linalg import max_abs, partial_trace_qubits, permute_qubits
+from pbtsim.linalg import herm_defect, max_abs, partial_trace_qubits, permute_qubits, swap_qubits
 from pbtsim.oracle import oracle_choi
 from pbtsim.resources import (AdChoi, Alternate, Bell, FromFile, FullResource,
                               ReducedResource, _port_asymmetry, ad_choi_port,
@@ -110,6 +110,21 @@ def per_block_asymmetry(red: ReducedResource) -> float:
     return max(defects)
 
 
+def whole_operator_asymmetry(obj: FullResource | ReducedResource) -> float:
+    """_port_asymmetry as one whole exchanged copy of the operator per exchange."""
+    n = obj.n
+    if isinstance(obj, FullResource):
+        rho = obj.rho_ab
+        return max((max_abs(swap_qubits(rho, 2 * n, (k, k + 1), (n + k, n + k + 1)), rho)
+                    for k in range(n - 1)), default=0.0)
+    joint = obj.joint
+    defects = [max_abs(swap_qubits(joint, n + 1, (k, k + 1)), joint) for k in range(n - 2)]
+    if n >= 2:
+        marg = obj.r11 + obj.r22
+        defects.append(max_abs(swap_qubits(marg, n, (n - 2, n - 1)), marg))
+    return max(defects, default=0.0)
+
+
 class TestJointLayout:
     """``ReducedResource`` holds one operator on (A, B_1); the blocks are views."""
 
@@ -160,11 +175,11 @@ class TestJointLayout:
         rng = np.random.default_rng(30 + n)
         for _ in range(3):
             red = ReducedResource.from_joint(n, random_density(2 ** (n + 1), rng))
-            assert _port_asymmetry(red) == per_block_asymmetry(red)
+            assert _port_asymmetry(red) == per_block_asymmetry(red) == whole_operator_asymmetry(red)
         # only A_2 <-> A_1 in the B_1 marginal shows the defect
         sigma, tau = random_density(4, rng), random_density(4, rng)
         red = reduce_full(_port_product(*[sigma] * (n - 1), tau))
-        assert _port_asymmetry(red) == per_block_asymmetry(red) > 1e-3
+        assert _port_asymmetry(red) == per_block_asymmetry(red) == whole_operator_asymmetry(red) > 1e-3
 
 
 class TestReducedPortState:
@@ -310,6 +325,39 @@ def _port_product(*ports: np.ndarray) -> FullResource:
         rho = np.kron(rho, port)  # slots (A_n B_n .. A_1 B_1)
     src = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
     return FullResource(n=n, rho_ab=permute_qubits(rho, src))
+
+
+class TestFullPortAsymmetry:
+    """FULL exchanges read slice by slice, against a whole copy per exchange."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_whole_operator_exchanges(self, n):
+        rng = np.random.default_rng(60 + n)
+        rho = random_density(4 ** n, rng)
+        sym = symmetrize(FullResource(n, rho))
+        # the state of one port pair differs: only the exchanges that move
+        # that pair show a defect
+        sigma, tau = random_density(4, rng), random_density(4, rng)
+        ports = [sigma] * n
+        ports[rng.integers(n)] = tau
+        for full in (FullResource(n, rho), sym, _port_product(*ports)):
+            assert _port_asymmetry(full) == whole_operator_asymmetry(full)
+        if n >= 2:
+            assert _port_asymmetry(_port_product(*ports)) > 1e-3
+
+    def test_checks_hold_a_quarter_of_a_full_four_port_operator(self):
+        # neither the Hermiticity nor the port-symmetry check copies the
+        # 1 MB operator of a FULL n = 4 resource
+        full = FullResource(4, random_density(4 ** 4, np.random.default_rng(64)))
+        for check in (lambda: herm_defect(full.rho_ab), lambda: _port_asymmetry(full)):
+            check()  # numpy's first-call set-up outside the trace
+            tracemalloc.start()
+            try:
+                check()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < full.rho_ab.nbytes / 4
 
 
 def bell_coherences_scaled(n: int, scale: float) -> ReducedResource:
@@ -469,6 +517,24 @@ class TestResourceFiles:
                 "0.33333333333333331"} <= set(want.split())
         assert _saved(tmp_path, obj).read_bytes() == want.encode()
 
+    @pytest.mark.parametrize("shape", [(3, 5), (1000, 1), (1, 5000), (40, 700), (300, 64)])
+    @pytest.mark.parametrize("fill", ["+0", "-0", "last of a row", "first of a row", "sparse", "dense"])
+    def test_format_rows_of_edge_shapes(self, shape, fill):
+        # +0 throughout (no entry gets a row), signed zeros, lines that end
+        # in an entry other than +0 or start with one, and a strided view
+        rng = np.random.default_rng(sum(shape))
+        m = np.zeros((shape[0], 2 * shape[1]), dtype=complex)[:, ::2]
+        if fill == "-0":
+            m[:] = complex(-0.0, 0.0)
+        elif fill in ("last of a row", "first of a row"):
+            m[:, -1 if fill == "last of a row" else 0] = rng.normal(size=shape[0]) * 1e-3j
+        elif fill != "+0":
+            kept = rng.random(shape) < (0.01 if fill == "sparse" else 0.9)
+            m[kept] = (rng.normal(size=shape) + 1j * rng.normal(size=shape))[kept]
+        want = "".join(" ".join(f"{x:.17g}" for x in row.view(float).tolist()) + "\n"
+                       for row in np.ascontiguousarray(m))
+        assert b"".join(float_text.format_rows(m)) == want.encode()
+
     def test_corpus_written_as_per_entry_formatting(self, tmp_path, monkeypatch):
         # 262144 numbers of every binade, sign, tie and power-of-ten
         # neighbour, dense (FULL) and in rows of every +0 share (REDUCED),
@@ -492,10 +558,27 @@ class TestResourceFiles:
             return fromstring(text)
 
         monkeypatch.setattr(float_text, "_fromstring", numpy_reads)
+        # and the pieces each branch of format_rows writes, as (branch, rows,
+        # the least and the largest share of entries other than +0 in a row)
+        pieces = []
+        for name in ("_sparse_text", "_dense_text"):
+            def branch(m, *args, name=name, original=getattr(float_text, name)):
+                share = (m.real.view(np.uint64).astype(bool) | m.imag.view(np.uint64).astype(bool)).mean(axis=1)
+                pieces.append((name, len(m), share.min(), share.max()))
+                return original(m, *args)
+
+            monkeypatch.setattr(float_text, name, branch)
         for obj in (full, reduced):
             path = _saved(tmp_path, obj)
             assert check.differing_lines(path, obj) == []
             assert check.differing_numbers(path) == 0
+        # rows mostly +0 take the sparse branch a window at a time (64 rows
+        # of 128 entries) and a dense chunk at a time (8 rows), other rows the
+        # dense branch; the pieces of both hold all-+0 rows and dense rows
+        assert {(name, rows) for name, rows, _, _ in pieces} == {
+            ("_sparse_text", 64), ("_sparse_text", 8), ("_dense_text", 8), ("_dense_text", 4)}
+        for name in ("_sparse_text", "_dense_text"):
+            assert any(least == 0 and most > 0.5 for branch, _, least, most in pieces if branch == name)
         tokens = b" ".join(read).split()
         assert b"0" not in tokens and b"-0" not in tokens  # a zero is set directly
         # numbers of the integer route's range, as the writer's route writes
@@ -539,6 +622,10 @@ class TestResourceFiles:
         # (1 MB, over 99% of its numbers +0), whose load holds the 4 MB
         # operator it returns and three more arrays of its size at most: the
         # numbers read, and the positivity check's copy and factor
+        # a tiny save and load first, so that what the first file operation
+        # of a process sets up (the module import, the digit table) is not
+        # counted, whichever tests ran before
+        load_resource(_saved(tmp_path, make_family(Bell(), 1)))
         rng = np.random.default_rng(44)
         full = full_from_port(random_density(4, rng), 4)
         path = tmp_path / "full4.pbtres"

@@ -16,8 +16,10 @@ power of ten among them, dyadic numbers whose 17-digit rounding is an exact tie,
 from the subnormals to 1e308, and log-uniform numbers in [1e-11, 1), the range
 of the writer's integer route; all with both signs.  The FULL file is dense.
 Each row of the REDUCED file is set to +0 entry by entry with a probability
-drawn for that row, so rows from all +0 to dense are written.  The exit code
-is 1 if any line or any number read back differs.
+drawn for that row, so rows from all +0 to dense are written: uniformly in
+r11 and r21, and as one minus the 32nd power of a uniform number in r12 and
+r22, whose rows are then mostly +0 with a dense one here and there.  The exit
+code is 1 if any line or any number read back differs.
 """
 
 from __future__ import annotations
@@ -67,12 +69,14 @@ def corpus(size: int, rng: np.random.Generator) -> np.ndarray:
 def corpus_resources(full_ports: int, reduced_ports: int,
                      rng: np.random.Generator) -> tuple[FullResource, ReducedResource]:
     """A FULL resource of dense corpus numbers, and a REDUCED one whose rows
-    are +0 entry by entry with a probability drawn per row."""
+    are +0 entry by entry with a probability drawn per row (see the module
+    docstring)."""
     d_full, d = 4 ** full_ports, 2 ** reduced_ports
     values = corpus(2 * d_full ** 2 + 8 * d * d, rng)
     full = FullResource(full_ports, values[:2 * d_full ** 2].view(complex).reshape(d_full, d_full))
     blocks = values[2 * d_full ** 2:].reshape(4, d, 2 * d)
-    blocks[rng.random(blocks.shape) < rng.random((4, d, 1))] = 0.0
+    kept = rng.random((4, d, 1)) ** np.array([1, 32, 1, 32])[:, None, None]
+    blocks[rng.random(blocks.shape) >= kept] = 0.0
     return full, ReducedResource(reduced_ports, *blocks.view(complex))
 
 
