@@ -133,12 +133,11 @@ def format_rows(m: np.ndarray) -> Iterator[np.ndarray]:
     spaces.  m may be any strided view; it is never copied whole.
 
     The rows are read in windows of about _WINDOW numbers.  Call an entry
-    used if a part of it is other than +0.  A window whose used entries
-    hold fewer than _CHUNK / 2 numbers is one piece, in which only those
-    entries get rows of bytes (_sparse_text).  The rows of any other window
-    go in pieces of about _CHUNK numbers, each written the same way if under
-    half of its entries are used, else with a row for every number
-    (_dense_text).
+    used if a part of it is other than +0, or if it ends its line.  A window
+    whose used entries hold fewer than _CHUNK / 2 numbers is one piece, in
+    which only those entries get rows of bytes (_sparse_text).  The rows of
+    any other window go in pieces of about _CHUNK numbers, with a row for
+    every number (_dense_text).
     """
     wide, rows = (max(1, size // (2 * m.shape[1])) for size in (_WINDOW, _CHUNK))
     for r in range(0, len(m), wide):
@@ -146,15 +145,14 @@ def format_rows(m: np.ndarray) -> Iterator[np.ndarray]:
         # astype reads a strided view with no buffer, unlike a comparison
         used = window.real.view(np.uint64).astype(bool)
         used |= window.imag.view(np.uint64).astype(bool)
+        used[:, -1] = True
         if 2 * np.count_nonzero(used) < _CHUNK // 2:  # the numbers of the used entries
             entries = np.flatnonzero(used)
             del used  # before the text is built
             yield _sparse_text(window, entries)
             continue
         for s in range(0, len(window), rows):
-            i = np.flatnonzero(used[s:s + rows])
-            piece = window[s:s + rows]
-            yield _sparse_text(piece, i) if 2 * i.size < piece.size else _dense_text(piece)
+            yield _dense_text(window[s:s + rows])
 
 
 def _dense_text(m: np.ndarray) -> np.ndarray:
@@ -167,9 +165,9 @@ def _dense_text(m: np.ndarray) -> np.ndarray:
 
 
 def _sparse_text(m: np.ndarray, used: np.ndarray) -> np.ndarray:
-    """format_rows of a piece, given the flat indices of its used entries:
-    rows of bytes for those entries only, and "0 0 " for each of the others
-    ("0 0\n" at the end of a line)."""
+    """format_rows of a piece, given the flat indices of its used entries,
+    the last of each line among them: rows of bytes for those entries only,
+    and "0 0 " for each of the others."""
     cols = m.shape[1]
     x = m[np.unravel_index(used, m.shape)].view(float)  # real, imaginary, real, ...
     sep = np.full(x.size, ord(" "), dtype=np.uint8)
@@ -195,12 +193,6 @@ def _sparse_text(m: np.ndarray, used: np.ndarray) -> np.ndarray:
     text = text[:size]
     text ^= np.repeat(flip, run)
     text[np.repeat(np.arange(run.size) % 2 == 1, run)] = tokens
-    # a line that ends in an unused entry ends in "\n"
-    ends = np.arange(cols - 1, m.size, cols)
-    before = np.searchsorted(used, ends)  # the used entries before each line end
-    free = np.searchsorted(used, ends, side="right") == before
-    offset = np.concatenate([[0], np.cumsum(length)])  # and their bytes
-    text[(4 * (ends - before) + offset[before] + 3)[free]] = ord("\n")
     return text
 
 
@@ -210,7 +202,8 @@ def _sparse_text(m: np.ndarray, used: np.ndarray) -> np.ndarray:
 #
 # A block of text becomes float64 values bit for bit as np.fromstring(text,
 # sep=" ") gives them, with its errors.  Tokens are the runs of bytes
-# between the six separators numpy skips.  "0" and "-0" are set directly.
+# between the six separators numpy skips, control bytes and bytes >= 0x7f
+# included.  "0" and "-0" are set directly.
 # A token of the writer's shapes, [-]d.ddd... or [-]d.ddd...e-XX, has its
 # digits after the point read eight to a uint64 word (SWAR) into one integer
 # n < 10^17, its value being n 10^-e; a float candidate for it is taken, or
@@ -219,7 +212,8 @@ def _sparse_text(m: np.ndarray, used: np.ndarray) -> np.ndarray:
 # digits name one double, that double is the correctly rounded value.  Every
 # other token (other shapes, more digits, values outside [1e-11, 1), a
 # candidate and both neighbours missing) is handed to np.fromstring alone,
-# and a block with a control byte other than \t\n\v\f\r goes to it whole.
+# and the block goes to it whole if those tokens alone do not give one
+# number each.
 
 _BLOCK = 1 << 18  # bytes of text parsed at once; the parse holds up to 15 bytes per byte of it
 _PAD = 32  # separator bytes around a block, so that every window read stays inside
@@ -364,17 +358,13 @@ def _parse_tokens(b: np.ndarray, at: np.ndarray, length: np.ndarray) -> tuple[np
 
 
 def _parse_block(text: bytes) -> tuple[int, np.ndarray | None, np.ndarray]:
-    """np.fromstring(text, sep=" ") for text holding at least one number, as
-    (count, index, x): count numbers, 0 but for x at index, or x itself when
-    index is None."""
+    """np.fromstring(text, sep=" ") as (count, index, x): count numbers, 0
+    but for x at index, or x itself when index is None; no numbers for text
+    of separators alone."""
     b = np.empty(len(text) + 2 * _PAD, dtype=np.uint8)
     b[:_PAD] = b[-_PAD:] = ord(" ")
     b[_PAD:-_PAD] = np.frombuffer(text, dtype=np.uint8)
-    control = np.count_nonzero(b < 32)
-    if control > np.count_nonzero(b == ord("\n")) and control > np.count_nonzero(b - 9 < 5):
-        x = _fromstring(text)  # a control byte other than \t\n\v\f\r
-        return x.size, None, x
-    inside = b > 32  # the bytes of tokens
+    inside = (b - np.uint8(9) > 4) & (b != ord(" "))  # the bytes of tokens: all but _SEPARATORS
     edge = inside[1:] != inside[:-1]  # a token starts or ends at b[i + 1]
     if 8 * np.count_nonzero(edge) < b.size:  # tokens of 8 bytes or more on average
         edges = np.flatnonzero(edge) + 1
@@ -423,8 +413,6 @@ def parse_numbers(blocks, size: int = 0) -> np.ndarray:
     values = np.empty(size)
     filled = 0
     for text in blocks:
-        if text.isspace():
-            continue
         count, index, x = _parse_block(text)
         if filled + count > values.size:
             values.resize(max(filled + count, 2 * values.size), refcheck=False)

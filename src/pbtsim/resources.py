@@ -199,16 +199,22 @@ def reduced_from_port(port: np.ndarray, n: int) -> ReducedResource:
 
 @dataclass(frozen=True, eq=False)
 class ProductResource:
-    """The n-fold product of one two-qubit port state, kept as the port.
+    """The n-fold product of one two-qubit port state, kept as the port: a
+    read-only copy, checked (``validate``) when the resource is made.
 
-    ``to_spin_coefficients``, ``validate`` and ``apply_transfer`` read only
-    the port, at any n up to MAX_PRODUCT_PORTS.  The reduced operator
-    (``reduced``, and its ``joint``) is built on first use, and only up to
-    MAX_PORTS ports.
+    ``to_spin_coefficients`` and ``apply_transfer`` read only the port, at
+    any n up to MAX_PRODUCT_PORTS.  The reduced operator (``reduced``, and
+    its ``joint``) is built on first use, and only up to MAX_PORTS ports.
     """
 
     n: int
     port: np.ndarray
+
+    def __post_init__(self) -> None:
+        port = np.array(self.port)
+        port.flags.writeable = False
+        object.__setattr__(self, "port", port)
+        self.validate()
 
     @cached_property
     def reduced(self) -> ReducedResource:
@@ -352,7 +358,6 @@ def to_spin_coefficients(reduced: ReducedResource | ProductResource,
     if basis.n != reduced.n:
         raise ValueError(f"basis is for n={basis.n}, resource for n={reduced.n}")
     if isinstance(reduced, ProductResource):
-        reduced.validate()  # a state's channel is a channel at every n
         t = _port_blocks(reduced.port)
         marginal = t[0, 0] + t[1, 1]
         frame = None
@@ -483,10 +488,8 @@ def load_resource(path: str | Path) -> ReducedResource:
 
     with open(path, "rb") as f:
         head = _read_head(f)
-        body = f.tell()
-        if len(head) < 3 or head[0] != _MAGIC or all(text.isspace() for text in text_blocks(f)):
+        if len(head) < 3 or head[0] != _MAGIC:
             raise ValueError("not a PBTRES resource file")
-        f.seek(body)
         if not head[1].startswith("N="):
             raise ValueError("missing N= header line")
         # ASCII digits only, as save_resource writes them; a minus sign reads, so
@@ -512,6 +515,8 @@ def load_resource(path: str | Path) -> ReducedResource:
                 values = parse_numbers(text_blocks(f), min(2 * size, (os.fstat(f.fileno()).st_size + 1) // 2))
         except (ValueError, DeprecationWarning):
             raise ValueError("resource entries must be whitespace-separated numbers") from None
+    if not values.size:
+        raise ValueError("not a PBTRES resource file")
     if not np.isfinite(values).all():
         raise ValueError("resource entries must be finite; the file holds nan or inf")
     if values.size % 2:

@@ -138,12 +138,25 @@ def _nan_bell() -> np.ndarray:
 ], ids=["negative-eigenvalue", "trace-2", "nan"])
 def test_rejects_a_port_that_is_not_a_state(n, port, problem):
     # each used to give a Choi matrix, the first one that check_choi passes
-    # at n = 2 and 5
-    resource = ProductResource(n, port)
+    # at n = 2 and 5; the resource is not made, so no route reads the port
     with pytest.raises(ValueError, match=problem):
-        resource.validate()
-    with pytest.raises(ValueError, match=problem):
-        choi_from_reduced(resource)
+        ProductResource(n, port)
+
+
+def test_port_is_a_read_only_copy():
+    # a port of trace 2 once gave "Choi matrices" of trace 8 through the
+    # dense oracle and the protocol Kraus map, and was written to files
+    with pytest.raises(ValueError, match="resource state trace differs from 1"):
+        ProductResource(3, 2 * port_state(Bell()))
+    port = port_state(AdChoi(0.3))
+    resource = ProductResource(3, port)
+    want = choi_from_reduced(resource)
+    port *= 2  # the caller's array, after the check
+    with pytest.raises(ValueError, match="read-only"):
+        resource.port[0, 0] = 2
+    assert np.array_equal(resource.port, port_state(AdChoi(0.3)))
+    assert np.array_equal(choi_from_reduced(resource), want)
+    assert max_abs(oracle_choi(resource), want) <= 1e-12
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
@@ -189,10 +202,8 @@ def test_blocks_built_on_first_use_only():
 @pytest.mark.parametrize("n", [3, 13, 500])
 def test_validate_checks_the_port_at_any_port_count(n):
     make_family(Bell(), n).validate()
-    bad = ProductResource(n, np.diag([0.6, 0.6, -0.2, 0]).astype(complex))
     with pytest.raises(ValueError, match="not positive semidefinite"):
-        bad.validate()
-    assert "reduced" not in vars(bad)
+        ProductResource(n, np.diag([0.6, 0.6, -0.2, 0]).astype(complex))
 
 
 def test_port_caps(tmp_path):

@@ -518,10 +518,13 @@ class TestResourceFiles:
         assert _saved(tmp_path, obj).read_bytes() == want.encode()
 
     @pytest.mark.parametrize("shape", [(3, 5), (1000, 1), (1, 5000), (40, 700), (300, 64)])
-    @pytest.mark.parametrize("fill", ["+0", "-0", "last of a row", "first of a row", "sparse", "dense"])
+    @pytest.mark.parametrize("fill", ["+0", "-0", "last of a row", "first of a row", "sparse", "mostly +0",
+                                      "dense"])
     def test_format_rows_of_edge_shapes(self, shape, fill):
-        # +0 throughout (no entry gets a row), signed zeros, lines that end
-        # in an entry other than +0 or start with one, and a strided view
+        # +0 throughout (only the last entry of a line gets a row), signed
+        # zeros, lines that end in an entry other than +0 or start with one,
+        # rows mostly +0 in windows over the sparse threshold (written in
+        # dense chunks), and a strided view
         rng = np.random.default_rng(sum(shape))
         m = np.zeros((shape[0], 2 * shape[1]), dtype=complex)[:, ::2]
         if fill == "-0":
@@ -529,7 +532,7 @@ class TestResourceFiles:
         elif fill in ("last of a row", "first of a row"):
             m[:, -1 if fill == "last of a row" else 0] = rng.normal(size=shape[0]) * 1e-3j
         elif fill != "+0":
-            kept = rng.random(shape) < (0.01 if fill == "sparse" else 0.9)
+            kept = rng.random(shape) < {"sparse": 0.01, "mostly +0": 0.1, "dense": 0.9}[fill]
             m[kept] = (rng.normal(size=shape) + 1j * rng.normal(size=shape))[kept]
         want = "".join(" ".join(f"{x:.17g}" for x in row.view(float).tolist()) + "\n"
                        for row in np.ascontiguousarray(m))
@@ -572,11 +575,12 @@ class TestResourceFiles:
             path = _saved(tmp_path, obj)
             assert check.differing_lines(path, obj) == []
             assert check.differing_numbers(path) == 0
-        # rows mostly +0 take the sparse branch a window at a time (64 rows
-        # of 128 entries) and a dense chunk at a time (8 rows), other rows the
-        # dense branch; the pieces of both hold all-+0 rows and dense rows
+        # windows mostly +0 take the sparse branch whole (64 rows of 128
+        # entries), other windows the dense branch a chunk at a time (8 rows
+        # of 128 entries, 4 of 256); the pieces of both hold all-+0 rows and
+        # dense rows
         assert {(name, rows) for name, rows, _, _ in pieces} == {
-            ("_sparse_text", 64), ("_sparse_text", 8), ("_dense_text", 8), ("_dense_text", 4)}
+            ("_sparse_text", 64), ("_dense_text", 8), ("_dense_text", 4)}
         for name in ("_sparse_text", "_dense_text"):
             assert any(least == 0 and most > 0.5 for branch, _, least, most in pieces if branch == name)
         tokens = b" ".join(read).split()
@@ -685,6 +689,33 @@ class TestResourceFiles:
         numbers = ["0.5", "-0", "0", "1.2345678901234567e-05", "-0.00012345678901234567", "1.5"]
         body = (sep + sep.join(numbers * 3) + sep).encode()
         assert _read(body).tobytes() == np.fromstring(body, sep=" ").tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 64, float_text._BLOCK])
+    @pytest.mark.parametrize("place", ["alone", "inside a token", "between tokens", "at a block edge"])
+    def test_reads_other_bytes_as_numpy_does(self, size, place):
+        # a token is a run of bytes between the six separators, whatever its
+        # bytes: NUL and the other control bytes and bytes >= 0x7f are read,
+        # or rejected, as np.fromstring reads them, also where a block ends
+        odd = [bytes([c]) for c in range(256) if bytes([c]) not in b"0123456789+-.e" + float_text._SEPARATORS]
+        assert len(odd) == 256 - 20 and b"\0" in odd and b"\x7f" in odd and b"\xff" in odd
+        for c in odd:
+            if place == "alone":
+                bodies = [c]
+            elif place == "inside a token":
+                bodies = [b"-0.1234" + c + b"5678901234567 0", b"0 1.2345678901234567e-0" + c + b"5"]
+            elif place == "between tokens":
+                bodies = [b"0.25" + c + b"-0.5", b"0.25 " + c + b"\t-0.5"]
+            else:  # the first byte of the second read, after a token or a separator, and the last byte
+                bodies = [b" " * (size - 1) + b"0" + c + b" 0.5", b"0" + b" " * (size - 1) + c + b" 0.5",
+                          b"0.5 " + c]
+            for body in bodies:
+                try:
+                    want = np.fromstring(body, sep=" ")
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        _read(body, size)
+                    continue
+                assert _read(body, size).tobytes() == want.tobytes(), (body, size)
 
     @pytest.mark.parametrize("size", [1, 2, 7, 23, 64])
     def test_reads_tokens_across_block_boundaries(self, size):

@@ -5,7 +5,12 @@ A seeded corpus of real numbers goes through ``save_resource`` as one FULL
 and one REDUCED PBTRES file.  Every line of both files is compared with the
 same numbers formatted one at a time by Python, and the numbers that
 ``float_text.parse_numbers`` reads from each body, a block at a time, are
-compared bit for bit with ``np.fromstring(body, sep=" ")``:
+compared bit for bit with ``np.fromstring(body, sep=" ")``: the body as
+written, the body with every separator replaced by each of the six that
+numpy skips, and seeded stretches of the body, each read in blocks of a
+seeded size from 1 byte to the default, most with a few bytes inserted that
+are neither separators nor printable ASCII (NUL, the other control bytes,
+and bytes >= 0x7f), which the parser must reject where numpy does:
 
     PYTHONPATH=src python tools/check_pbtres_writer.py              # 2^22 numbers
     PYTHONPATH=src python tools/check_pbtres_writer.py --full-ports 4 --reduced-ports 7
@@ -19,16 +24,19 @@ Each row of the REDUCED file is set to +0 entry by entry with a probability
 drawn for that row, so rows from all +0 to dense are written: uniformly in
 r11 and r21, and as one minus the 32nd power of a uniform number in r12 and
 r22, whose rows are then mostly +0 with a dense one here and there.  The exit
-code is 1 if any line or any number read back differs.
+code is 1 if any line or any number read back differs, or if one of the two
+readers rejects a text that the other reads.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -96,25 +104,59 @@ def differing_lines(path: str | Path, obj: FullResource | ReducedResource) -> li
                 if got != want]
 
 
-def read_back(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """The numbers of the body of a file written by save_resource, as
-    load_resource's parser reads them, and as np.fromstring does."""
+def body_of(path: str | Path) -> bytes:
+    """The text after the three header lines of a file written by save_resource."""
     with open(path, "rb") as f:
         for _ in range(3):
             f.readline()
-        body = f.tell()
-        parsed = float_text.parse_numbers(float_text.text_blocks(f))
-        f.seek(body)
-        return parsed, np.fromstring(f.read(), sep=" ")
+        return f.read()
+
+
+def _numbers(read) -> np.ndarray | None:
+    """The numbers read() gives, or None if it rejects the text, as
+    load_resource does: numpy 1.x only warns at a token it cannot read."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            return read()
+    except (ValueError, DeprecationWarning):
+        return None
+
+
+def differing_reads(text: bytes, size: int = float_text._BLOCK) -> tuple[int, int]:
+    """(numbers that differ, rejections that differ) between
+    float_text.parse_numbers reading text in blocks of about size bytes and
+    np.fromstring(text, sep=" "): the larger count of numbers if the two
+    give different counts, and 1 if exactly one of them rejects text."""
+    parsed = _numbers(lambda: float_text.parse_numbers(float_text.text_blocks(io.BytesIO(text), size)))
+    expected = _numbers(lambda: np.fromstring(text, sep=" "))
+    if parsed is None or expected is None:
+        return 0, int((parsed is None) != (expected is None))
+    if parsed.size != expected.size:
+        return max(parsed.size, expected.size), 0
+    return int(np.count_nonzero(parsed.view(np.uint64) != expected.view(np.uint64))), 0
 
 
 def differing_numbers(path: str | Path) -> int:
-    """How many numbers read_back's two readings do not give bit for bit
-    alike; the larger count if they give different counts."""
-    parsed, expected = read_back(path)
-    if parsed.size != expected.size:
-        return max(parsed.size, expected.size)
-    return int(np.count_nonzero(parsed.view(np.uint64) != expected.view(np.uint64)))
+    """The two counts of differing_reads for the body of a file written by
+    save_resource, added: 0 if both readers give the same numbers."""
+    return sum(differing_reads(body_of(path)))
+
+
+_ODD = bytes(range(9)) + bytes(range(14, 32)) + bytes(range(0x7f, 0x100))  # neither separators nor printable
+
+
+def odd_stretches(body: bytes, count: int, rng: np.random.Generator):
+    """count seeded (text, size) pairs: a stretch of up to 1024 bytes of body
+    that starts after a separator, with 0 to 3 bytes of _ODD inserted at
+    random places, and a block size log-uniform in 1.._BLOCK bytes."""
+    for _ in range(count):
+        at = int(rng.integers(len(body)))
+        at = max(body.rfind(b" ", 0, at), body.rfind(b"\n", 0, at)) + 1
+        text = bytearray(body[at:at + int(rng.integers(1, 1025))])
+        for _ in range(int(rng.integers(4))):
+            text.insert(int(rng.integers(len(text) + 1)), _ODD[rng.integers(len(_ODD))])
+        yield bytes(text), int(2 ** rng.uniform(0, np.log2(float_text._BLOCK)))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -123,7 +165,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--reduced-ports", type=int, default=9, help="ports of the REDUCED file (default 9)")
     parser.add_argument("--seed", type=int, default=2022)
     args = parser.parse_args(argv)
-    full, reduced = corpus_resources(args.full_ports, args.reduced_ports, np.random.default_rng(args.seed))
+    rng = np.random.default_rng(args.seed)
+    full, reduced = corpus_resources(args.full_ports, args.reduced_ports, rng)
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         for form, obj in (("FULL", full), ("REDUCED", reduced)):
@@ -133,14 +176,24 @@ def main(argv: list[str] | None = None) -> int:
             seconds = time.perf_counter() - start
             count = (obj.rho_ab.size if form == "FULL" else obj.joint.size) * 2
             differ = differing_lines(path, obj)
+            body = body_of(path)
             start = time.perf_counter()
-            misread = differing_numbers(path)
+            misread = sum(differing_reads(body))
             print(f"{form} n={obj.n}: {count} numbers, {path.stat().st_size} bytes written in "
                   f"{seconds:.2f} s, {len(differ)} lines differ; read back and with np.fromstring "
                   f"in {time.perf_counter() - start:.2f} s, {misread} numbers differ")
             for number, got, want in differ[:3]:
                 print(f"  line {number}:\n    written  {got[:200]!r}\n    expected {want[:200]!r}")
-            failed |= bool(differ) or bool(misread)
+            start = time.perf_counter()
+            separated = [differing_reads(body.translate(bytes.maketrans(b" \n", bytes([sep, sep]))))
+                         for sep in float_text._SEPARATORS]
+            print(f"  read with each of the six separators in {time.perf_counter() - start:.2f} s: "
+                  f"{sum(m for m, _ in separated)} numbers and {sum(r for _, r in separated)} rejections differ")
+            start = time.perf_counter()
+            stretches = [differing_reads(text, size) for text, size in odd_stretches(body, 1000, rng)]
+            print(f"  {len(stretches)} stretches with inserted bytes read in {time.perf_counter() - start:.2f} s: "
+                  f"{sum(m for m, _ in stretches)} numbers and {sum(r for _, r in stretches)} rejections differ")
+            failed |= bool(differ) or bool(misread) or any(m or r for m, r in separated + stretches)
     return 1 if failed else 0
 
 
